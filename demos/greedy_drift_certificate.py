@@ -35,7 +35,7 @@ record = RunRecord(
 )
 
 print(f"rounds            {env.T}")
-print(f"comparator path   {record.path_len():.3f}  (budget tau = 2.5)")
+print(f"comparator path   {record.path_len:.3f}  (budget tau = 2.5)")
 print(f"dynamic regret    {record.regret():.4f}")
 for row in evaluate_bounds(record):
     verdict = "ok" if row.passed else "VIOLATED"

@@ -3,21 +3,22 @@
 ``evaluate_bounds`` consumes a completed run and emits one row per applicable
 inequality with the realized left and right sides.  Rows never weaken the
 stated guarantee: when a premise fails (for example the comparator path
-exceeds the configured budget) the row is marked inapplicable instead of
-passed.
+exceeds the configured budget, or a comparator of the greedy drift bound
+lies outside the domain) the row is marked inapplicable instead of passed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import Geometry
-from .losses import CompositeLoss, LinearLoss, Loss, path_length, temporal_variability
+from .losses import CompositeLoss, LinearLoss, Variability, step_lengths, temporal_variability
+from .prox import DELTA_FLOOR
 
-DELTA_FLOOR = -1e-8
 DEFAULT_TOL = 1e-6
 
 
@@ -43,7 +44,11 @@ class BoundCheck:
 
 @dataclass
 class RunRecord:
-    """Everything a bound check can see about one finished run."""
+    """Everything a bound check can see about one finished run.
+
+    The run statistics the rows share (drift, comparator values, comparator
+    steps and path) are computed on first use and then kept.
+    """
 
     algorithm: str
     geom: Geometry
@@ -64,16 +69,26 @@ class RunRecord:
     def T(self) -> int:
         return len(self.losses)
 
+    @cached_property
+    def variability(self) -> Variability:
+        return temporal_variability(self.losses, self.geom.domain)
+
+    @cached_property
     def comparator_values(self) -> np.ndarray:
         return np.array(
             [l.value(u) for l, u in zip(self.losses, self.comparators)]
         )
 
-    def regret(self) -> float:
-        return float(np.sum(self.values) - np.sum(self.comparator_values()))
+    @cached_property
+    def comparator_steps(self) -> np.ndarray:
+        return step_lengths(self.comparators, self.geom.primal_norm)
 
+    @cached_property
     def path_len(self) -> float:
-        return path_length(self.comparators, self.geom.primal_norm)
+        return float(np.sum(self.comparator_steps))
+
+    def regret(self) -> float:
+        return float(np.sum(self.values) - np.sum(self.comparator_values))
 
     def endpoint_gap(self) -> float:
         """First-round value at the first play minus last loss at the final iterate."""
@@ -137,10 +152,6 @@ def check_recursion_bound(a_seq, b_seq, c: float, d: float, deltas) -> Recursion
 # ---------------------------------------------------------------------------
 
 
-def _vt_signed(rec: RunRecord) -> float:
-    return temporal_variability(rec.losses, rec.geom.domain, mode="signed").value
-
-
 def _row(name, lhs, rhs, tol, note="", applicable=True):
     return BoundCheck(name, float(lhs), float(rhs), bool(lhs <= rhs + tol),
                       status="checked" if applicable else "inapplicable", note=note)
@@ -169,19 +180,18 @@ def evaluate_bounds(rec: RunRecord, tol: float = DEFAULT_TOL) -> list[BoundCheck
 
 
 def _greedy_rows(rec, tol):
-    vt = _vt_signed(rec)
-    rhs = rec.endpoint_gap() + vt
-    return [_row("greedy-drift-bound", rec.regret(), rhs, tol,
-                 note="regret <= first value - final value + signed drift")]
+    # the bound compares against comparators the learner could have played
+    inside = all(rec.geom.domain.contains(u) for u in rec.comparators)
+    note = ("regret <= first value - final value + signed drift" if inside
+            else "comparators leave the domain; the bound needs u_t in V")
+    rhs = rec.endpoint_gap() + rec.variability.signed
+    return [_row("greedy-drift-bound", rec.regret(), rhs, tol, note=note, applicable=inside)]
 
 
 def _fixed_rows(rec, tol):
     lams = rec.lams
-    incs = np.linalg.norm(np.diff(rec.comparators, axis=0), axis=1) \
-        if rec.geom.primal_norm == "l2" \
-        else np.sum(np.abs(np.diff(rec.comparators, axis=0)), axis=1)
     rhs = (rec.geom.diameter_sq * lams[-1]
-           + rec.geom.gamma * float(np.sum(lams[1:] * incs))
+           + rec.geom.gamma * float(np.sum(lams[1:] * rec.comparator_steps))
            + float(np.sum(rec.deltas)))
     rows = [_row("fixed-schedule-bound", rec.regret(), rhs, tol,
                  note="regret <= D^2/eta_T + gamma * sum ||du||/eta_t + sum delta")]
@@ -233,13 +243,13 @@ def _adaptive_rows(rec, tol):
     D2, g = rec.geom.diameter_sq, rec.geom.gamma
     gsq = float(np.sum(np.asarray(rec.gnorms) ** 2))
     regret = rec.regret()
-    ct = rec.path_len()
+    ct = rec.path_len
+    vt = rec.variability.signed  # shared L1 parts cancel in consecutive differences
 
     if style == "drift":
         ok = ct <= tau + 1e-9
         rows.append(_premise_row("path-budget", ok, ct, tau,
                                  note="comparator path within configured budget"))
-        vt = _vt_signed(rec)
         rows.append(_row("drift-arm-endpoint", regret,
                          2.0 * (rec.endpoint_gap() + vt), tol, applicable=ok,
                          note="regret <= 2 * (endpoint gap + signed drift)"))
@@ -247,7 +257,6 @@ def _adaptive_rows(rec, tol):
                          2.0 * math.sqrt((3.0 * D2 + g * tau) * gsq), tol, applicable=ok,
                          note="regret <= 2 * sqrt((3 D^2 + gamma tau) sum ||g||*^2)"))
     elif style == "static":
-        vt = _vt_signed(rec)
         factor = 2.0 + g * ct / D2
         arm = min(rec.endpoint_gap() + vt, math.sqrt(3.0 * D2 * gsq))
         rows.append(_row("static-mode-bound", regret, factor * arm, tol,
@@ -258,7 +267,6 @@ def _adaptive_rows(rec, tol):
         ok = ct <= tau + 1e-9
         rows.append(_premise_row("path-budget", ok, ct, tau,
                                  note="comparator path within configured budget"))
-        vt = _vt_signed(rec)  # shared L1 part cancels in consecutive differences
         first = float(rec.values[0])
         last = rec.losses[-1].value(rec.x_final)
         rows.append(_row("composite-arm-endpoint", regret,
@@ -268,7 +276,6 @@ def _adaptive_rows(rec, tol):
                          2.0 * math.sqrt((3.0 * D2 + g * tau) * gsq), tol,
                          applicable=ok))
     elif style == "composite-static":
-        vt = _vt_signed(rec)
         rhs = min(2.0 * (rec.endpoint_gap() + vt),
                   2.0 * math.sqrt(D2) * math.sqrt(3.0 * gsq))
         rows.append(_row("composite-static-bound", regret, rhs, tol))
@@ -286,14 +293,13 @@ def _expert_rows(rec, tol, regret, gsq):
     rows.append(_premise_row("gradient-range", range_ok,
                              float(np.max(np.abs(gs))), l_inf,
                              note="losses within [0, L_inf]"))
-    ct = rec.path_len()
+    ct = rec.path_len
     path_ok = ct <= tau + 1e-9
     rows.append(_premise_row("path-budget", path_ok, ct, tau))
     ok = range_ok and path_ok
     clip_term = 2.0 * l_inf * T * alpha
-    vt = _vt_signed(rec)
     rows.append(_row("expert-arm-endpoint", regret,
-                     2.0 * (rec.endpoint_gap() + vt) + clip_term, tol, applicable=ok,
+                     2.0 * (rec.endpoint_gap() + rec.variability.signed) + clip_term, tol, applicable=ok,
                      note="includes the simplex clipping term"))
     eg2 = float(np.sum(rec.extras["eg2"]))
     lnT = math.log(T)
@@ -302,7 +308,7 @@ def _expert_rows(rec, tol, regret, gsq):
                      applicable=ok, note="local-norm arm"))
     # first-order corollary: learner loss bounded via its own total
     lt = float(np.sum(rec.values))
-    ltu = float(np.sum(rec.comparator_values()))
+    ltu = float(np.sum(rec.comparator_values))
     b = 2.0 * math.sqrt(l_inf * (1.0 + (1.0 + tau) * lnT))
     rows.append(_row("expert-first-order", lt,
                      first_order_bound(b, max(0.0, ltu) + clip_term), tol,
@@ -314,13 +320,12 @@ def _doubling_rows(rec, tol):
     rows = [_delta_floor_row(rec)]
     D2, g = rec.geom.diameter_sq, rec.geom.gamma
     D = math.sqrt(D2)
-    ct = rec.path_len()
+    ct = rec.path_len
     n = int(rec.epochs or 0)
     cap_arg = ct / (math.sqrt(2.0) * D) + 1.0
     rows.append(_row("epoch-count", n, math.log2(cap_arg), 1e-12,
                      note="restarts bounded by the path budget doublings"))
-    vt = _vt_signed(rec)
-    arm_a = rec.endpoint_gap() + vt
+    arm_a = rec.endpoint_gap() + rec.variability.signed
     arm_b = math.inf
     note = ""
     if ct > 0:

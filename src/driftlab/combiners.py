@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .learners import ConfigError, Learner
-from .losses import Loss
+from .losses import LinearLoss, Loss, LossError, step_lengths
 
 _INV_E = 1.0 / math.e
 
@@ -162,8 +162,6 @@ class AdaptMLProd(Learner):
         return self.weights()
 
     def update(self, loss: Loss, path_increment: float = 0.0):
-        from .losses import LinearLoss
-
         if not isinstance(loss, LinearLoss):
             raise ConfigError("expert combiner consumes linear losses (loss vectors)")
         g_raw = loss.g
@@ -214,19 +212,13 @@ def break_by_path_length(points, diameter: float, norm: str = "l2") -> list[Piec
     """
     if diameter <= 0:
         raise ConfigError("diameter must be positive")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n = pts.shape[0]
+    n = len(points)
     if n == 0:
         return []
-    diffs = np.diff(pts, axis=0)
-    if norm == "l2":
-        steps = np.linalg.norm(diffs, axis=1)
-    elif norm == "l1":
-        steps = np.sum(np.abs(diffs), axis=1)
-    else:
-        raise ConfigError(f"unknown norm {norm!r}")
+    try:
+        steps = step_lengths(points, norm)
+    except LossError as exc:
+        raise ConfigError(str(exc)) from None
     pieces: list[Piece] = []
     start = 0
     acc = 0.0

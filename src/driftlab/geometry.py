@@ -237,14 +237,6 @@ class Ball(Domain):
         return hash((self.kind, self.center.tobytes(), self.radius))
 
 
-_DOMAIN_KINDS = {
-    "interval": Interval,
-    "box": Box,
-    "clipped-simplex": ClippedSimplex,
-    "ball": Ball,
-}
-
-
 def domain_from_dict(spec: dict) -> Domain:
     kind = spec.get("kind")
     if kind == "interval":

@@ -196,14 +196,6 @@ class CompositeLoss(Loss):
         return f"CompositeLoss(base={self.base!r}, l1_weight={self.l1_weight})"
 
 
-_LOSS_KINDS = {
-    "linear": LinearLoss,
-    "quadratic": QuadraticLoss,
-    "absolute": AbsoluteLoss,
-    "hinge": HingeLoss,
-}
-
-
 def loss_from_dict(spec: dict) -> Loss:
     kind = spec.get("kind")
     if kind == "linear":
@@ -219,9 +211,41 @@ def loss_from_dict(spec: dict) -> Loss:
     raise LossError(f"unknown loss kind {kind!r}")
 
 
+def batch_values(loss: Loss, pts: np.ndarray) -> np.ndarray:
+    """Values of one loss at every row of ``pts``, shape (n, dim) -> (n,)."""
+    if isinstance(loss, LinearLoss):
+        return pts @ loss.g
+    if isinstance(loss, QuadraticLoss):
+        r = pts @ loss.a - loss.y
+        return 0.5 * r * r
+    if isinstance(loss, AbsoluteLoss):
+        return np.abs(pts @ loss.a - loss.y)
+    if isinstance(loss, HingeLoss):
+        return np.maximum(0.0, 1.0 - loss.y * (pts @ loss.a))
+    if isinstance(loss, CompositeLoss):
+        return batch_values(loss.base, pts) + loss.l1_weight * np.sum(np.abs(pts), axis=1)
+    return np.array([loss.value(p) for p in pts])
+
+
 # ---------------------------------------------------------------------------
 # path length
 # ---------------------------------------------------------------------------
+
+
+def step_lengths(points, norm: str) -> np.ndarray:
+    """Step lengths ||u_t - u_{t-1}|| of a sequence, shape (T, dim) -> (T-1,).
+
+    A length-T scalar sequence is treated as (T, 1).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    diffs = np.diff(pts, axis=0)
+    if norm == "l2":
+        return np.linalg.norm(diffs, axis=1)
+    if norm == "l1":
+        return np.sum(np.abs(diffs), axis=1)
+    raise LossError(f"unknown norm {norm!r}")
 
 
 def path_length(points, norm: str = "l2") -> float:
@@ -230,19 +254,9 @@ def path_length(points, norm: str = "l2") -> float:
     ``points`` is array-like of shape (T, dim); a length-T scalar sequence is
     treated as (T, 1).  An empty or single-point sequence has zero path.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[0] < 2:
+    if len(points) < 2:
         return 0.0
-    diffs = np.diff(pts, axis=0)
-    if norm == "l2":
-        steps = np.linalg.norm(diffs, axis=1)
-    elif norm == "l1":
-        steps = np.sum(np.abs(diffs), axis=1)
-    else:
-        raise LossError(f"unknown norm {norm!r}")
-    return float(np.sum(steps))
+    return float(np.sum(step_lengths(points, norm)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,45 +265,38 @@ def path_length(points, norm: str = "l2") -> float:
 
 
 class Variability(NamedTuple):
-    """Drift total with an exactness flag (False means a grid lower estimate)."""
+    """Both drift totals with an exactness flag (False means a grid lower estimate)."""
 
-    value: float
+    signed: float
+    absolute: float
     exact: bool
 
-    def __float__(self):
-        return self.value
 
-
-def temporal_variability(losses, domain: Domain, mode: str = "absolute",
-                         grid_points: int = 10_000) -> Variability:
+def temporal_variability(losses, domain: Domain, grid_points: int = 10_000) -> Variability:
     """Sum over t >= 2 of the largest round-to-round loss change on the domain.
 
-    ``mode="absolute"`` takes sup |l_t - l_{t-1}|; ``mode="signed"`` takes
-    sup (l_t - l_{t-1}) clamped at zero from below per term, which is the
-    variant the per-run regret bounds consume.  Linear losses over simplexes,
-    boxes and balls and arbitrary one-dimensional pairs are handled in closed
-    form; other shapes fall back to a dense grid and are flagged inexact.
+    One sweep over the consecutive pairs yields both totals: ``absolute``
+    sums sup |l_t - l_{t-1}| and ``signed`` sums sup (l_t - l_{t-1}) clamped
+    at zero from below per term, which is the variant the per-run regret
+    bounds consume.  Linear losses over simplexes, boxes and balls and
+    arbitrary one-dimensional pairs are handled in closed form; other shapes
+    fall back to a dense grid and are flagged inexact.
 
     For losses over a clipped simplex the supremum is taken over the full
     simplex (the bounds compare against unclipped corners), which can only
     enlarge the total and keeps every checked inequality valid.
     """
-    if mode not in ("absolute", "signed"):
-        raise LossError(f"unknown mode {mode!r}")
     losses = list(losses)
     if not losses:
         raise LossError("temporal variability needs at least one loss")
-    total = 0.0
+    signed = absolute = 0.0
     exact_all = True
     for prev, cur in zip(losses[:-1], losses[1:]):
         sup_pos, sup_neg, exact = _pair_sup(cur, prev, domain, grid_points)
-        if mode == "absolute":
-            term = max(sup_pos, sup_neg)
-        else:
-            term = max(0.0, sup_pos)
-        total += term
+        signed += max(0.0, sup_pos)
+        absolute += max(sup_pos, sup_neg)
         exact_all = exact_all and exact
-    return Variability(total, exact_all)
+    return Variability(signed, absolute, exact_all)
 
 
 def _strip_matching_l1(cur: Loss, prev: Loss) -> tuple[Loss, Loss]:
@@ -454,5 +461,5 @@ def _domain_grid(domain: Domain, grid_points: int) -> np.ndarray:
 
 def _grid_pair_sup(cur: Loss, prev: Loss, domain: Domain, grid_points: int):
     pts = _domain_grid(domain, grid_points)
-    diffs = np.array([cur.value(p) - prev.value(p) for p in pts])
+    diffs = batch_values(cur, pts) - batch_values(prev, pts)
     return float(np.max(diffs)), float(np.max(-diffs)), False

@@ -29,6 +29,7 @@ from .losses import (
     LinearLoss,
     Loss,
     QuadraticLoss,
+    batch_values,
 )
 
 DELTA_FLOOR = -1e-8
@@ -360,23 +361,8 @@ def _descent_route(loss, geom, x_t, lam, max_iter=100_000, tol=1e-9) -> ProxResu
 # ---------------------------------------------------------------------------
 
 
-def _batch_values(loss: Loss, pts: np.ndarray) -> np.ndarray:
-    if isinstance(loss, LinearLoss):
-        return pts @ loss.g
-    if isinstance(loss, QuadraticLoss):
-        r = pts @ loss.a - loss.y
-        return 0.5 * r * r
-    if isinstance(loss, AbsoluteLoss):
-        return np.abs(pts @ loss.a - loss.y)
-    if isinstance(loss, HingeLoss):
-        return np.maximum(0.0, 1.0 - loss.y * (pts @ loss.a))
-    if isinstance(loss, CompositeLoss):
-        return _batch_values(loss.base, pts) + loss.l1_weight * np.sum(np.abs(pts), axis=1)
-    return np.array([loss.value(p) for p in pts])
-
-
 def _batch_objective(loss, geom, x_t, lam, pts) -> np.ndarray:
-    vals = _batch_values(loss, pts)
+    vals = batch_values(loss, pts)
     if lam > 0:
         if geom.mirror == "euclidean":
             d = pts - x_t

@@ -29,7 +29,7 @@ from .learners import (
     OGD,
     fixed_schedule,
 )
-from .losses import loss_from_dict, path_length, temporal_variability
+from .losses import loss_from_dict, step_lengths
 
 SCHEMA_VERSION = 1
 TRACE_KIND = "driftlab-trace"
@@ -208,13 +208,6 @@ class CellResult:
     report: dict
 
 
-def _increment(u, prev, norm: str) -> float:
-    if prev is None:
-        return 0.0
-    d = np.asarray(u, dtype=float) - np.asarray(prev, dtype=float)
-    return float(np.sum(np.abs(d))) if norm == "l1" else float(np.linalg.norm(d))
-
-
 def run_cell(cell: dict) -> CellResult:
     T = cell.get("T")
     if not isinstance(T, int) or T < 1:
@@ -239,13 +232,11 @@ def run_cell(cell: dict) -> CellResult:
         },
     }
     lines = [json.dumps(header, sort_keys=True)]
-    prev_u = None
+    us = env.comparators()
+    incs = [0.0, *step_lengths(us, geom.primal_norm).tolist()]
     value_sum = 0.0
-    for t in range(1, T + 1):
+    for t, (u, inc) in enumerate(zip(us, incs), start=1):
         loss = env.loss(t)
-        u = env.comparator(t)
-        inc = _increment(u, prev_u, geom.primal_norm)
-        prev_u = u
         x = learner.play()
         row = learner.update(loss, inc)
         value_sum += row["value"]
@@ -328,9 +319,6 @@ def trace_to_report(records: list) -> dict:
                            "recorded": value_sum,
                            "recomputed": float(np.sum(values))})
 
-    us_arr = np.array(us)
-    vt_signed = temporal_variability(losses, geom.domain, mode="signed")
-    vt_abs = temporal_variability(losses, geom.domain, mode="absolute")
     have_g = all(g is not None for g in gnorms)
     sum_gsq = float(np.sum(np.array(gnorms, dtype=float) ** 2)) if have_g else None
     record = RunRecord(
@@ -339,7 +327,7 @@ def trace_to_report(records: list) -> dict:
         losses=losses,
         plays=np.array(plays),
         x_final=np.asarray(_require(final, "x_final", "final record"), dtype=float),
-        comparators=us_arr,
+        comparators=np.array(us),
         values=values,
         deltas=np.array(deltas, dtype=float) if all(d is not None for d in deltas) else None,
         lams=np.array(lams, dtype=float) if all(l is not None for l in lams) else None,
@@ -350,6 +338,7 @@ def trace_to_report(records: list) -> dict:
         extras=extras,
     )
     bound_rows = [b.to_dict() for b in evaluate_bounds(record)]
+    vt = record.variability
     summary = {
         "checked": sum(1 for b in bound_rows if b["status"] == "checked"),
         "passed": sum(1 for b in bound_rows if b["status"] == "checked" and b["passed"]),
@@ -360,11 +349,11 @@ def trace_to_report(records: list) -> dict:
         "rounds": T,
         "regret": record.regret(),
         "value_sum": float(np.sum(values)),
-        "comparator_sum": float(np.sum(record.comparator_values())),
-        "ct": path_length(us_arr, geom.primal_norm),
-        "vt_signed": vt_signed.value,
-        "vt_abs": vt_abs.value,
-        "vt_exact": bool(vt_signed.exact and vt_abs.exact),
+        "comparator_sum": float(np.sum(record.comparator_values)),
+        "ct": record.path_len,
+        "vt_signed": vt.signed,
+        "vt_abs": vt.absolute,
+        "vt_exact": vt.exact,
         "sum_gsq": sum_gsq,
         "lam_final": final.get("lam_final"),
         "epochs": final.get("epochs"),

@@ -116,7 +116,7 @@ def test_criterion_01_greedy_drift_certificate():
             losses, us = env.losses(), env.comparators()
             learner = Greedy(geom)
             vals, _ = _run(learner, losses)
-            vt = temporal_variability(losses, geom.domain, mode="signed").value
+            vt = temporal_variability(losses, geom.domain).signed
             rhs = float(vals[0]) - losses[-1].value(learner.play()) + vt
             _ok(_regret(vals, losses, us), rhs)
     print("criterion 01 greedy drift certificate: PASS")
@@ -165,7 +165,7 @@ def test_criterion_03_adaptive_drift_certificate():
         cap = math.sqrt(
             (2.0 * INTERVAL.diameter_sq / beta_sq ** 2 + 1.0 / beta_sq) * gsq)
         _ok(float(learner.lam), cap, 1e-9)
-        vt = temporal_variability(losses, INTERVAL.domain, mode="signed").value
+        vt = temporal_variability(losses, INTERVAL.domain).signed
         endpoint = float(vals[0]) - losses[-1].value(learner.play())
         _ok(regret, 2.0 * (endpoint + vt))
         _ok(regret, 2.0 * math.sqrt(
@@ -189,7 +189,7 @@ def test_criterion_04_doubling_restart_certificate():
         ct = float(np.sum(np.abs(np.diff(us, axis=0))))
         seen_ct.append(ct)
         _ok(learner.epoch, math.log2(ct / (math.sqrt(2.0) * D) + 1.0), 1e-12)
-        vt = temporal_variability(losses, INTERVAL.domain, mode="signed").value
+        vt = temporal_variability(losses, INTERVAL.domain).signed
         arm_a = float(vals[0]) - losses[-1].value(learner.play()) + vt
         arm_b = math.inf
         if ct > 0:
@@ -512,7 +512,7 @@ def test_criterion_10_two_learner_mixture():
         _ok(mix - float(np.sum(lb)), two_ln2 + 2.0 * math.log(k))
         _ok(mix - float(np.sum(la)),
             two_ln2 + (2.0 + math.log(k)) * math.sqrt(1.0 + float(r @ r)))
-        vt = temporal_variability(losses, INTERVAL.domain, mode="signed").value
+        vt = temporal_variability(losses, INTERVAL.domain).signed
         # comparators sit on the per-round minimizers, so regret is the value sum
         _ok(float(np.sum(vals)), vt + two_ln2 + 2.0 * math.log(k) + 2.0)
     print("criterion 10 two-learner mixture: PASS")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from driftlab.learners import (
     Learner,
 )
 from driftlab.losses import AbsoluteLoss, LinearLoss, QuadraticLoss
+from driftlab.runner import run_cell
 
 INTERVAL = euclidean_geometry(Interval(-1.0, 1.0))
 
@@ -188,6 +190,23 @@ def test_greedy_on_fixed_loss_is_pure_endpoint_gap():
     assert row.rhs == pytest.approx(gap, abs=1e-12)
 
 
+def test_greedy_row_inapplicable_when_comparators_leave_the_domain():
+    # the walk on [-1, 1] leaves the box [-0.4, 0.4]: regret against the
+    # outside comparators is not covered by the drift bound
+    cell = {"environment": {"kind": "drifting-quadratic", "params": {"tau": 2.0}},
+            "geometry": {"mirror": "euclidean",
+                         "domain": {"kind": "box", "lo": [-0.4], "hi": [0.4]}},
+            "algorithm": {"name": "greedy"}, "T": 3, "seed": 3}
+    res = run_cell(cell)
+    us = [json.loads(line)["u"][0] for line in res.trace_lines[1:-1]]
+    assert any(abs(u) > 0.4 for u in us)
+    [row] = res.report["bounds"]
+    assert row["name"] == "greedy-drift-bound"
+    assert row["status"] == "inapplicable"
+    assert "comparators leave the domain" in row["note"]
+    assert res.report["bounds_summary"]["failed"] == 0
+
+
 def _adaptive_record(tau_alg, env):
     geom = env.default_geometry()
     beta_sq = geom.diameter_sq + geom.gamma * tau_alg
@@ -262,7 +281,7 @@ def test_doubling_rows_count_epochs():
         assert row.passed
     assert rows["epoch-count"].lhs == learner.epoch
     assert rows["epoch-count"].rhs == pytest.approx(
-        math.log2(rec.path_len() / (math.sqrt(2.0) * math.sqrt(geom.diameter_sq)) + 1.0)
+        math.log2(rec.path_len / (math.sqrt(2.0) * math.sqrt(geom.diameter_sq)) + 1.0)
     )
 
 

@@ -119,10 +119,10 @@ def test_alternating_variability_and_switch_count_are_linear():
     T = 64
     env = AlternatingExpertsEnv(T=T)
     domain = env.default_geometry().domain
-    for mode in ("absolute", "signed"):
-        v = temporal_variability(env.losses(), domain, mode=mode)
-        assert v.exact
-        assert T - 1 <= v.value <= T
+    v = temporal_variability(env.losses(), domain)
+    assert v.exact
+    for value in (v.absolute, v.signed):
+        assert T - 1 <= value <= T
     u = env.comparators()
     switches = int(np.sum(np.any(u[1:] != u[:-1], axis=1)))
     assert T - 1 <= switches <= T
@@ -235,9 +235,8 @@ def test_drifting_rejects_negative_budget():
 def test_fixed_loss_has_zero_variability():
     env = FixedLossEnv(T=25, seed=6)
     domain = env.default_geometry().domain
-    for mode in ("absolute", "signed"):
-        v = temporal_variability(env.losses(), domain, mode=mode)
-        assert v.value == 0.0
+    v = temporal_variability(env.losses(), domain)
+    assert v.absolute == 0.0 and v.signed == 0.0
     assert all(env.loss(t) is env.loss(1) for t in range(2, 26))
 
 

@@ -23,6 +23,18 @@ from driftlab.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
+# Files whose bytes moved on purpose since golden.json was last recorded.
+# The greedy drift row of the box cell turned inapplicable: its comparators
+# leave the box, and the bound needs them inside the domain.
+MOVED = {
+    "tiny-box": {
+        "drifting-quadratic-greedy-s3.report.json":
+            "342d847f50ac4903d074930ce9033cac1af86df01de497643194848fa18446d5",
+        "summary.csv":
+            "c31afb5a1c06bda37f9cad89f8b55287ca7825591cb171ef71ab5c69c4a59fde",
+    },
+}
+
 
 def _load_workloads():
     spec = importlib.util.spec_from_file_location(
@@ -47,7 +59,7 @@ def test_golden_digests(name, tmp_path):
     assert main([command, str(cfg), "--output-dir", str(out), "--threads", "1"]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir()) if p.is_file()}
-    expected = GOLDEN[name]
+    expected = {**GOLDEN[name], **MOVED.get(name, {})}
     assert sorted(written) == sorted(expected)
     changed = sorted(f for f in expected if written[f] != expected[f])
     assert changed == []

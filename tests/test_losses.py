@@ -11,8 +11,10 @@ from driftlab.losses import (
     LinearLoss,
     LossError,
     QuadraticLoss,
+    batch_values,
     loss_from_dict,
     path_length,
+    step_lengths,
     temporal_variability,
 )
 
@@ -78,6 +80,18 @@ def test_composite_value_and_nesting_guard():
         CompositeLoss(QuadraticLoss([1.0], 0.0), -0.1)
 
 
+def test_batch_values_match_pointwise_values():
+    rng = np.random.Generator(np.random.PCG64(17))
+    for dim in (1, 3):
+        pts = rng.uniform(-2.0, 2.0, size=(200, dim))
+        a = rng.normal(size=dim)
+        quad = QuadraticLoss(a, 0.3)
+        for loss in (LinearLoss(a), quad, AbsoluteLoss(a, -0.2), HingeLoss(a, -1.0),
+                     CompositeLoss(quad, 0.5)):
+            loop = np.array([loss.value(p) for p in pts])
+            np.testing.assert_allclose(batch_values(loss, pts), loop, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # path length
 # ---------------------------------------------------------------------------
@@ -89,6 +103,17 @@ def test_path_length_examples():
     e1, e2 = [1.0, 0.0], [0.0, 1.0]
     assert path_length([e1, e2, e1], "l1") == pytest.approx(4.0, abs=1e-15)
     assert path_length([[1.0, 1.0]], "l2") == 0.0
+
+
+def test_step_lengths_per_norm():
+    pts = [[0.0, 0.0], [3.0, 4.0], [3.0, 3.0]]
+    np.testing.assert_allclose(step_lengths(pts, "l2"), [5.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(step_lengths(pts, "l1"), [7.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(step_lengths([0.5, -0.25], "l2"), [0.75], atol=1e-15)
+    with pytest.raises(LossError):
+        step_lengths(pts, "linf")
+    with pytest.raises(LossError):
+        path_length(pts, "linf")
 
 
 def test_path_length_concatenation_additivity():
@@ -110,26 +135,24 @@ def test_path_length_concatenation_additivity():
 def test_variability_linear_over_simplex():
     dom = ClippedSimplex(2, 0.5)
     seq = [LinearLoss([1.0, 0.0]), LinearLoss([0.0, 1.0])]
-    v = temporal_variability(seq, dom, mode="absolute")
+    v = temporal_variability(seq, dom)
     assert v.exact
-    assert v.value == pytest.approx(1.0, abs=1e-12)
+    assert v.absolute == pytest.approx(1.0, abs=1e-12)
 
 
 def test_variability_identical_losses_is_zero():
     dom = Interval(-1.0, 1.0)
     seq = [QuadraticLoss([1.0], 0.3)] * 6
-    for mode in ("absolute", "signed"):
-        v = temporal_variability(seq, dom, mode=mode)
-        assert v.exact and v.value == 0.0
+    v = temporal_variability(seq, dom)
+    assert v.exact and v.absolute == 0.0 and v.signed == 0.0
 
 
 def test_variability_quadratic_jump_pair():
     dom = Interval(-1.0, 1.0)
     seq = [QuadraticLoss([1.0], -0.1), QuadraticLoss([1.0], 0.1)]
-    va = temporal_variability(seq, dom, mode="absolute")
-    vs = temporal_variability(seq, dom, mode="signed")
-    assert va.exact and va.value == pytest.approx(0.2, abs=1e-12)
-    assert vs.exact and vs.value == pytest.approx(0.2, abs=1e-12)
+    v = temporal_variability(seq, dom)
+    assert v.exact and v.absolute == pytest.approx(0.2, abs=1e-12)
+    assert v.signed == pytest.approx(0.2, abs=1e-12)
 
 
 def test_variability_signed_below_absolute_and_clamped():
@@ -138,9 +161,8 @@ def test_variability_signed_below_absolute_and_clamped():
     for _ in range(50):
         seq = [QuadraticLoss([float(rng.uniform(0.5, 2.0))], float(rng.uniform(-1, 1)))
                for _ in range(5)]
-        va = temporal_variability(seq, dom, mode="absolute")
-        vs = temporal_variability(seq, dom, mode="signed")
-        assert 0.0 <= vs.value <= va.value + 1e-12
+        v = temporal_variability(seq, dom)
+        assert 0.0 <= v.signed <= v.absolute + 1e-12
 
 
 def _grid_sups(seq, grid):
@@ -180,49 +202,47 @@ def test_variability_one_dim_closed_forms_match_grid():
         for _ in range(6):
             seq = [make(), make(), make()]
             sups = _grid_sups(seq, grid)
-            for mode in ("absolute", "signed"):
-                v = temporal_variability(seq, dom, mode=mode)
-                assert v.exact
-                assert v.value == pytest.approx(_grid_total(sups, mode), abs=1e-6)
+            v = temporal_variability(seq, dom)
+            assert v.exact
+            assert v.absolute == pytest.approx(_grid_total(sups, "absolute"), abs=1e-6)
+            assert v.signed == pytest.approx(_grid_total(sups, "signed"), abs=1e-6)
 
 
 def test_variability_linear_simplex_matches_corner_scan():
     rng = np.random.Generator(np.random.PCG64(43))
     dom = ClippedSimplex(4, 0.2)
     seq = [LinearLoss(rng.normal(size=4)) for _ in range(6)]
-    v = temporal_variability(seq, dom, mode="absolute")
+    v = temporal_variability(seq, dom)
     assert v.exact
     # sup over the full simplex of a linear difference sits on a corner
     total = 0.0
     for prev, cur in zip(seq[:-1], seq[1:]):
         total += float(np.max(np.abs(cur.g - prev.g)))
-    assert v.value == pytest.approx(total, abs=1e-12)
+    assert v.absolute == pytest.approx(total, abs=1e-12)
 
 
 def test_variability_grid_fallback_flags_inexact():
     dom = Box([-1, -1], [1, 1])
     seq = [QuadraticLoss([1.0, 0.5], 0.0), QuadraticLoss([0.5, 1.0], 0.3)]
-    v = temporal_variability(seq, dom, mode="absolute", grid_points=300)
+    v = temporal_variability(seq, dom, grid_points=300)
     assert not v.exact
-    denser = temporal_variability(seq, dom, mode="absolute", grid_points=900)
-    assert denser.value >= v.value - 1e-9  # grid estimates only improve
+    denser = temporal_variability(seq, dom, grid_points=900)
+    assert denser.absolute >= v.absolute - 1e-9  # grid estimates only improve
 
 
 def test_variability_composite_matching_penalties_cancel():
     dom = Interval(-1.0, 1.0)
     base = [QuadraticLoss([1.0], -0.2), QuadraticLoss([1.0], 0.4)]
-    plain = temporal_variability(base, dom, mode="absolute")
+    plain = temporal_variability(base, dom)
     wrapped = [CompositeLoss(b, 0.7) for b in base]
-    comp = temporal_variability(wrapped, dom, mode="absolute")
+    comp = temporal_variability(wrapped, dom)
     assert comp.exact
-    assert comp.value == pytest.approx(plain.value, abs=1e-12)
+    assert comp.absolute == pytest.approx(plain.absolute, abs=1e-12)
 
 
-def test_variability_rejects_empty_and_bad_mode():
+def test_variability_rejects_empty():
     with pytest.raises(LossError):
         temporal_variability([], Interval(-1, 1))
-    with pytest.raises(LossError):
-        temporal_variability([LinearLoss([1.0])], Interval(-1, 1), mode="best")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import driftlab
 from driftlab.cli import main
 from driftlab.learners import ConfigError
 from driftlab.runner import (
@@ -83,6 +86,20 @@ def test_report_metrics_are_consistent():
     s = rep["bounds_summary"]
     assert s["checked"] == s["passed"] + s["failed"]
     assert s["failed"] == 0
+
+
+def test_report_sweeps_the_drift_once(monkeypatch):
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        original = getattr(mod, "temporal_variability", None)
+        if name.startswith("driftlab") and callable(original):
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(mod, "temporal_variability", counted)
+    res = run_cell(_cell())
+    assert len(calls) == 1
+    assert res.report["bounds_summary"]["checked"] > 0
 
 
 def test_verify_reproduces_the_report_byte_for_byte(tmp_path):
@@ -409,10 +426,13 @@ def test_cli_module_entry_point(tmp_path):
         "T": 4,
         "algorithm": "greedy",
     })
+    # the child imports the same package as this test, wherever it lives
+    src = str(Path(driftlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "driftlab.cli", "run", cfg,
          "--output-dir", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "fixed-loss-greedy-s0" in proc.stdout
