@@ -47,7 +47,8 @@ class RunRecord:
     """Everything a bound check can see about one finished run.
 
     The run statistics the rows share (drift, comparator values, comparator
-    steps and path) are computed on first use and then kept.
+    steps and path) are computed on first use and then kept.  Points are
+    trusted: ``runner.trace_to_report`` checks them once per trace.
     """
 
     algorithm: str
@@ -76,7 +77,7 @@ class RunRecord:
     @cached_property
     def comparator_values(self) -> np.ndarray:
         return np.array(
-            [l.value(u) for l, u in zip(self.losses, self.comparators)]
+            [l._value(u) for l, u in zip(self.losses, self.comparators)]
         )
 
     @cached_property
@@ -92,7 +93,7 @@ class RunRecord:
 
     def endpoint_gap(self) -> float:
         """First-round value at the first play minus last loss at the final iterate."""
-        return float(self.values[0]) - self.losses[-1].value(self.x_final)
+        return float(self.values[0]) - self.losses[-1]._value(self.x_final)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ def evaluate_bounds(rec: RunRecord, tol: float = DEFAULT_TOL) -> list[BoundCheck
 
 def _greedy_rows(rec, tol):
     # the bound compares against comparators the learner could have played
-    inside = all(rec.geom.domain.contains(u) for u in rec.comparators)
+    inside = all(rec.geom.domain._contains(u) for u in rec.comparators)
     note = ("regret <= first value - final value + signed drift" if inside
             else "comparators leave the domain; the bound needs u_t in V")
     rhs = rec.endpoint_gap() + rec.variability.signed
@@ -268,7 +269,7 @@ def _adaptive_rows(rec, tol):
         rows.append(_premise_row("path-budget", ok, ct, tau,
                                  note="comparator path within configured budget"))
         first = float(rec.values[0])
-        last = rec.losses[-1].value(rec.x_final)
+        last = rec.losses[-1]._value(rec.x_final)
         rows.append(_row("composite-arm-endpoint", regret,
                          2.0 * (first - last + vt), tol, applicable=ok,
                          note="variable-part drift, full-loss endpoints"))

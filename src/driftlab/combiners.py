@@ -7,6 +7,9 @@ path-length interval splitter.
 
 Meta weight updates assume losses in [0, 1]; ``LossRange`` maps a known range
 affinely onto the unit interval and rejects out-of-range values outright.
+
+Base learners' plays are points they checked themselves (see ``learners``),
+so losses are evaluated on them with the trusted ``Loss._value``.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ class ABProd(Learner):
         xa = self.a.play()
         xb = self.b.play()
         p = self.mixture_weight()
-        la = self.range.unit(loss.value(xa))
-        lb = self.range.unit(loss.value(xb))
+        la = self.range.unit(loss._value(xa))
+        lb = self.range.unit(loss._value(xb))
         r = lb - la
         eta_old = self.eta
         self.r_sq_sum += r * r
@@ -109,7 +112,7 @@ class ABProd(Learner):
         row_a = self.a.update(loss, path_increment)
         self.b.update(loss, path_increment)
         row = {
-            "value": loss.value(p * xa + (1.0 - p) * xb),
+            "value": loss._value(p * xa + (1.0 - p) * xb),
             "p_a": p,
             "r": r,
             "eta": eta_old,
@@ -373,13 +376,13 @@ class Scaffold(Learner):
     def update(self, loss: Loss, path_increment: float = 0.0):
         keys = self._keys()
         plays = [self.bases[k].play() for k in keys]
-        g = np.array([self.range.unit(loss.value(y)) for y in plays])
+        g = np.array([self.range.unit(loss._value(y)) for y in plays])
         p = self.meta.step(keys, g)
         for k in keys:
             self.bases[k].update(loss)
         x = sum(pi * yi for pi, yi in zip(p, plays))
         row = {
-            "value": loss.value(x),
+            "value": loss._value(x),
             "active": len(keys),
             "k_acc": self.meta.k_acc,
         }

@@ -5,6 +5,11 @@ two constants every regret bound in this package consumes: the squared
 Bregman diameter ``diameter_sq`` and the drift sensitivity ``gamma`` (how much
 the divergence to a fixed anchor can change when the reference point moves one
 unit in the primal norm).
+
+Validation contract: public functions and methods accept array-likes (lists,
+int arrays, 0-d scalars) and raise ``GeometryError`` for NaN, infinite or
+more than 1-d points.  Private helpers take points that passed
+``_as_vector``: 1-d float64 vectors with finite coordinates.
 """
 
 from __future__ import annotations
@@ -25,12 +30,14 @@ class GeometryError(ValueError):
 
 
 def _as_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.ndim != 1:
-        raise GeometryError(f"expected a 1-d point, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    """Validate a point: a 1-d float64 vector with finite coordinates."""
+    if type(x) is not np.ndarray or x.dtype != np.float64 or x.ndim != 1:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            x = x.reshape(1)
+        if x.ndim != 1:
+            raise GeometryError(f"expected a 1-d point, got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise GeometryError("point has NaN or infinite coordinates")
     return x
 
@@ -54,6 +61,9 @@ class Domain:
         raise NotImplementedError
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+        return self._contains(_as_vector(x), tol)
+
+    def _contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -78,8 +88,7 @@ class Interval(Domain):
     def dim(self) -> int:
         return 1
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = _as_vector(x)
+    def _contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return x.shape == (1,) and self.lo - tol <= x[0] <= self.hi + tol
 
     def clip(self, x: np.ndarray) -> np.ndarray:
@@ -114,8 +123,7 @@ class Box(Domain):
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = _as_vector(x)
+    def _contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         if x.shape != self.lo.shape:
             return False
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
@@ -173,8 +181,7 @@ class ClippedSimplex(Domain):
     def floor(self) -> float:
         return self.alpha / self.d
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = _as_vector(x)
+    def _contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         if x.shape != (self.d,):
             return False
         return bool(np.all(x >= self.floor - tol) and abs(float(np.sum(x)) - 1.0) <= tol)
@@ -205,8 +212,7 @@ class Ball(Domain):
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = _as_vector(x)
+    def _contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         if x.shape != self.center.shape:
             return False
         return float(np.linalg.norm(x - self.center)) <= self.radius + tol
@@ -329,18 +335,24 @@ class Geometry:
         Euclidean: 0.5 * ||x - y||_2^2.  Entropy: KL(x, y) with the
         convention 0 * log 0 = 0; y must have strictly positive coordinates.
         """
+        return self._bregman(*self._divergence_pair(x, y))
+
+    def _divergence_pair(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Validate the two arguments of the divergence."""
         x = _as_vector(x)
         y = _as_vector(y)
         if x.shape != y.shape:
             raise GeometryError("bregman arguments must share a shape")
-        if self.mirror == EUCLIDEAN:
-            d = x - y
-            return 0.5 * float(d @ d)
-        if np.any(y <= 0.0):
+        if self.mirror == ENTROPY and np.any(y <= 0.0):
             raise GeometryError("entropy divergence needs y > 0 coordinate-wise")
+        return x, y
+
+    def _bregman(self, x: np.ndarray, y: np.ndarray) -> float:
+        d = x - y
+        if self.mirror == EUCLIDEAN:
+            return 0.5 * float(d @ d)
         # fused per-term form x*log1p((x-y)/y) - (x-y): the absolute float
         # error scales with |x-y|, so lam * B stays meaningful at huge lam
-        d = x - y
         with np.errstate(divide="ignore"):
             terms = np.where(x > 0.0, x * np.log1p(np.where(x > 0.0, d, 0.0) / y) - d, y)
         return float(np.sum(terms))

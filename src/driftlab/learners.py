@@ -4,6 +4,9 @@ Every learner exposes ``play()`` (the point paying this round's loss) and
 ``update(loss, path_increment=0.0)`` which advances the state and returns a
 flat dict of per-round diagnostics (progress certificate delta, weight lam,
 dual gradient norm at the play, solver label).
+
+The state point is checked once, at build time (``start_point``), and then
+only replaced by checked prox or projection outputs, so rounds trust it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Box, ClippedSimplex, Geometry, Interval
+from .geometry import Ball, Box, ClippedSimplex, Geometry, Interval, _as_vector
 from .losses import LinearLoss, Loss
 from .prox import implicit_update
 
@@ -32,6 +35,20 @@ def domain_center(domain) -> np.ndarray:
     if isinstance(domain, Ball):
         return domain.center.copy()
     raise ConfigError(f"no default start point for domain {domain.kind!r}")
+
+
+def start_point(geom: Geometry, x0=None) -> np.ndarray:
+    """The first play: ``x0`` checked against the domain, or the domain center."""
+    if x0 is None:
+        return domain_center(geom.domain)
+    try:
+        x = _as_vector(x0)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field 'algorithm.x0': {exc}") from None
+    if not geom.domain._contains(x):
+        raise ConfigError(f"config field 'algorithm.x0': {x.tolist()} is not a point "
+                          f"of the {geom.domain.kind} domain")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +129,9 @@ class Learner:
 
 
 def _round_row(geom, loss, x, res, lam) -> dict:
-    g = loss.subgradient(x)
+    g = loss._subgradient(x)
     row = {
-        "value": loss.value(x),
+        "value": res.value,
         "gnorm_dual": geom.dual_norm(g),
         "delta": res.delta,
         "lam": lam,
@@ -132,7 +149,7 @@ class Greedy(Learner):
 
     def __init__(self, geom: Geometry, x0=None):
         self.geom = geom
-        self.x = np.asarray(x0, dtype=float) if x0 is not None else domain_center(geom.domain)
+        self.x = start_point(geom, x0)
 
     def play(self):
         return self.x
@@ -159,7 +176,7 @@ class DynamicIOMD(Learner):
             raise ConfigError(f"unsupported schedule {schedule!r}")
         self.geom = geom
         self.schedule = schedule
-        self.x = np.asarray(x0, dtype=float) if x0 is not None else domain_center(geom.domain)
+        self.x = start_point(geom, x0)
         self.t = 1
         self.delta_sum = 0.0
         self.lam = 0.0 if isinstance(schedule, AdaptiveSchedule) else None
@@ -205,7 +222,7 @@ class DoublingIOMD(Learner):
 
     def __init__(self, geom: Geometry, x0=None):
         self.geom = geom
-        self.x = np.asarray(x0, dtype=float) if x0 is not None else domain_center(geom.domain)
+        self.x = start_point(geom, x0)
         self.diameter = math.sqrt(geom.diameter_sq)
         self.epoch = 0
         self.Q = math.sqrt(2.0) * self.diameter
@@ -229,9 +246,9 @@ class DoublingIOMD(Learner):
             self.lam = 0.0
             self.delta_sum = 0.0
             self.path_in_epoch = 0.0
-            g = loss.subgradient(self.x)
+            g = loss._subgradient(self.x)
             row = {
-                "value": loss.value(self.x),
+                "value": loss._value(self.x),
                 "gnorm_dual": self.geom.dual_norm(g),
                 "delta": 0.0,
                 "lam": self.lam,
@@ -265,7 +282,7 @@ class OGD(Learner):
         self.etas = np.asarray(etas, dtype=float)
         if self.etas.ndim != 1 or np.any(self.etas <= 0):
             raise ConfigError("ogd needs a 1-d array of positive steps")
-        self.x = np.asarray(x0, dtype=float) if x0 is not None else domain_center(geom.domain)
+        self.x = start_point(geom, x0)
         self.t = 1
 
     def play(self):
@@ -276,9 +293,9 @@ class OGD(Learner):
             raise ConfigError(
                 f"ogd schedule exhausted: round {self.t} exceeds horizon {self.etas.size}"
             )
-        g = loss.subgradient(self.x)
+        g = loss._subgradient(self.x)
         row = {
-            "value": loss.value(self.x),
+            "value": loss._value(self.x),
             "gnorm_dual": self.geom.dual_norm(g),
             "delta": None,
             "lam": None,

@@ -4,6 +4,11 @@ Every loss is a small immutable object with ``value`` and ``subgradient``.
 At kinks (absolute loss at zero residual, hinge at margin one, L1 at zero
 coordinates) the zero element of the subdifferential is returned whenever it
 belongs to it, so stationary points report a zero subgradient.
+
+Validation contract: the public evaluators (``value``, ``subgradient``,
+``residual``, ``margin``) validate the point, then call the trusted evaluator
+of the same name with a leading underscore, which takes a validated 1-d
+float64 vector.  Callers holding validated points call those directly.
 """
 
 from __future__ import annotations
@@ -27,9 +32,15 @@ class Loss:
         raise NotImplementedError
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        return self._value(_as_vector(x))
 
     def subgradient(self, x) -> np.ndarray:
+        return self._subgradient(_as_vector(x))
+
+    def _value(self, x: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def _subgradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -49,10 +60,10 @@ class LinearLoss(Loss):
     def dim(self):
         return self.g.shape[0]
 
-    def value(self, x):
-        return float(self.g @ _as_vector(x))
+    def _value(self, x):
+        return float(self.g @ x)
 
-    def subgradient(self, x):
+    def _subgradient(self, x):
         return self.g.copy()
 
     def to_dict(self):
@@ -62,102 +73,82 @@ class LinearLoss(Loss):
         return f"LinearLoss(g={self.g.tolist()})"
 
 
-class QuadraticLoss(Loss):
+class _AffineLoss(Loss):
+    """Base of the losses of one score <a, x> against a target y."""
+
+    def __init__(self, a, y: float):
+        self.a = _as_vector(a)
+        self.y = float(y)
+        self.a.setflags(write=False)
+
+    @property
+    def dim(self):
+        return self.a.shape[0]
+
+    def residual(self, x) -> float:
+        return self._residual(_as_vector(x))
+
+    def _residual(self, x):
+        return float(self.a @ x) - self.y
+
+    def to_dict(self):
+        return {"kind": self.kind, "a": self.a.tolist(), "y": self.y}
+
+    def __repr__(self):
+        return f"{type(self).__name__}(a={self.a.tolist()}, y={self.y})"
+
+
+class QuadraticLoss(_AffineLoss):
     """x -> 0.5 * (<a, x> - y)^2."""
 
     kind = "quadratic"
 
-    def __init__(self, a, y: float):
-        self.a = _as_vector(a)
-        self.y = float(y)
-        self.a.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.a.shape[0]
-
-    def residual(self, x) -> float:
-        return float(self.a @ _as_vector(x)) - self.y
-
-    def value(self, x):
-        r = self.residual(x)
+    def _value(self, x):
+        r = self._residual(x)
         return 0.5 * r * r
 
-    def subgradient(self, x):
-        return self.residual(x) * self.a
-
-    def to_dict(self):
-        return {"kind": self.kind, "a": self.a.tolist(), "y": self.y}
-
-    def __repr__(self):
-        return f"QuadraticLoss(a={self.a.tolist()}, y={self.y})"
+    def _subgradient(self, x):
+        return self._residual(x) * self.a
 
 
-class AbsoluteLoss(Loss):
+class AbsoluteLoss(_AffineLoss):
     """x -> |<a, x> - y|."""
 
     kind = "absolute"
 
-    def __init__(self, a, y: float):
-        self.a = _as_vector(a)
-        self.y = float(y)
-        self.a.setflags(write=False)
+    def _value(self, x):
+        return abs(self._residual(x))
 
-    @property
-    def dim(self):
-        return self.a.shape[0]
-
-    def residual(self, x) -> float:
-        return float(self.a @ _as_vector(x)) - self.y
-
-    def value(self, x):
-        return abs(self.residual(x))
-
-    def subgradient(self, x):
-        r = self.residual(x)
+    def _subgradient(self, x):
+        r = self._residual(x)
         if r == 0.0:
             return np.zeros_like(self.a)
         return np.sign(r) * self.a
 
-    def to_dict(self):
-        return {"kind": self.kind, "a": self.a.tolist(), "y": self.y}
 
-    def __repr__(self):
-        return f"AbsoluteLoss(a={self.a.tolist()}, y={self.y})"
-
-
-class HingeLoss(Loss):
+class HingeLoss(_AffineLoss):
     """x -> max(0, 1 - y * <a, x>) with label y in {-1, +1}."""
 
     kind = "hinge"
 
     def __init__(self, a, y: float):
-        self.a = _as_vector(a)
-        self.y = float(y)
+        super().__init__(a, y)
         if self.y not in (-1.0, 1.0):
             raise LossError("hinge label must be -1 or +1")
-        self.a.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.a.shape[0]
 
     def margin(self, x) -> float:
-        return self.y * float(self.a @ _as_vector(x))
+        return self._margin(_as_vector(x))
 
-    def value(self, x):
-        return max(0.0, 1.0 - self.margin(x))
+    def _margin(self, x):
+        return self.y * float(self.a @ x)
 
-    def subgradient(self, x):
-        if self.margin(x) < 1.0:
+    def _value(self, x):
+        return max(0.0, 1.0 - self._margin(x))
+
+    def _subgradient(self, x):
+        if self._margin(x) < 1.0:
             return -self.y * self.a
         return np.zeros_like(self.a)
-
-    def to_dict(self):
-        return {"kind": self.kind, "a": self.a.tolist(), "y": self.y}
-
-    def __repr__(self):
-        return f"HingeLoss(a={self.a.tolist()}, y={self.y})"
 
 
 class CompositeLoss(Loss):
@@ -177,17 +168,15 @@ class CompositeLoss(Loss):
     def dim(self):
         return self.base.dim
 
-    def value(self, x):
-        x = _as_vector(x)
-        return self.base.value(x) + self.l1_weight * float(np.sum(np.abs(x)))
+    def _value(self, x):
+        return self.base._value(x) + self.l1_weight * float(np.sum(np.abs(x)))
 
     def variable_value(self, x) -> float:
         """Value of the time-varying part only (the base loss)."""
         return self.base.value(x)
 
-    def subgradient(self, x):
-        x = _as_vector(x)
-        return self.base.subgradient(x) + self.l1_weight * np.sign(x)
+    def _subgradient(self, x):
+        return self.base._subgradient(x) + self.l1_weight * np.sign(x)
 
     def to_dict(self):
         return {"kind": self.kind, "base": self.base.to_dict(), "l1_weight": self.l1_weight}
@@ -291,8 +280,16 @@ def temporal_variability(losses, domain: Domain, grid_points: int = 10_000) -> V
         raise LossError("temporal variability needs at least one loss")
     signed = absolute = 0.0
     exact_all = True
+    forms = {}  # id(loss) -> its 1-d piecewise form, built once per loss
+
+    def pieces(loss):
+        form = forms.get(id(loss))
+        if form is None:
+            form = forms[id(loss)] = _pieces_1d(loss, domain.lo, domain.hi)
+        return form
+
     for prev, cur in zip(losses[:-1], losses[1:]):
-        sup_pos, sup_neg, exact = _pair_sup(cur, prev, domain, grid_points)
+        sup_pos, sup_neg, exact = _pair_sup(cur, prev, domain, grid_points, pieces)
         signed += max(0.0, sup_pos)
         absolute += max(sup_pos, sup_neg)
         exact_all = exact_all and exact
@@ -307,8 +304,11 @@ def _strip_matching_l1(cur: Loss, prev: Loss) -> tuple[Loss, Loss]:
     return cur, prev
 
 
-def _pair_sup(cur: Loss, prev: Loss, domain: Domain, grid_points: int):
-    """Return (sup of cur-prev, sup of prev-cur, exact_flag) over the domain."""
+def _pair_sup(cur: Loss, prev: Loss, domain: Domain, grid_points: int, pieces):
+    """Return (sup of cur-prev, sup of prev-cur, exact_flag) over the domain.
+
+    ``pieces(loss)`` gives a loss's 1-d piecewise form on an interval domain.
+    """
     cur, prev = _strip_matching_l1(cur, prev)
     if isinstance(cur, LinearLoss) and isinstance(prev, LinearLoss):
         dg = cur.g - prev.g
@@ -328,7 +328,7 @@ def _pair_sup(cur: Loss, prev: Loss, domain: Domain, grid_points: int):
             rad = domain.radius * float(np.linalg.norm(dg))
             return mid + rad, -mid + rad, True
     if isinstance(domain, Interval):
-        return _interval_pair_sup(cur, prev, domain)
+        return _interval_pair_sup(pieces(cur), pieces(prev))
     return _grid_pair_sup(cur, prev, domain, grid_points)
 
 
@@ -398,10 +398,9 @@ def _split_at(breaks, coeffs, point):
     return breaks, coeffs
 
 
-def _interval_pair_sup(cur: Loss, prev: Loss, domain: Interval):
-    lo, hi = domain.lo, domain.hi
-    b1, c1 = _pieces_1d(cur, lo, hi)
-    b2, c2 = _pieces_1d(prev, lo, hi)
+def _interval_pair_sup(cur_pieces, prev_pieces):
+    b1, c1 = cur_pieces
+    b2, c2 = prev_pieces
     edges = sorted(set(b1) | set(b2))
 
     def seg_coeff(breaks, coeffs, x):

@@ -5,6 +5,11 @@ where a closed form exists and by a certified numeric fallback otherwise.
 ``lam = 0`` is first-class and means pure loss minimization over the domain,
 with ties broken by each route's canonical output (the lam -> 0 limit of the
 prox path wherever that limit is well defined).
+
+Validation contract: the public functions validate their points
+(``GeometryError`` for NaN, infinite or more than 1-d input).  The routes and
+private helpers take validated 1-d float64 vectors and use trusted
+evaluators; ``_finish`` checks each route's output once.
 """
 
 from __future__ import annotations
@@ -48,15 +53,17 @@ class ProxResult:
     noise for any exact solve; values below -1e-8 are rejected here.
     ``residual`` is the solver's own accuracy certificate (0 for closed
     forms, final bracket width or step movement for iterative routes).
+    ``value`` is loss(x_t), the loss the anchor pays this round.
     """
 
     x_next: np.ndarray
     delta: float
     solver: str
     residual: float
+    value: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.x_next)):
+        if not np.isfinite(self.x_next).all():
             raise SolverError(f"{self.solver}: non-finite prox output")
         if self.delta < DELTA_FLOOR:
             raise SolverError(
@@ -69,17 +76,29 @@ def compute_delta(loss: Loss, geom: Geometry, x_t, x_next, lam: float) -> float:
     """loss(x_t) - loss(x_next) - lam * B(x_next, x_t)."""
     x_t = _as_vector(x_t)
     x_next = _as_vector(x_next)
-    b = geom.bregman(x_next, x_t) if lam > 0 else 0.0
+    if lam > 0:
+        geom._divergence_pair(x_next, x_t)
+    return _delta(loss, geom, loss._value(x_t), x_t, x_next, lam)
+
+
+def _delta(loss, geom, value_t, x_t, x_next, lam) -> float:
+    b = geom._bregman(x_next, x_t) if lam > 0 else 0.0
     penalty = lam * b if b > 0.0 else 0.0
-    return loss.value(x_t) - loss.value(x_next) - penalty
+    return value_t - loss._value(x_next) - penalty
 
 
 def prox_objective(loss: Loss, geom: Geometry, x_t, lam: float, x) -> float:
     """The objective implicit_update minimizes, evaluated at x."""
     x = _as_vector(x)
-    val = loss.value(x)
     if lam > 0:
-        val += lam * geom.bregman(x, x_t)
+        x, x_t = geom._divergence_pair(x, x_t)
+    return _objective(loss, geom, x_t, lam, x)
+
+
+def _objective(loss, geom, x_t, lam, x) -> float:
+    val = loss._value(x)
+    if lam > 0:
+        val += lam * geom._bregman(x, x_t)
     return val
 
 
@@ -90,7 +109,7 @@ def prox_objective(loss: Loss, geom: Geometry, x_t, lam: float, x) -> float:
 
 def implicit_update(loss: Loss, geom: Geometry, x_t, lam: float) -> ProxResult:
     x_t = _as_vector(x_t)
-    if not geom.domain.contains(x_t):
+    if not geom.domain._contains(x_t):
         raise SolverError("prox anchor x_t lies outside the domain")
     if not (lam >= 0.0):
         raise SolverError(f"lam must be nonnegative, got {lam}")
@@ -120,8 +139,11 @@ def implicit_update(loss: Loss, geom: Geometry, x_t, lam: float) -> ProxResult:
 
 
 def _finish(loss, geom, x_t, x_next, lam, solver, residual) -> ProxResult:
-    delta = compute_delta(loss, geom, x_t, x_next, lam)
-    return ProxResult(x_next=x_next, delta=delta, solver=solver, residual=residual)
+    x_next = _as_vector(x_next)
+    value = loss._value(x_t)
+    delta = _delta(loss, geom, value, x_t, x_next, lam)
+    return ProxResult(x_next=x_next, delta=delta, solver=solver, residual=residual,
+                      value=value)
 
 
 # -- linear -----------------------------------------------------------------
@@ -174,7 +196,7 @@ def _quadratic_euclidean(loss, geom, x_t, lam) -> ProxResult:
     na2 = float(a @ a)
     if na2 == 0.0:
         return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
-    r = loss.residual(x_t)
+    r = loss._residual(x_t)
     x = x_t - (r / (lam + na2)) * a
     dom = geom.domain
     if isinstance(dom, Interval):
@@ -194,7 +216,7 @@ def _absolute_euclidean(loss, geom, x_t, lam) -> ProxResult:
     na2 = float(a @ a)
     if na2 == 0.0:
         return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
-    r = loss.residual(x_t)
+    r = loss._residual(x_t)
     if r == 0.0:
         return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
     step = abs(r) / na2 if lam == 0.0 else min(1.0 / lam, abs(r) / na2)
@@ -214,7 +236,7 @@ def _absolute_euclidean(loss, geom, x_t, lam) -> ProxResult:
 def _hinge_euclidean(loss, geom, x_t, lam) -> ProxResult:
     a, y = loss.a, loss.y
     na2 = float(a @ a)
-    gap = loss.value(x_t)
+    gap = loss._value(x_t)
     if na2 == 0.0 or gap == 0.0:
         return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
     step = gap / na2 if lam == 0.0 else min(1.0 / lam, gap / na2)
@@ -255,7 +277,7 @@ def _composite_quadratic(loss, geom, x_t, lam) -> ProxResult:
         return float(a @ x_of(theta)) - y - theta
 
     # slack is strictly decreasing in theta: bracket by doubling, then bisect
-    r0 = base.residual(x_t)
+    r0 = base._residual(x_t)
     lo, hi = r0 - 1.0, r0 + 1.0
     width = 2.0
     for _ in range(200):
@@ -304,7 +326,7 @@ def _ista_route(loss, geom, x_t, lam, max_iter=100_000, tol=1e-12) -> ProxResult
     x = x_t.copy()
     move = np.inf
     for _ in range(max_iter):
-        grad = base.residual(x) * a + lam * (x - x_t)
+        grad = base._residual(x) * a + lam * (x - x_t)
         z = geom.project(_soft(x - grad / L, beta / L))
         move = float(np.max(np.abs(z - x)))
         x = z
@@ -332,22 +354,22 @@ def _descent_route(loss, geom, x_t, lam, max_iter=100_000, tol=1e-9) -> ProxResu
     """
     if geom.mirror != "euclidean":
         raise SolverError("numeric descent route supports euclidean geometry only")
-    g0 = loss.subgradient(x_t) + 0.0
+    g0 = loss._subgradient(x_t) + 0.0
     L = max(1.0, _curvature_bound(loss), float(np.linalg.norm(g0)))
     smooth = isinstance(loss, QuadraticLoss)
     x = x_t.copy()
     best = x.copy()
-    best_f = prox_objective(loss, geom, x_t, lam, x)
+    best_f = _objective(loss, geom, x_t, lam, x)
     move = np.inf
     for k in range(1, max_iter + 1):
-        g = loss.subgradient(x)
+        g = loss._subgradient(x)
         if lam > 0:
             g = g + lam * (x - x_t)
         step = 1.0 / (L + lam) if smooth else 1.0 / (lam * k + L)
         z = geom.project(x - step * g)
         move = float(np.linalg.norm(z - x))
         x = z
-        f = prox_objective(loss, geom, x_t, lam, x)
+        f = _objective(loss, geom, x_t, lam, x)
         if f < best_f:
             best_f = f
             best = x.copy()

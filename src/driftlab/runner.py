@@ -268,6 +268,31 @@ def _require(record: dict, key: str, where: str):
     return record[key]
 
 
+def _points(records: list, key: str, dim: int, wheres: list) -> np.ndarray:
+    """The records' ``key`` points stacked into one (n, dim) array, checked once.
+
+    Each point must be a list of ``dim`` finite numbers; the first that is
+    not is named by its place in ``wheres`` and its field.
+    """
+    raw = [_require(rec, key, where) for rec, where in zip(records, wheres)]
+    try:
+        pts = np.array(raw, dtype=float)
+        if pts.shape == (len(raw), dim) and np.isfinite(pts).all():
+            return pts
+    except (TypeError, ValueError):
+        pass
+    where = next(w for w, p in zip(wheres, raw) if not _is_point(p, dim))
+    raise TraceError(f"{where}: trace field {key!r} must be a list of {dim} finite numbers")
+
+
+def _is_point(p, dim: int) -> bool:
+    try:
+        v = np.asarray(p, dtype=float)
+        return v.shape == (dim,) and bool(np.isfinite(v).all())
+    except (TypeError, ValueError):
+        return False
+
+
 def trace_to_report(records: list) -> dict:
     if len(records) < 3:
         raise TraceError("trace needs a header, at least one round, and a final record")
@@ -285,20 +310,21 @@ def trace_to_report(records: list) -> dict:
 
     gspec = config["geometry"]
     geom = Geometry(gspec["mirror"], domain_from_dict(gspec["domain"]))
-    losses, plays, us, values = [], [], [], []
+    wheres = [f"line {i + 2}" for i in range(T)]
+    dim = geom.domain.dim
+    plays = _points(rows, "x", dim, wheres)
+    comparators = _points(rows, "u", dim, wheres)
+    x_final = _points([final], "x_final", dim, ["final record"])[0]
+    losses, values = [], []
     deltas, lams, gnorms = [], [], []
     extras = {}
     violations = []
-    for i, row in enumerate(rows):
-        where = f"line {i + 2}"
+    for i, (row, where) in enumerate(zip(rows, wheres)):
         t = _require(row, "t", where)
         losses.append(loss_from_dict(_require(row, "loss", where)))
-        x = np.asarray(_require(row, "x", where), dtype=float)
-        plays.append(x)
-        us.append(np.asarray(_require(row, "u", where), dtype=float))
         v = float(_require(row, "value", where))
         values.append(v)
-        recomputed = losses[-1].value(x)
+        recomputed = losses[-1]._value(plays[i])
         if abs(recomputed - v) > 1e-9:
             violations.append({"round": t, "check": "value",
                                "recorded": v, "recomputed": recomputed})
@@ -325,9 +351,9 @@ def trace_to_report(records: list) -> dict:
         algorithm=config["algorithm"]["name"],
         geom=geom,
         losses=losses,
-        plays=np.array(plays),
-        x_final=np.asarray(_require(final, "x_final", "final record"), dtype=float),
-        comparators=np.array(us),
+        plays=plays,
+        x_final=x_final,
+        comparators=comparators,
         values=values,
         deltas=np.array(deltas, dtype=float) if all(d is not None for d in deltas) else None,
         lams=np.array(lams, dtype=float) if all(l is not None for l in lams) else None,

@@ -232,3 +232,30 @@ def test_ogd_schedule_exhaustion():
     learner.update(QuadraticLoss([1.0], 1.0))
     with pytest.raises(ConfigError):
         learner.update(QuadraticLoss([1.0], 1.0))
+
+
+# ---------------------------------------------------------------------------
+# start point
+# ---------------------------------------------------------------------------
+
+
+def _learner_factories():
+    sched = AdaptiveSchedule(beta_sq=1.0)
+    return {
+        "greedy": lambda x0: Greedy(INTERVAL, x0=x0),
+        "diomd": lambda x0: DynamicIOMD(INTERVAL, sched, x0=x0),
+        "diomd-doubling": lambda x0: DoublingIOMD(INTERVAL, x0=x0),
+        "ogd": lambda x0: OGD(INTERVAL, [0.5] * 4, x0=x0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_learner_factories()))
+def test_start_point_is_checked_when_the_learner_is_built(name):
+    make = _learner_factories()[name]
+    for bad in ([3.0], [float("nan")], [0.1, 0.2], [[0.1]], "abc"):
+        with pytest.raises(ConfigError, match="algorithm.x0"):
+            make(bad)
+    learner = make([0.25])
+    assert learner.play().dtype == np.float64 and learner.play().tolist() == [0.25]
+    assert make(None).play().tolist() == [0.0]  # the domain center
+

@@ -240,6 +240,21 @@ def test_variability_composite_matching_penalties_cancel():
     assert comp.absolute == pytest.approx(plain.absolute, abs=1e-12)
 
 
+def test_variability_builds_each_piecewise_form_once(monkeypatch):
+    import driftlab.losses as losses_mod
+
+    calls = []
+    real = losses_mod._pieces_1d
+    monkeypatch.setattr(losses_mod, "_pieces_1d",
+                        lambda loss, lo, hi: calls.append(loss) or real(loss, lo, hi))
+    seq = [QuadraticLoss([1.0], 0.1 * t) for t in range(6)]
+    seq += [AbsoluteLoss([1.0], 0.2), HingeLoss([1.0], -1.0)]
+    v = temporal_variability(seq, Interval(-1.0, 1.0))
+    assert v.exact
+    assert len(calls) == len(seq)
+    assert {id(l) for l in calls} == {id(l) for l in seq}
+
+
 def test_variability_rejects_empty():
     with pytest.raises(LossError):
         temporal_variability([], Interval(-1, 1))

@@ -420,6 +420,50 @@ def test_cli_verify_malformed_trace_exits_one(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def _single_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("driftlab: error:"), err
+    return lines[0]
+
+
+def test_cli_out_of_domain_start_point_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "environment": {"kind": "lower-bound", "params": {"sigma": 0.3}},
+        "T": 64,
+        "algorithm": {"name": "diomd", "x0": [3.0]},
+    })
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "algorithm.x0" in line
+
+
+def test_cli_verify_rejects_a_nan_play_with_one_error_line(tmp_path, capsys):
+    res = run_cell(_cell())
+    records = [json.loads(line) for line in res.trace_lines]
+    records[5]["x"] = [float("nan")]  # round 5 lives on line 6
+    bad = tmp_path / "nan.trace.jsonl"
+    bad.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    assert main(["verify", str(bad)]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert "line 6" in line and "'x'" in line
+
+
+def test_bad_trace_points_name_the_line_and_field():
+    res = run_cell(_cell())
+    records = [json.loads(line) for line in res.trace_lines]
+    cases = [
+        (9, "x", [float("inf")], "line 10: trace field 'x'"),
+        (3, "u", [0.1, 0.2], "line 4: trace field 'u'"),
+        (7, "u", "abc", "line 8: trace field 'u'"),
+        (-1, "x_final", [float("-inf")], "final record: trace field 'x_final'"),
+    ]
+    for index, field, value, message in cases:
+        bad = [dict(r) for r in records]
+        bad[index][field] = value
+        with pytest.raises(TraceError, match=message):
+            trace_to_report(bad)
+
+
 def test_cli_module_entry_point(tmp_path):
     cfg = _write_config(tmp_path, {
         "environment": {"kind": "fixed-loss"},
