@@ -1,6 +1,7 @@
 """Greedy replay on a drifting target, with its realized certificate.
 
-The greedy learner replays the minimizer of yesterday's loss.  Against a
+The greedy learner replays the minimizer of yesterday's loss: implicit
+mirror descent with the weight schedule lam_t = 0.  Against a
 slowly moving quadratic target its regret is controlled by how much the
 losses themselves move: first value - final value + signed drift.  This
 script runs one seeded episode and prints both sides of that inequality.
@@ -10,13 +11,13 @@ import numpy as np
 
 from driftlab.bounds import RunRecord, evaluate_bounds
 from driftlab.envs import DriftingQuadraticEnv
-from driftlab.learners import Greedy
+from driftlab.learners import DynamicIOMD, GreedySchedule
 
 env = DriftingQuadraticEnv(T=200, seed=7, tau=2.5)
 geom = env.default_geometry()
 losses, comparators = env.losses(), env.comparators()
 
-learner = Greedy(geom)
+learner = DynamicIOMD(geom, GreedySchedule())
 plays, values = [], []
 for loss in losses:
     x = learner.play()

@@ -21,13 +21,14 @@ import numpy as np
 from driftlab.combiners import ABProd, AdaptMLProd, LossRange
 from driftlab.envs import AlternatingExpertsEnv, ShiftingExpertsEnv
 from driftlab.geometry import ClippedSimplex, entropy_geometry
-from driftlab.learners import AdaptiveSchedule, DynamicIOMD, Greedy, fixed_schedule
+from driftlab.learners import AdaptiveSchedule, DynamicIOMD, GreedySchedule, fixed_schedule
 from driftlab.losses import LinearLoss
 
 
 def _contest(losses, mirror_arm):
     T = len(losses)
-    comb = ABProd(Greedy(mirror_arm.geom), mirror_arm, LossRange(0.0, 1.0))
+    greedy_arm = DynamicIOMD(mirror_arm.geom, GreedySchedule())
+    comb = ABProd(greedy_arm, mirror_arm, LossRange(0.0, 1.0))
     tot = {"mix": 0.0, "greedy": 0.0, "mirror": 0.0}
     snaps = {}
     for t, loss in enumerate(losses, start=1):

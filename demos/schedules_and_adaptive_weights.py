@@ -26,7 +26,7 @@ def episode(schedule):
     for loss in losses:
         total += loss.value(learner.play())
         learner.update(loss)
-    return total - comp_total, learner.lam_final
+    return total - comp_total, learner.lam
 
 
 rows = [
@@ -39,8 +39,8 @@ rows = [
 print(f"drifting quadratic, T={T}, path budget tau={TAU}")
 print(f"{'schedule':18s} {'regret':>10s} {'final lam':>10s}")
 for name, sched in rows:
-    regret, lam_final = episode(sched)
-    print(f"{name:18s} {regret:10.4f} {lam_final:10.4f}")
+    regret, final_lam = episode(sched)
+    print(f"{name:18s} {regret:10.4f} {final_lam:10.4f}")
 
 print()
 print("the adaptive weight never decreases and stops growing once the")

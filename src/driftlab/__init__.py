@@ -39,10 +39,10 @@ from .learners import (
     OGD,
     AdaptiveSchedule,
     ConfigError,
-    DoublingIOMD,
+    DoublingSchedule,
     DynamicIOMD,
     FixedSchedule,
-    Greedy,
+    GreedySchedule,
     fixed_schedule,
 )
 from .losses import (
@@ -80,11 +80,11 @@ __all__ = [
     "CompositeLoss",
     "ConfigError",
     "CoveringInterval",
-    "DoublingIOMD",
+    "DoublingSchedule",
     "DynamicIOMD",
     "FixedSchedule",
     "Geometry",
-    "Greedy",
+    "GreedySchedule",
     "HingeLoss",
     "Interval",
     "LinearLoss",

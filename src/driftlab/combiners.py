@@ -69,8 +69,6 @@ class ABProd(Learner):
     per-run weight inequalities require.
     """
 
-    name = "abprod"
-
     def __init__(self, learner_a: Learner, learner_b: Learner,
                  loss_range: LossRange = LossRange()):
         self.a = learner_a
@@ -140,8 +138,6 @@ class AdaptMLProd(Learner):
     eta_i = min(1/2, sqrt(log d / (1 + sum of past r_i^2))) and never
     increase.
     """
-
-    name = "adapt-ml-prod"
 
     def __init__(self, d: int, loss_range: LossRange = LossRange(), geom=None):
         if d < 2:
@@ -331,8 +327,6 @@ class Scaffold(Learner):
     round, retires it after its last, and mixes the awake learners' plays
     with sleeping-expert Prod weights driven by each play's own loss.
     """
-
-    name = "scaffold"
 
     def __init__(self, base_factory: Callable[[CoveringInterval], Learner],
                  horizon: int, loss_range: LossRange = LossRange()):

@@ -79,6 +79,14 @@ class FixedSchedule:
 
 
 @dataclass(frozen=True)
+class GreedySchedule:
+    """lam_t = 0: every round minimizes the previous loss outright."""
+
+    def lam(self, t: int) -> float:
+        return 0.0
+
+
+@dataclass(frozen=True)
 class AdaptiveSchedule:
     """Self-tuning weights lam_t = (sum of past deltas) / beta_sq.
 
@@ -94,6 +102,22 @@ class AdaptiveSchedule:
             raise ConfigError("adaptive schedule needs beta_sq > 0")
         if self.tau < 0:
             raise ConfigError("tau must be nonnegative")
+
+
+@dataclass(frozen=True)
+class DoublingSchedule:
+    """Self-tuning weights restarted on a doubling comparator-path budget.
+
+    Epoch i has budget Q_i = sqrt(2) * D * 2^i and runs the adaptive rule
+    with beta_sq = D^2 + gamma * Q_i.  When the comparator path inside the
+    epoch exceeds Q_i, the next epoch opens with the weight reset to zero and
+    the iterate carried over unchanged (no prox solve on a restart round).
+    """
+
+    def budget(self, geom: Geometry, epoch: int) -> tuple[float, float]:
+        """(Q_i, beta_sq) of epoch ``epoch``."""
+        q = math.sqrt(2.0) * math.sqrt(geom.diameter_sq) * 2.0 ** epoch
+        return q, geom.diameter_sq + geom.gamma * q
 
 
 def fixed_schedule(shape: str, scale: float, horizon: int) -> FixedSchedule:
@@ -142,138 +166,80 @@ def _round_row(geom, loss, x, res, lam) -> dict:
     return row
 
 
-class Greedy(Learner):
-    """Follow the leader of the last round: minimize the previous loss."""
-
-    name = "greedy"
-
-    def __init__(self, geom: Geometry, x0=None):
-        self.geom = geom
-        self.x = start_point(geom, x0)
-
-    def play(self):
-        return self.x
-
-    def update(self, loss, path_increment: float = 0.0):
-        res = implicit_update(loss, self.geom, self.x, 0.0)
-        row = _round_row(self.geom, loss, self.x, res, 0.0)
-        self.x = res.x_next
-        return row
-
-
 class DynamicIOMD(Learner):
-    """Implicit mirror descent with a fixed or self-tuning weight sequence.
+    """Implicit online mirror descent; the schedule sets the round weights.
 
-    With an adaptive schedule the round weight is
-    lam_t = (delta_1 + ... + delta_{t-1}) / beta_sq, so the first round is a
-    pure loss minimization and the weights never decrease.
+    Greedy and fixed schedules give lam_t outright.  The adaptive and
+    doubling schedules tune it from the progress so far,
+    lam_{t+1} = max(lam_t, (delta_1 + ... + delta_t) / beta_sq), so the
+    first round (of each doubling epoch) is a pure loss minimization and the
+    weights never decrease.  ``lam`` holds the weight of the next round for
+    the self-tuning schedules and that of the last round otherwise.
     """
 
-    name = "diomd"
-
     def __init__(self, geom: Geometry, schedule, x0=None):
-        if not isinstance(schedule, (FixedSchedule, AdaptiveSchedule)):
+        if not isinstance(schedule, (GreedySchedule, FixedSchedule,
+                                     AdaptiveSchedule, DoublingSchedule)):
             raise ConfigError(f"unsupported schedule {schedule!r}")
         self.geom = geom
         self.schedule = schedule
         self.x = start_point(geom, x0)
         self.t = 1
+        self.lam = 0.0
         self.delta_sum = 0.0
-        self.lam = 0.0 if isinstance(schedule, AdaptiveSchedule) else None
-
-    @property
-    def adaptive(self) -> bool:
-        return isinstance(self.schedule, AdaptiveSchedule)
-
-    @property
-    def lam_final(self) -> float:
-        """Weight that the next round would use (lam_{T+1} after T rounds)."""
-        if self.adaptive:
-            return self.lam
-        return 1.0 / float(self.schedule.etas[min(self.t, self.schedule.etas.size) - 1])
+        self.beta_sq = schedule.beta_sq if isinstance(schedule, AdaptiveSchedule) else None
+        self.doubling = isinstance(schedule, DoublingSchedule)
+        if self.doubling:
+            self.epoch = 0
+            self.path_in_epoch = 0.0
+            self.Q, self.beta_sq = schedule.budget(geom, 0)
 
     def play(self):
         return self.x
 
     def update(self, loss, path_increment: float = 0.0):
-        lam = self.lam if self.adaptive else self.schedule.lam(self.t)
-        res = implicit_update(loss, self.geom, self.x, lam)
-        row = _round_row(self.geom, loss, self.x, res, lam)
-        self.delta_sum += res.delta
-        if self.adaptive:
-            new_lam = self.delta_sum / self.schedule.beta_sq
+        if self.doubling:
+            if path_increment is None or path_increment < 0:
+                raise ConfigError("doubling learner needs nonnegative path increments")
+            self.path_in_epoch += path_increment
+            if self.path_in_epoch > self.Q:
+                return self._restart(loss)
+        if self.beta_sq is None:
+            self.lam = self.schedule.lam(self.t)
+        res = implicit_update(loss, self.geom, self.x, self.lam)
+        row = _round_row(self.geom, loss, self.x, res, self.lam)
+        if self.beta_sq is not None:
             # deltas are nonnegative, so the weight sequence never decreases
-            self.lam = max(self.lam, new_lam)
+            self.delta_sum += res.delta
+            self.lam = max(self.lam, self.delta_sum / self.beta_sq)
+        if self.doubling:
+            row["restart"] = False
+            row["epoch"] = self.epoch
         self.x = res.x_next
         self.t += 1
         return row
 
-
-class DoublingIOMD(Learner):
-    """Self-tuning implicit mirror descent with path-length doubling restarts.
-
-    Tracks the comparator path inside the current epoch; when it exceeds the
-    epoch budget Q_i = sqrt(2) * D * 2^i the learner opens epoch i+1 with
-    budget doubled, weight reset to zero and the iterate carried over
-    unchanged (no prox solve on a restart round).
-    """
-
-    name = "diomd-doubling"
-
-    def __init__(self, geom: Geometry, x0=None):
-        self.geom = geom
-        self.x = start_point(geom, x0)
-        self.diameter = math.sqrt(geom.diameter_sq)
-        self.epoch = 0
-        self.Q = math.sqrt(2.0) * self.diameter
-        self.beta_sq = geom.diameter_sq + geom.gamma * self.Q
+    def _restart(self, loss) -> dict:
+        """Open the next epoch; the iterate stays and no prox step is solved."""
+        self.epoch += 1
+        self.Q, self.beta_sq = self.schedule.budget(self.geom, self.epoch)
         self.lam = 0.0
         self.delta_sum = 0.0
         self.path_in_epoch = 0.0
-        self.t = 1
-
-    def play(self):
-        return self.x
-
-    def update(self, loss, path_increment: float = 0.0):
-        if path_increment is None or path_increment < 0:
-            raise ConfigError("doubling learner needs nonnegative path increments")
-        self.path_in_epoch += path_increment
-        if self.path_in_epoch > self.Q:
-            self.epoch += 1
-            self.Q = math.sqrt(2.0) * self.diameter * 2.0 ** self.epoch
-            self.beta_sq = self.geom.diameter_sq + self.geom.gamma * self.Q
-            self.lam = 0.0
-            self.delta_sum = 0.0
-            self.path_in_epoch = 0.0
-            g = loss._subgradient(self.x)
-            row = {
-                "value": loss._value(self.x),
-                "gnorm_dual": self.geom.dual_norm(g),
-                "delta": 0.0,
-                "lam": self.lam,
-                "solver": "restart",
-                "restart": True,
-                "epoch": self.epoch,
-            }
-            self.t += 1
-            return row
-        res = implicit_update(loss, self.geom, self.x, self.lam)
-        row = _round_row(self.geom, loss, self.x, res, self.lam)
-        row["restart"] = False
-        row["epoch"] = self.epoch
-        # same accumulation as the plain adaptive learner, reset per epoch
-        self.delta_sum += res.delta
-        self.lam = max(self.lam, self.delta_sum / self.beta_sq)
-        self.x = res.x_next
         self.t += 1
-        return row
+        return {
+            "value": loss._value(self.x),
+            "gnorm_dual": self.geom.dual_norm(loss._subgradient(self.x)),
+            "delta": 0.0,
+            "lam": 0.0,
+            "solver": "restart",
+            "restart": True,
+            "epoch": self.epoch,
+        }
 
 
 class OGD(Learner):
     """Projected online gradient descent baseline (euclidean only)."""
-
-    name = "ogd"
 
     def __init__(self, geom: Geometry, etas, x0=None):
         if geom.mirror != "euclidean":

@@ -188,31 +188,39 @@ def _linear_entropy(loss, geom, x_t, lam) -> ProxResult:
     return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
 
 
+def _closed_form_step(loss, geom, x_t, x, lam) -> ProxResult:
+    """Finish the unconstrained minimizer ``x`` of a euclidean prox step.
+
+    On an interval the one-dimensional prox objective is convex, so clipping
+    is exact; elsewhere ``x`` stands if the domain contains it, and the
+    numeric route solves the constrained step otherwise.
+    """
+    dom = geom.domain
+    if isinstance(dom, Interval):
+        return _finish(loss, geom, x_t, dom.clip(x), lam, "closed-form", 0.0)
+    if dom.contains(x):
+        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
+    return _descent_route(loss, geom, x_t, lam)
+
+
 # -- quadratic --------------------------------------------------------------
 
 
 def _quadratic_euclidean(loss, geom, x_t, lam) -> ProxResult:
-    a, y = loss.a, loss.y
+    a = loss.a
     na2 = float(a @ a)
     if na2 == 0.0:
         return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
     r = loss._residual(x_t)
     x = x_t - (r / (lam + na2)) * a
-    dom = geom.domain
-    if isinstance(dom, Interval):
-        # one-dimensional prox objective is convex: clipping is exact
-        x = dom.clip(x)
-        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
-    if dom.contains(x):
-        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
-    return _descent_route(loss, geom, x_t, lam)
+    return _closed_form_step(loss, geom, x_t, x, lam)
 
 
 # -- absolute ---------------------------------------------------------------
 
 
 def _absolute_euclidean(loss, geom, x_t, lam) -> ProxResult:
-    a, y = loss.a, loss.y
+    a = loss.a
     na2 = float(a @ a)
     if na2 == 0.0:
         return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
@@ -221,13 +229,7 @@ def _absolute_euclidean(loss, geom, x_t, lam) -> ProxResult:
         return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
     step = abs(r) / na2 if lam == 0.0 else min(1.0 / lam, abs(r) / na2)
     x = x_t - np.sign(r) * step * a
-    dom = geom.domain
-    if isinstance(dom, Interval):
-        x = dom.clip(x)
-        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
-    if dom.contains(x):
-        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
-    return _descent_route(loss, geom, x_t, lam)
+    return _closed_form_step(loss, geom, x_t, x, lam)
 
 
 # -- hinge ------------------------------------------------------------------
@@ -241,13 +243,7 @@ def _hinge_euclidean(loss, geom, x_t, lam) -> ProxResult:
         return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
     step = gap / na2 if lam == 0.0 else min(1.0 / lam, gap / na2)
     x = x_t + step * y * a
-    dom = geom.domain
-    if isinstance(dom, Interval):
-        x = dom.clip(x)
-        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
-    if dom.contains(x):
-        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
-    return _descent_route(loss, geom, x_t, lam)
+    return _closed_form_step(loss, geom, x_t, x, lam)
 
 
 # -- composite quadratic + L1 ----------------------------------------------

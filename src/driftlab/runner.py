@@ -17,15 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import RunRecord, evaluate_bounds
-from .combiners import ABProd, AdaptMLProd, LossRange, Scaffold
+from .combiners import ABProd, AdaptMLProd, LossRange, RangeError, Scaffold
 from .envs import GENERATOR_NAME, make_environment
 from .geometry import ClippedSimplex, Geometry, domain_from_dict, entropy_geometry
 from .learners import (
     AdaptiveSchedule,
     ConfigError,
-    DoublingIOMD,
+    DoublingSchedule,
     DynamicIOMD,
-    Greedy,
+    GreedySchedule,
     OGD,
     fixed_schedule,
 )
@@ -76,8 +76,20 @@ def build_geometry(cell: dict, env) -> Geometry:
         raise ConfigError("config field 'geometry': must be a mapping")
     default = env.default_geometry()
     mirror = spec.get("mirror", default.mirror)
-    domain = domain_from_dict(spec["domain"]) if "domain" in spec else default.domain
-    return Geometry(mirror, domain)
+    domain = default.domain
+    if "domain" in spec:
+        domain = _parsed(ConfigError, "config field 'geometry.domain'",
+                         domain_from_dict, spec["domain"])
+    return _parsed(ConfigError, "config field 'geometry'", Geometry, mirror, domain)
+
+
+def _parsed(error, field: str, build, *args):
+    """``build(*args)``, with malformed input reported as an ``error`` naming ``field``."""
+    try:
+        return build(*args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise error(f"{field}: {reason}") from None
 
 
 def _loss_sup(env, spec: dict) -> float:
@@ -157,11 +169,12 @@ def _build_algorithm(spec, geom, env, T):
         raise ConfigError("config field 'algorithm': need a mapping with a 'name'")
     name = spec["name"]
     if name == "greedy":
-        return Greedy(geom, x0=spec.get("x0")), {"name": "greedy"}
+        return DynamicIOMD(geom, GreedySchedule(), x0=spec.get("x0")), {"name": "greedy"}
     if name == "diomd":
         return _build_diomd(spec, geom, env, T)
     if name == "diomd-doubling":
-        return DoublingIOMD(geom, x0=spec.get("x0")), {"name": "diomd-doubling"}
+        learner = DynamicIOMD(geom, DoublingSchedule(), x0=spec.get("x0"))
+        return learner, {"name": "diomd-doubling"}
     if name == "ogd":
         shape = spec.get("shape", "inv_sqrt")
         scale = float(spec.get("scale", 1.0))
@@ -238,7 +251,10 @@ def run_cell(cell: dict) -> CellResult:
     for t, (u, inc) in enumerate(zip(us, incs), start=1):
         loss = env.loss(t)
         x = learner.play()
-        row = learner.update(loss, inc)
+        try:
+            row = learner.update(loss, inc)
+        except RangeError as exc:
+            raise ConfigError(f"config field 'algorithm.loss_range': round {t}: {exc}") from None
         value_sum += row["value"]
         rec = {"t": t, "loss": loss.to_dict(),
                "x": np.asarray(x, dtype=float).tolist(), "u": u.tolist()}
@@ -247,11 +263,11 @@ def run_cell(cell: dict) -> CellResult:
     final = {"final": True,
              "x_final": np.asarray(learner.play(), dtype=float).tolist(),
              "value_sum": value_sum}
-    if isinstance(learner, DynamicIOMD) and learner.adaptive:
-        final["lam_final"] = learner.lam_final
-    if isinstance(learner, DoublingIOMD):
-        final["epochs"] = learner.epoch
+    schedule = getattr(learner, "schedule", None)
+    if isinstance(schedule, (AdaptiveSchedule, DoublingSchedule)):
         final["lam_final"] = learner.lam
+    if isinstance(schedule, DoublingSchedule):
+        final["epochs"] = learner.epoch
     lines.append(json.dumps(final, sort_keys=True))
     report = trace_to_report([json.loads(l) for l in lines])
     return CellResult(name, lines, report)
@@ -266,6 +282,16 @@ def _require(record: dict, key: str, where: str):
     if key not in record:
         raise TraceError(f"{where}: missing trace field {key!r}")
     return record[key]
+
+
+def _header_field(config, dotted: str):
+    node, path = config, "config"
+    for key in dotted.split("."):
+        path += "." + key
+        if not isinstance(node, dict) or key not in node:
+            raise TraceError(f"line 1: missing header field {path!r}")
+        node = node[key]
+    return node
 
 
 def _points(records: list, key: str, dim: int, wheres: list) -> np.ndarray:
@@ -304,12 +330,16 @@ def trace_to_report(records: list) -> dict:
     if not final.get("final"):
         raise TraceError(f"line {len(records)}: trace is truncated (no final record)")
     config = _require(header, "config", "line 1")
-    T = config["T"]
-    if len(rows) != T:
-        raise TraceError(f"trace has {len(rows)} rounds, config says T={T}")
+    T = _header_field(config, "T")
+    if not isinstance(T, int) or len(rows) != T:
+        raise TraceError(f"trace has {len(rows)} rounds, config says T={T!r}")
 
-    gspec = config["geometry"]
-    geom = Geometry(gspec["mirror"], domain_from_dict(gspec["domain"]))
+    algorithm = _header_field(config, "algorithm.name")
+    mirror = _header_field(config, "geometry.mirror")
+    domain = _parsed(TraceError, "line 1: header field 'config.geometry.domain'",
+                     domain_from_dict, _header_field(config, "geometry.domain"))
+    geom = _parsed(TraceError, "line 1: header field 'config.geometry'",
+                   Geometry, mirror, domain)
     wheres = [f"line {i + 2}" for i in range(T)]
     dim = geom.domain.dim
     plays = _points(rows, "x", dim, wheres)
@@ -321,7 +351,8 @@ def trace_to_report(records: list) -> dict:
     violations = []
     for i, (row, where) in enumerate(zip(rows, wheres)):
         t = _require(row, "t", where)
-        losses.append(loss_from_dict(_require(row, "loss", where)))
+        losses.append(_parsed(TraceError, f"{where}: trace field 'loss'",
+                              loss_from_dict, _require(row, "loss", where)))
         v = float(_require(row, "value", where))
         values.append(v)
         recomputed = losses[-1]._value(plays[i])
@@ -348,7 +379,7 @@ def trace_to_report(records: list) -> dict:
     have_g = all(g is not None for g in gnorms)
     sum_gsq = float(np.sum(np.array(gnorms, dtype=float) ** 2)) if have_g else None
     record = RunRecord(
-        algorithm=config["algorithm"]["name"],
+        algorithm=algorithm,
         geom=geom,
         losses=losses,
         plays=plays,

@@ -36,9 +36,9 @@ from driftlab.geometry import (
 )
 from driftlab.learners import (
     AdaptiveSchedule,
-    DoublingIOMD,
+    DoublingSchedule,
     DynamicIOMD,
-    Greedy,
+    GreedySchedule,
     fixed_schedule,
 )
 from driftlab.losses import (
@@ -114,7 +114,7 @@ def test_criterion_01_greedy_drift_certificate():
                 # decision set; the d/T clip belongs to the mirror runs
                 geom = entropy_geometry(ClippedSimplex(env.d, 1e-12))
             losses, us = env.losses(), env.comparators()
-            learner = Greedy(geom)
+            learner = DynamicIOMD(geom, GreedySchedule())
             vals, _ = _run(learner, losses)
             vt = temporal_variability(losses, geom.domain).signed
             rhs = float(vals[0]) - losses[-1].value(learner.play()) + vt
@@ -182,7 +182,7 @@ def test_criterion_04_doubling_restart_certificate():
     for i in range(100):
         T = 400
         env = DriftingQuadraticEnv(T, 1000 + i, tau=i / 99.0 * 100.0 * D)
-        learner = DoublingIOMD(INTERVAL)
+        learner = DynamicIOMD(INTERVAL, DoublingSchedule())
         losses, us = env.losses(), env.comparators()
         vals, rows = _run(learner, losses)
         assert float(np.min(_col(rows, "delta"))) >= DELTA_FLOOR
@@ -231,7 +231,7 @@ def test_criterion_06_tracking_separation():
     losses = env.losses()
     best_fixed = min(sum(l.g[0] for l in losses), sum(l.g[1] for l in losses))
 
-    vals_g, _ = _run(Greedy(geom), losses)
+    vals_g, _ = _run(DynamicIOMD(geom, GreedySchedule()), losses)
     static_greedy = float(np.sum(vals_g)) - best_fixed
 
     learner = DynamicIOMD(geom, AdaptiveSchedule(beta_sq=math.log(T)))
@@ -502,7 +502,7 @@ def test_criterion_10_two_learner_mixture():
         for t in jumps:
             c[t:] = rng.uniform(-0.29, 0.29)
         losses = [QuadraticLoss([1.0], float(ci)) for ci in c]
-        comb = ABProd(_interval_scaffold(T, 1.0), Greedy(INTERVAL),
+        comb = ABProd(_interval_scaffold(T, 1.0), DynamicIOMD(INTERVAL, GreedySchedule()),
                       LossRange(0.0, 1.0))
         vals, rows = _run(comb, losses)
         p = _col(rows, "p_a")

@@ -16,9 +16,9 @@ from driftlab.envs import DriftingQuadraticEnv, FixedLossEnv
 from driftlab.geometry import Interval, euclidean_geometry
 from driftlab.learners import (
     AdaptiveSchedule,
-    DoublingIOMD,
+    DoublingSchedule,
     DynamicIOMD,
-    Greedy,
+    GreedySchedule,
     Learner,
 )
 from driftlab.losses import AbsoluteLoss, LinearLoss, QuadraticLoss
@@ -118,7 +118,7 @@ def test_recursion_on_traced_two_round_adaptive_run():
         row = learner.update(QuadraticLoss([1.0], 1.0))
         lams.append(row["lam"])
         gnorms.append(row["gnorm_dual"])
-    lam_seq = np.array(lams + [learner.lam_final])
+    lam_seq = np.array(lams + [learner.lam])
     g = np.array(gnorms)
     d = math.sqrt(2.0 * INTERVAL.diameter_sq)
     rc = check_recursion_bound(g, g, 1.0, d, 1.0 * lam_seq)
@@ -177,7 +177,7 @@ def test_recursion_validates_shapes_and_signs():
 def test_greedy_on_fixed_loss_is_pure_endpoint_gap():
     env = FixedLossEnv(T=6, seed=3)
     geom = env.default_geometry()
-    cols = _run(Greedy(geom), env)
+    cols = _run(DynamicIOMD(geom, GreedySchedule()), env)
     rec = RunRecord("greedy", geom, env.losses(), cols["plays"], cols["x_final"],
                     comparators=env.comparators(), values=cols["values"])
     rows = evaluate_bounds(rec)
@@ -216,7 +216,7 @@ def _adaptive_record(tau_alg, env):
         "diomd", geom, env.losses(), cols["plays"], cols["x_final"],
         comparators=env.comparators(), values=cols["values"],
         deltas=cols["deltas"], lams=cols["lams"], gnorms=cols["gnorms"],
-        lam_final=learner.lam_final,
+        lam_final=learner.lam,
         params={"schedule_kind": "adaptive", "beta_sq": beta_sq, "tau": tau_alg},
     )
 
@@ -254,7 +254,7 @@ def test_static_checker_mode_row():
         "diomd", geom, env.losses(), cols["plays"], cols["x_final"],
         comparators=env.comparators(), values=cols["values"],
         deltas=cols["deltas"], lams=cols["lams"], gnorms=cols["gnorms"],
-        lam_final=learner.lam_final,
+        lam_final=learner.lam,
         params={"schedule_kind": "adaptive", "beta_sq": geom.diameter_sq,
                 "bound_style": "static"},
     )
@@ -267,7 +267,7 @@ def test_static_checker_mode_row():
 def test_doubling_rows_count_epochs():
     env = DriftingQuadraticEnv(T=60, seed=2, tau=3.0)
     geom = env.default_geometry()
-    learner = DoublingIOMD(geom)
+    learner = DynamicIOMD(geom, DoublingSchedule())
     cols = _run(learner, env)
     rec = RunRecord(
         "diomd-doubling", geom, env.losses(), cols["plays"], cols["x_final"],

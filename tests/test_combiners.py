@@ -16,7 +16,14 @@ from driftlab.combiners import (
     intervals_starting_at,
 )
 from driftlab.geometry import Interval, euclidean_geometry
-from driftlab.learners import OGD, ConfigError, Greedy, Learner, fixed_schedule
+from driftlab.learners import (
+    OGD,
+    ConfigError,
+    DynamicIOMD,
+    GreedySchedule,
+    Learner,
+    fixed_schedule,
+)
 from driftlab.losses import AbsoluteLoss, LinearLoss, QuadraticLoss
 
 INTERVAL = euclidean_geometry(Interval(-1.0, 1.0))
@@ -397,7 +404,7 @@ def _ogd_factory(iv):
 
 
 def test_scaffold_first_round_is_its_single_base():
-    combo = Scaffold(lambda iv: Greedy(INTERVAL, x0=[0.25]), horizon=1)
+    combo = Scaffold(lambda iv: DynamicIOMD(INTERVAL, GreedySchedule(), x0=[0.25]), horizon=1)
     np.testing.assert_array_equal(combo.play(), [0.25])
 
 

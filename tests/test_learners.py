@@ -13,10 +13,10 @@ from driftlab.learners import (
     OGD,
     AdaptiveSchedule,
     ConfigError,
-    DoublingIOMD,
+    DoublingSchedule,
     DynamicIOMD,
     FixedSchedule,
-    Greedy,
+    GreedySchedule,
     fixed_schedule,
 )
 from driftlab.losses import LinearLoss, QuadraticLoss
@@ -34,14 +34,14 @@ UNIT_D = euclidean_geometry(Interval(-math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0
 
 
 def test_greedy_jumps_to_interior_minimizer():
-    learner = Greedy(INTERVAL)
+    learner = DynamicIOMD(INTERVAL, GreedySchedule())
     learner.update(QuadraticLoss([1.0], 0.3))
     np.testing.assert_allclose(learner.play(), [0.3], atol=1e-12)
 
 
 def test_greedy_linear_on_simplex_goes_to_vertex():
     dom = ClippedSimplex(2, 0.2)
-    learner = Greedy(entropy_geometry(dom))
+    learner = DynamicIOMD(entropy_geometry(dom), GreedySchedule())
     learner.update(LinearLoss([1.0, 0.0]))
     x = learner.play()
     assert x[1] == pytest.approx(1.0 - dom.floor, abs=1e-12)
@@ -49,7 +49,7 @@ def test_greedy_linear_on_simplex_goes_to_vertex():
 
 
 def test_greedy_repeated_loss_zero_regret_after_first_round():
-    learner = Greedy(INTERVAL)
+    learner = DynamicIOMD(INTERVAL, GreedySchedule())
     loss = QuadraticLoss([1.0], 0.4)
     best = loss.value([0.4])
     rows = [learner.update(loss) for _ in range(5)]
@@ -116,7 +116,7 @@ def test_diomd_adaptive_lam_cap():
         gsq += float(g @ g)
         learner.update(loss)
     cap = math.sqrt((2 * geom.diameter_sq / beta_sq**2 + 1 / beta_sq) * gsq)
-    assert learner.lam_final <= cap + 1e-9
+    assert learner.lam <= cap + 1e-9
 
 
 def test_fixed_schedule_validation_and_exhaustion():
@@ -149,7 +149,7 @@ def test_doubling_without_drift_matches_adaptive_diomd():
     rng = np.random.Generator(np.random.PCG64(16))
     q0 = math.sqrt(2.0) * math.sqrt(UNIT_D.diameter_sq)
     beta_sq = UNIT_D.diameter_sq + UNIT_D.gamma * q0  # epoch-0 beta^2, bitwise
-    doubling = DoublingIOMD(UNIT_D)
+    doubling = DynamicIOMD(UNIT_D, DoublingSchedule())
     plain = DynamicIOMD(UNIT_D, AdaptiveSchedule(beta_sq=beta_sq))
     assert doubling.beta_sq == beta_sq
     for _ in range(100):
@@ -163,7 +163,7 @@ def test_doubling_without_drift_matches_adaptive_diomd():
 def test_doubling_epoch_count_bound():
     # total path 5 * sqrt(2) with D = 1: N <= log2(5 + 1) < 3
     rng = np.random.Generator(np.random.PCG64(18))
-    learner = DoublingIOMD(UNIT_D)
+    learner = DynamicIOMD(UNIT_D, DoublingSchedule())
     T = 400
     inc = 5.0 * math.sqrt(2.0) / T
     for _ in range(T):
@@ -173,7 +173,7 @@ def test_doubling_epoch_count_bound():
 
 
 def test_doubling_triggering_round_freezes_iterate():
-    learner = DoublingIOMD(UNIT_D)
+    learner = DynamicIOMD(UNIT_D, DoublingSchedule())
     learner.update(QuadraticLoss([1.0], 0.5), 0.0)
     before = learner.play().copy()
     row = learner.update(QuadraticLoss([1.0], -0.5), 10.0)  # blows the budget
@@ -187,7 +187,7 @@ def test_doubling_triggering_round_freezes_iterate():
 
 
 def test_doubling_threshold_and_beta_follow_epoch():
-    learner = DoublingIOMD(UNIT_D)
+    learner = DynamicIOMD(UNIT_D, DoublingSchedule())
     for i in range(4):
         assert learner.Q == pytest.approx(math.sqrt(2.0) * 2.0**i, rel=1e-15)
         assert learner.beta_sq == pytest.approx(
@@ -196,7 +196,7 @@ def test_doubling_threshold_and_beta_follow_epoch():
 
 
 def test_doubling_rejects_unobservable_path():
-    learner = DoublingIOMD(UNIT_D)
+    learner = DynamicIOMD(UNIT_D, DoublingSchedule())
     with pytest.raises(ConfigError):
         learner.update(QuadraticLoss([1.0], 0.0), None)
     with pytest.raises(ConfigError):
@@ -242,9 +242,9 @@ def test_ogd_schedule_exhaustion():
 def _learner_factories():
     sched = AdaptiveSchedule(beta_sq=1.0)
     return {
-        "greedy": lambda x0: Greedy(INTERVAL, x0=x0),
+        "greedy": lambda x0: DynamicIOMD(INTERVAL, GreedySchedule(), x0=x0),
         "diomd": lambda x0: DynamicIOMD(INTERVAL, sched, x0=x0),
-        "diomd-doubling": lambda x0: DoublingIOMD(INTERVAL, x0=x0),
+        "diomd-doubling": lambda x0: DynamicIOMD(INTERVAL, DoublingSchedule(), x0=x0),
         "ogd": lambda x0: OGD(INTERVAL, [0.5] * 4, x0=x0),
     }
 

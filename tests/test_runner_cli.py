@@ -437,6 +437,40 @@ def test_cli_out_of_domain_start_point_is_a_config_error(tmp_path, capsys):
     assert "algorithm.x0" in line
 
 
+def _verify_mutated_trace(tmp_path, mutate):
+    records = [json.loads(line) for line in run_cell(_cell()).trace_lines]
+    mutate(records)
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    return ["verify", str(bad)]
+
+
+def _run_config(tmp_path, config):
+    return ["run", _write_config(tmp_path, config), "--output-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(lambda p: _verify_mutated_trace(p, lambda r: r[0]["config"].pop("T")),
+                 "line 1: missing header field 'config.T'", id="header-without-T"),
+    pytest.param(lambda p: _verify_mutated_trace(p, lambda r: r[0]["config"].update(T=40.0)),
+                 "config says T=40.0", id="header-with-float-T"),
+    pytest.param(lambda p: _verify_mutated_trace(p, lambda r: r[0]["config"].pop("geometry")),
+                 "line 1: missing header field 'config.geometry'", id="header-without-geometry"),
+    pytest.param(lambda p: _verify_mutated_trace(p, lambda r: r[3]["loss"].pop("y")),
+                 "line 4: trace field 'loss'", id="loss-without-y"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
+                     "domain": {"kind": "box", "lo": [0.4], "hi": [-0.4]}}}),
+                 "config field 'geometry.domain'", id="inverted-box"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "abprod", "loss_range": [0.0, 0.001],
+                     "candidate": {"name": "diomd"}}}),
+                 "config field 'algorithm.loss_range'", id="undersized-loss-range"),
+])
+def test_malformed_traces_and_configs_exit_one_naming_the_field(tmp_path, capsys, argv, field):
+    assert main(argv(tmp_path)) == 1
+    assert field in _single_error_line(capsys.readouterr().err)
+
+
 def test_cli_verify_rejects_a_nan_play_with_one_error_line(tmp_path, capsys):
     res = run_cell(_cell())
     records = [json.loads(line) for line in res.trace_lines]
