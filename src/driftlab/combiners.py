@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .learners import ConfigError, Learner
+from .learners import ConfigError, Learner, update_many
 from .losses import LinearLoss, Loss, LossError, step_lengths
 
 _INV_E = 1.0 / math.e
@@ -357,23 +357,24 @@ class Scaffold(Learner):
             self.meta.add(iv, awake)
         if self.geom is None and self.bases:
             self.geom = next(iter(self.bases.values())).geom
+        # the awake intervals in order, sorted once per round
+        self._order = sorted(self.bases)
+        self._awake = [self.bases[k] for k in self._order]
 
     def _keys(self):
-        return sorted(self.bases.keys())
+        return self._order
 
     def play(self):
-        keys = self._keys()
-        p = self.meta.weights(keys)
-        plays = [self.bases[k].play() for k in keys]
+        p = self.meta.weights(self._order)
+        plays = [base.play() for base in self._awake]
         return sum(pi * yi for pi, yi in zip(p, plays))
 
     def update(self, loss: Loss, path_increment: float = 0.0):
-        keys = self._keys()
-        plays = [self.bases[k].play() for k in keys]
+        keys = self._order
+        plays = [base.play() for base in self._awake]
         g = np.array([self.range.unit(loss._value(y)) for y in plays])
         p = self.meta.step(keys, g)
-        for k in keys:
-            self.bases[k].update(loss)
+        update_many(self._awake, loss)
         x = sum(pi * yi for pi, yi in zip(p, plays))
         row = {
             "value": loss._value(x),

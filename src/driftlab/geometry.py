@@ -182,9 +182,11 @@ class ClippedSimplex(Domain):
         return self.alpha / self.d
 
     def _contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        if x.shape != (self.d,):
-            return False
-        return bool(np.all(x >= self.floor - tol) and abs(float(np.sum(x)) - 1.0) <= tol)
+        return x.shape == (self.d,) and bool(self._contains_rows(x[None, :], tol)[0])
+
+    def _contains_rows(self, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """Membership of each row of a checked (k, d) array."""
+        return (X >= self.floor - tol).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= tol)
 
     def sample(self, rng, n):
         # floor plus a Dirichlet spread of the free mass stays feasible
@@ -378,36 +380,54 @@ class Geometry:
                 return p.copy()
             return dom.center + (dom.radius / nr) * r
         if isinstance(dom, ClippedSimplex):
-            return _kl_project_clipped_simplex(p, dom)
+            if p.shape != (dom.d,):
+                raise GeometryError(f"expected {dom.d} coordinates, got {p.shape}")
+            return _kl_project_clipped_simplex(p[None, :], dom)[0]
         raise GeometryError(f"no projection for domain {dom.kind!r}")
 
 
-def _kl_project_clipped_simplex(p: np.ndarray, dom: ClippedSimplex) -> np.ndarray:
-    """KL projection of a positive vector onto the floored simplex.
+def _kl_project_clipped_simplex(P: np.ndarray, dom: ClippedSimplex) -> np.ndarray:
+    """KL projection of each row of a positive (k, d) array onto the floored simplex.
 
     The minimizer has the form x_i = max(floor, c * p_i) with c chosen so the
-    coordinates sum to one.  Renormalizing the un-floored coordinates only
-    shrinks c, so floored coordinates never unfloor: the loop ends within d
-    passes.
+    coordinates sum to one.  Each pass floors the coordinates that fell
+    below the floor and renormalizes the rest.  Renormalizing only shrinks
+    c, so floored coordinates never unfloor and every row settles within d
+    passes; a settled row comes out of later passes unchanged.  A row's
+    normalizer is the sum of its free coordinates alone, so each row equals
+    the projection of that row on its own bit for bit.
     """
-    if p.shape != (dom.d,):
-        raise GeometryError(f"expected {dom.d} coordinates, got {p.shape}")
-    if np.any(p <= 0.0):
+    if (P <= 0.0).any():
         raise GeometryError("simplex projection needs strictly positive weights")
     floor = dom.floor
-    floored = np.zeros(dom.d, dtype=bool)
-    x = np.empty(dom.d)
+    floored = np.zeros(P.shape, dtype=bool)
+    n_floored = 0
+    sums = P.sum(axis=1)
     for _ in range(dom.d):
-        free = ~floored
-        c = (1.0 - floor * floored.sum()) / float(np.sum(p[free]))
-        x[free] = c * p[free]
-        x[floored] = floor
-        newly = free & (x < floor)
+        X = ((1.0 - floor * n_floored) / sums)[:, None] * P
+        X[floored] = floor
+        newly = X < floor
         if not newly.any():
             break
         floored |= newly
-    x[floored] = floor
-    return x
+        n_floored = floored.sum(axis=1)
+        sums = _free_sums(P, floored, dom.d - n_floored)
+    X[floored] = floor
+    return X
+
+
+def _free_sums(P: np.ndarray, floored: np.ndarray, n_free: np.ndarray) -> np.ndarray:
+    """Row sums of P over its un-floored coordinates, each summed as one
+    compressed vector (numpy's pairwise grouping depends on the length):
+    rows with the same free count share one (r, m) sum."""
+    counts = n_free.tolist()
+    if len(set(counts)) == 1:
+        return P[~floored].reshape(-1, counts[0]).sum(axis=1)
+    sums = np.empty(P.shape[0])
+    for m in set(counts):
+        same = n_free == m
+        sums[same] = P[same][~floored[same]].reshape(-1, m).sum(axis=1)
+    return sums
 
 
 def euclidean_geometry(domain: Domain) -> Geometry:

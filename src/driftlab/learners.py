@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Ball, Box, ClippedSimplex, Geometry, Interval, _as_vector
 from .losses import LinearLoss, Loss
-from .prox import implicit_update
+from .prox import implicit_update, implicit_update_lanes
 
 
 class ConfigError(ValueError):
@@ -270,3 +270,33 @@ class OGD(Learner):
         self.x = self.geom.project(self.x - self.etas[self.t - 1] * g)
         self.t += 1
         return row
+
+
+def update_many(learners: list, loss: Loss) -> None:
+    """Step every learner on the same loss, rows discarded.
+
+    Leaves each learner's state (x, lam, delta_sum, t) exactly as
+    ``[l.update(loss) for l in learners]`` would.  Adaptive ``DynamicIOMD``
+    learners sharing one entropy geometry under a linear loss take one
+    batched prox step; any other list is stepped one learner at a time.
+    """
+    if not learners:
+        return
+    geom = learners[0].geom
+    if not (isinstance(loss, LinearLoss) and geom.mirror == "entropy"
+            and all(type(l) is DynamicIOMD and l.geom is geom
+                    and type(l.schedule) is AdaptiveSchedule for l in learners)):
+        for learner in learners:
+            learner.update(loss)
+        return
+    lams = np.array([l.lam for l in learners])
+    X, _, deltas = implicit_update_lanes(loss, geom, np.stack([l.x for l in learners]), lams)
+    delta_sums = np.array([l.delta_sum for l in learners]) + deltas
+    ratios = delta_sums / [l.beta_sq for l in learners]
+    # max(lam, ratio) as the one-lane update takes it: lam unless ratio is larger
+    lams = np.where(ratios > lams, ratios, lams)
+    for learner, x, delta_sum, lam in zip(learners, X, delta_sums.tolist(), lams.tolist()):
+        learner.x = x
+        learner.delta_sum = delta_sum
+        learner.lam = lam
+        learner.t += 1

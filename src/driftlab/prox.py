@@ -24,8 +24,10 @@ from .geometry import (
     Box,
     ClippedSimplex,
     Geometry,
+    GeometryError,
     Interval,
     _as_vector,
+    _kl_project_clipped_simplex,
 )
 from .losses import (
     AbsoluteLoss,
@@ -172,20 +174,74 @@ def _linear_euclidean(loss, geom, x_t, lam) -> ProxResult:
 
 
 def _linear_entropy(loss, geom, x_t, lam) -> ProxResult:
+    X, values, deltas = _linear_entropy_lanes(loss, geom, x_t[None, :], np.array([lam]))
+    return ProxResult(x_next=X[0], delta=deltas[0], solver="closed-form", residual=0.0,
+                      value=values[0])
+
+
+def implicit_update_lanes(loss: LinearLoss, geom: Geometry, X: np.ndarray,
+                          lams: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """``implicit_update`` of one linear loss on the entropy simplex from the
+    anchors X (k, d) at once, lane i with weight lams[i].
+
+    Returns the next points (k, d), the anchors' loss values and the
+    progress certificates, each lane equal bit for bit to the one-lane
+    update, and raises the error that update raises for the same fault.
+    """
+    if not np.isfinite(X).all():
+        raise GeometryError("point has NaN or infinite coordinates")
+    if X.shape[1] != geom.domain.d or not geom.domain._contains_rows(X).all():
+        raise SolverError("prox anchor x_t lies outside the domain")
+    if not (lams >= 0.0).all():
+        raise SolverError(f"lam must be nonnegative, got {lams[~(lams >= 0.0)][0]}")
+    return _linear_entropy_lanes(loss, geom, X, lams)
+
+
+def _linear_entropy_lanes(loss, geom, X, lams):
+    """The entropy-linear prox of anchors X (k, d) under weights lams (k,).
+
+    Lanes with 0 < lam < inf take the multiplicative step.  Lanes with
+    lam = 0 minimize outright: floor everywhere, the remaining mass on the
+    first argmin.  Lanes with lam = inf keep their anchor, as
+    ``implicit_update`` does.  Every lane is computed with the float
+    operations of a one-lane update; loss values are one dot product per
+    row, because a matrix-vector product rounds differently.
+    """
     dom = geom.domain
     if not isinstance(dom, ClippedSimplex):
         raise SolverError("entropy prox needs a clipped-simplex domain")
-    if lam > 0:
-        # multiplicative step then KL projection; exact for linear losses
-        z = loss.g / lam
-        w = x_t * np.exp(-(z - np.min(z)))
-        x = geom.project(w)
-        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
-    # pure minimization: floor everywhere, remaining mass on the first argmin
-    i = int(np.argmin(loss.g))
-    x = np.full(dom.d, dom.floor)
-    x[i] = 1.0 - dom.floor * (dom.d - 1)
-    return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
+    g = loss.g
+    step = (lams > 0.0) & (lams < math.inf)
+    n_step = np.count_nonzero(step)
+    if n_step == len(lams):
+        X_next, penalty = _entropy_step(g, X, lams, dom)
+    else:
+        argmin = np.full(dom.d, dom.floor)
+        argmin[int(np.argmin(g))] = 1.0 - dom.floor * (dom.d - 1)
+        X_next = np.where((lams == 0.0)[:, None], argmin, X)
+        penalty = np.zeros(len(lams))
+        if n_step:
+            X_next[step], penalty[step] = _entropy_step(g, X[step], lams[step], dom)
+    if not np.isfinite(X_next).all():
+        raise GeometryError("point has NaN or infinite coordinates")
+    values = [float(g @ x) for x in X]
+    deltas = (np.array(values) - [float(g @ x) for x in X_next] - penalty).tolist()
+    low = [delta for delta in deltas if delta < DELTA_FLOOR]
+    if low:
+        raise SolverError(f"closed-form: progress certificate delta={low[0]:.3e} "
+                          f"below floor {DELTA_FLOOR:.0e}")
+    return X_next, values, deltas
+
+
+def _entropy_step(g, X, lams, dom):
+    """Multiplicative step then KL projection, exact for linear losses; with
+    each lane's penalty lam * B(x_next, x_t), the divergence fused as in
+    ``Geometry._bregman``."""
+    z = g / lams[:, None]
+    X_next = _kl_project_clipped_simplex(X * np.exp(-(z - z.min(axis=1, keepdims=True))), dom)
+    d = X_next - X
+    b = (X_next * np.log1p(d / X) - d).sum(axis=1)
+    return X_next, np.where(b > 0.0, lams * b, 0.0)
 
 
 def _closed_form_step(loss, geom, x_t, x, lam) -> ProxResult:

@@ -244,7 +244,7 @@ def run_cell(cell: dict) -> CellResult:
             "seed": cell["seed"],
         },
     }
-    lines = [json.dumps(header, sort_keys=True)]
+    records = [header]
     us = env.comparators()
     incs = [0.0, *step_lengths(us, geom.primal_norm).tolist()]
     value_sum = 0.0
@@ -259,7 +259,7 @@ def run_cell(cell: dict) -> CellResult:
         rec = {"t": t, "loss": loss.to_dict(),
                "x": np.asarray(x, dtype=float).tolist(), "u": u.tolist()}
         rec.update(row)
-        lines.append(json.dumps(rec, sort_keys=True))
+        records.append(rec)
     final = {"final": True,
              "x_final": np.asarray(learner.play(), dtype=float).tolist(),
              "value_sum": value_sum}
@@ -268,9 +268,10 @@ def run_cell(cell: dict) -> CellResult:
         final["lam_final"] = learner.lam
     if isinstance(schedule, DoublingSchedule):
         final["epochs"] = learner.epoch
-    lines.append(json.dumps(final, sort_keys=True))
-    report = trace_to_report([json.loads(l) for l in lines])
-    return CellResult(name, lines, report)
+    records.append(final)
+    # the report reads the records themselves; verify parses the same lines
+    lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    return CellResult(name, lines, trace_to_report(records))
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +441,13 @@ def parse_trace(text: str) -> list:
 
 
 def verify_trace(path) -> dict:
+    """The report of the trace file at ``path``; errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return trace_to_report(parse_trace(fh.read()))
+        text = fh.read()
+    try:
+        return trace_to_report(parse_trace(text))
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from None
 
 
 def report_json(report: dict) -> str:

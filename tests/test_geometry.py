@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.geometry import (
     Ball,
@@ -12,6 +14,7 @@ from driftlab.geometry import (
     Interval,
     derive_constants,
     domain_from_dict,
+    _kl_project_clipped_simplex,
     entropy_geometry,
     euclidean_geometry,
 )
@@ -240,6 +243,57 @@ def test_project_rejects_nonfinite_input():
         geom.project(float("nan"))
     with pytest.raises(GeometryError):
         geom.project(float("inf"))
+
+
+def _loop_projection(p, dom):
+    # the former one-vector projection loop, kept as the reference the
+    # row-batched projection must reproduce bit for bit
+    floor = dom.floor
+    floored = np.zeros(dom.d, dtype=bool)
+    x = np.empty(dom.d)
+    for _ in range(dom.d):
+        free = ~floored
+        c = (1.0 - floor * floored.sum()) / float(np.sum(p[free]))
+        x[free] = c * p[free]
+        x[floored] = floor
+        newly = free & (x < floor)
+        if not newly.any():
+            break
+        floored |= newly
+    x[floored] = floor
+    return x
+
+
+@st.composite
+def _weights(draw):
+    """(alpha, P): 1 to 5 rows of d positive weights spread over up to 30
+    decades, so that the projection floors coordinates."""
+    d = draw(st.integers(2, 40))
+    k = draw(st.integers(1, 5))
+    spread = draw(st.sampled_from([1.0, 5.0, 30.0]))
+    logs = draw(st.lists(st.lists(st.floats(-spread, 1.0), min_size=d, max_size=d),
+                         min_size=k, max_size=k))
+    alpha = draw(st.sampled_from([1e-3, 0.05, 0.3, 0.9]) | st.floats(1e-4, 0.99))
+    return alpha, np.exp(np.log(10.0) * np.array(logs))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_weights())
+def test_simplex_projection_properties(case):
+    alpha, P = case
+    dom = ClippedSimplex(P.shape[1], alpha)
+    geom = entropy_geometry(dom)
+    X = _kl_project_clipped_simplex(P, dom)
+    for p, x in zip(P, X):
+        assert np.all(x >= dom.floor)
+        assert abs(float(np.sum(x)) - 1.0) <= 1e-12
+        # x = max(floor, c * p) with one c
+        free = x > dom.floor
+        c = x[free] / p[free]
+        np.testing.assert_allclose(c, c[0], rtol=1e-13)
+        assert np.all(c[0] * p[~free] <= dom.floor * (1.0 + 1e-13))
+        assert np.array_equal(geom.project(p), x)
+        assert np.array_equal(_loop_projection(p, dom), x)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from driftlab.envs import make_environment
 from driftlab.geometry import (
     ClippedSimplex,
+    GeometryError,
     Interval,
     entropy_geometry,
     euclidean_geometry,
@@ -18,8 +20,10 @@ from driftlab.learners import (
     FixedSchedule,
     GreedySchedule,
     fixed_schedule,
+    update_many,
 )
 from driftlab.losses import LinearLoss, QuadraticLoss
+from driftlab.prox import SolverError
 
 INTERVAL = euclidean_geometry(Interval(-1.0, 1.0))
 
@@ -258,4 +262,105 @@ def test_start_point_is_checked_when_the_learner_is_built(name):
     learner = make([0.25])
     assert learner.play().dtype == np.float64 and learner.play().tolist() == [0.25]
     assert make(None).play().tolist() == [0.0]  # the domain center
+
+
+# ---------------------------------------------------------------------------
+# stepping many learners on one loss
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_state(batched, twins):
+    for a, b in zip(batched, twins):
+        assert np.array_equal(a.x, b.x)
+        assert a.x.dtype == np.float64 and a.x.shape == b.x.shape
+        assert a.t == b.t
+        assert getattr(a, "lam", None) == getattr(b, "lam", None)
+        assert getattr(a, "delta_sum", None) == getattr(b, "delta_sum", None)
+
+
+def test_update_many_equals_one_at_a_time_updates_bit_for_bit():
+    # adaptive entropy learners born at different rounds, as scaffold wakes
+    # them: each birth round is a lam = 0 step, and the steps after it push
+    # coordinates under the floor of the clipped simplex
+    T, d = 200, 8
+    geom = entropy_geometry(ClippedSimplex(d, d / T))
+    env = make_environment("shifting-experts", T, 3, d=d, shifts=6)
+    births = {1: 2, 2: 1, 5: 1, 33: 1, 64: 2, 150: 1, 200: 1}
+    batched, twins = [], []
+    zero_lam_steps = floored_steps = 0
+    for t in range(1, T + 1):
+        for i in range(births.get(t, 0)):
+            sched = AdaptiveSchedule(beta_sq=[1.0, math.log(T)][(t + i) % 2])
+            batched.append(DynamicIOMD(geom, sched))
+            twins.append(DynamicIOMD(geom, sched))
+        loss = env.loss(t)
+        stepped = [learner.lam > 0.0 for learner in batched]
+        zero_lam_steps += stepped.count(False)
+        update_many(batched, loss)
+        for twin in twins:
+            twin.update(loss)
+        _assert_same_state(batched, twins)
+        floored_steps += sum(bool(np.any(learner.x == geom.domain.floor))
+                             for learner, s in zip(batched, stepped) if s)
+    assert zero_lam_steps == sum(births.values())
+    assert floored_steps > 100
+
+
+def test_update_many_falls_back_for_other_learners():
+    loss = QuadraticLoss([1.0], 0.7)
+    make = [
+        lambda: OGD(INTERVAL, fixed_schedule("inv_sqrt", 1.0, 20).etas, x0=[-0.5]),
+        lambda: OGD(INTERVAL, fixed_schedule("constant", 0.3, 20).etas),
+        lambda: DynamicIOMD(INTERVAL, AdaptiveSchedule(beta_sq=2.0)),
+        lambda: DynamicIOMD(INTERVAL, fixed_schedule("inv_t", 1.0, 20)),
+    ]
+    batched = [m() for m in make]
+    twins = [m() for m in make]
+    for _ in range(20):
+        update_many(batched, loss)
+        for twin in twins:
+            twin.update(loss)
+        _assert_same_state(batched, twins)
+    # entropy learners outside the batched case: a greedy schedule
+    geom = entropy_geometry(ClippedSimplex(4, 0.1))
+    loss = LinearLoss([0.3, 0.1, 0.6, 0.2])
+    batched = [DynamicIOMD(geom, GreedySchedule()), DynamicIOMD(geom, AdaptiveSchedule(1.0))]
+    twins = [DynamicIOMD(geom, GreedySchedule()), DynamicIOMD(geom, AdaptiveSchedule(1.0))]
+    for _ in range(5):
+        update_many(batched, loss)
+        for twin in twins:
+            twin.update(loss)
+        _assert_same_state(batched, twins)
+
+
+def test_update_many_keeps_the_anchor_of_an_infinite_weight():
+    geom = entropy_geometry(ClippedSimplex(4, 0.1))
+    loss = LinearLoss([0.3, 0.1, 0.6, 0.2])
+    batched = [DynamicIOMD(geom, AdaptiveSchedule(1.0)) for _ in range(3)]
+    twins = [DynamicIOMD(geom, AdaptiveSchedule(1.0)) for _ in range(3)]
+    for learners in (batched, twins):
+        learners[0].update(loss)
+        learners[0].lam = math.inf
+    update_many(batched, loss)
+    for twin in twins:
+        twin.update(loss)
+    _assert_same_state(batched, twins)
+    assert batched[0].lam == math.inf
+
+
+@pytest.mark.parametrize("poison, error", [
+    (lambda l: setattr(l, "x", np.array([0.5, np.nan, 0.25, 0.25])), GeometryError),
+    (lambda l: setattr(l, "x", np.array([0.5, 0.5, 0.5, 0.5])), SolverError),
+    (lambda l: setattr(l, "lam", -1.0), SolverError),
+], ids=["nan-anchor", "anchor-off-the-simplex", "negative-lam"])
+def test_update_many_raises_what_update_raises(poison, error):
+    geom = entropy_geometry(ClippedSimplex(4, 0.1))
+    loss = LinearLoss([0.3, 0.1, 0.6, 0.2])
+    learners = [DynamicIOMD(geom, AdaptiveSchedule(1.0)) for _ in range(3)]
+    update_many(learners, loss)
+    poison(learners[1])
+    with pytest.raises(error):
+        learners[1].update(loss)
+    with pytest.raises(error):
+        update_many(learners, loss)
 

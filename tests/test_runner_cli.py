@@ -471,6 +471,19 @@ def test_malformed_traces_and_configs_exit_one_naming_the_field(tmp_path, capsys
     assert field in _single_error_line(capsys.readouterr().err)
 
 
+def test_cli_verify_error_names_the_bad_trace_file(tmp_path, capsys, monkeypatch):
+    records = [json.loads(line) for line in run_cell(_cell()).trace_lines]
+    (tmp_path / "good.jsonl").write_text(
+        "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    records[0]["config"].pop("T")
+    (tmp_path / "bad.jsonl").write_text(
+        "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "good.jsonl", "bad.jsonl", "--output-dir", "out"]) == 1
+    assert _single_error_line(capsys.readouterr().err) == \
+        "driftlab: error: bad.jsonl: line 1: missing header field 'config.T'"
+
+
 def test_cli_verify_rejects_a_nan_play_with_one_error_line(tmp_path, capsys):
     res = run_cell(_cell())
     records = [json.loads(line) for line in res.trace_lines]
