@@ -203,9 +203,10 @@ def _linear_entropy_lanes(loss, geom, X, lams):
     Lanes with 0 < lam < inf take the multiplicative step.  Lanes with
     lam = 0 minimize outright: floor everywhere, the remaining mass on the
     first argmin.  Lanes with lam = inf keep their anchor, as
-    ``implicit_update`` does.  Every lane is computed with the float
-    operations of a one-lane update; loss values are one dot product per
-    row, because a matrix-vector product rounds differently.
+    ``implicit_update`` does.  No lane's floats depend on another lane, so
+    lane i equals the one-lane call on row i bit for bit; loss values are
+    one dot product per row, because a matrix-vector product rounds
+    differently.
     """
     dom = geom.domain
     if not isinstance(dom, ClippedSimplex):

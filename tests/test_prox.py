@@ -7,6 +7,7 @@ from driftlab.geometry import (
     Ball,
     Box,
     ClippedSimplex,
+    GeometryError,
     Interval,
     entropy_geometry,
     euclidean_geometry,
@@ -22,6 +23,7 @@ from driftlab.prox import (
     SolverError,
     compute_delta,
     implicit_update,
+    implicit_update_lanes,
     prox_objective,
     prox_oracle,
 )
@@ -111,6 +113,28 @@ def test_linear_entropy_pure_minimization():
     x = res.x_next
     assert x[1] == pytest.approx(1.0 - 3 * dom.floor, abs=1e-12)
     assert np.all(np.delete(x, 1) == dom.floor)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("g, x, lam, error", [
+    ([0.3, 0.1, 0.6, 0.2], [0.25, np.nan, 0.25, 0.25], 1.0, GeometryError),
+    ([0.3, 0.1, 0.6, 0.2], [0.5, 0.5, 0.5, 0.5], 1.0, SolverError),
+    ([0.3, 0.1, 0.6, 0.2], [0.25] * 4, -1.0, SolverError),
+    ([0.0, 800.0, 1.0, 2.0], [0.25] * 4, 1.0, GeometryError),
+    ([1.0, 2.0, 3.0, 4.0], [0.25] * 4, 5e-324, GeometryError),
+    (1e12 + np.arange(4.0), [0.25] * 4, 1e6, SolverError),
+], ids=["nan-anchor", "anchor-off-the-simplex", "negative-lam",
+        "weight-underflows-to-zero", "nan-weights", "delta-below-floor"])
+def test_entropy_lanes_raise_what_the_one_lane_update_raises(g, x, lam, error):
+    geom = entropy_geometry(ClippedSimplex(4, 0.2))
+    loss = LinearLoss(g)
+    with pytest.raises(error):
+        implicit_update(loss, geom, x, lam)
+    # the faulty lane between a healthy stepping lane and a lam = 0 lane
+    X = np.array([np.full(4, 0.25), x, [0.1, 0.2, 0.3, 0.4]])
+    with pytest.raises(error):
+        implicit_update_lanes(loss, geom, X, np.array([100.0, lam, 0.0]))
+    implicit_update_lanes(loss, geom, X[[0, 2]], np.array([100.0, 0.0]))
 
 
 def test_hinge_passive_aggressive_step():
