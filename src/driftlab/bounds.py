@@ -5,6 +5,9 @@ inequality with the realized left and right sides.  Rows never weaken the
 stated guarantee: when a premise fails (for example the comparator path
 exceeds the configured budget, or a comparator of the greedy drift bound
 lies outside the domain) the row is marked inapplicable instead of passed.
+
+Rows read the run's losses as ``losses.LossTable`` columns; the recursion
+check takes the whole weight sequence at once.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Geometry
-from .losses import CompositeLoss, LinearLoss, Variability, step_lengths, temporal_variability
+from .losses import LinearLoss, LossTable, Variability, step_lengths, temporal_variability
 from .prox import DELTA_FLOOR
 
 DEFAULT_TOL = 1e-6
@@ -48,12 +51,13 @@ class RunRecord:
 
     The run statistics the rows share (drift, comparator values, comparator
     steps and path) are computed on first use and then kept.  Points are
-    trusted: ``runner.trace_to_report`` checks them once per trace.
+    trusted: ``runner.trace_to_report`` checks them once per trace.  A list
+    of losses is wrapped in a ``LossTable``.
     """
 
     algorithm: str
     geom: Geometry
-    losses: list
+    losses: LossTable
     plays: np.ndarray
     x_final: np.ndarray
     comparators: np.ndarray | None = None
@@ -66,6 +70,10 @@ class RunRecord:
     params: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.losses, LossTable):
+            self.losses = LossTable.from_losses(self.losses)
+
     @property
     def T(self) -> int:
         return len(self.losses)
@@ -76,9 +84,7 @@ class RunRecord:
 
     @cached_property
     def comparator_values(self) -> np.ndarray:
-        return np.array(
-            [l._value(u) for l, u in zip(self.losses, self.comparators)]
-        )
+        return self.losses.values(self.comparators)
 
     @cached_property
     def comparator_steps(self) -> np.ndarray:
@@ -136,13 +142,17 @@ def check_recursion_bound(a_seq, b_seq, c: float, d: float, deltas) -> Recursion
         raise ValueError("weights and constants must be nonnegative")
     if abs(dl[0]) > 1e-12:
         return RecursionCheck(False, False, dl[-1], 0.0, violated_at=0)
-    for t in range(a.size):
-        cap = d * b[t]
-        if dl[t] > 0:
-            cap = min(cap, c * a[t] * a[t] / (2.0 * dl[t]))
-        tol = 1e-9 * max(1.0, abs(dl[t]) + cap)
-        if dl[t + 1] > dl[t] + cap + tol:
-            return RecursionCheck(False, False, dl[-1], 0.0, violated_at=t + 1)
+    # every step at once; np.where picks what Python's min and max would
+    prev = dl[:-1]
+    cap = d * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alt = c * a * a / (2.0 * prev)
+    cap = np.where((prev > 0) & (alt < cap), alt, cap)
+    grow = np.abs(prev) + cap
+    tol = 1e-9 * np.where(grow > 1.0, grow, 1.0)
+    bad = np.flatnonzero(dl[1:] > prev + cap + tol)
+    if bad.size:
+        return RecursionCheck(False, False, dl[-1], 0.0, violated_at=int(bad[0]) + 1)
     rhs = math.sqrt(d * d * float(b @ b) + c * float(a @ a))
     holds = dl[-1] <= rhs + 1e-9 * max(1.0, rhs)
     return RecursionCheck(True, bool(holds), float(dl[-1]), rhs)
@@ -235,7 +245,7 @@ def _adaptive_rows(rec, tol):
     style = rec.params.get("bound_style") or (
         "expert" if rec.geom.mirror == "entropy" else "drift"
     )
-    if any(isinstance(l, CompositeLoss) for l in rec.losses):
+    if "composite" in rec.losses.kinds:
         style = rec.params.get("bound_style", "composite")
     rows = [_delta_floor_row(rec)]
     rows.extend(_lam_rows(rec))
@@ -289,7 +299,7 @@ def _expert_rows(rec, tol, regret, gsq):
     alpha = rec.params["alpha"]
     l_inf = rec.params.get("loss_sup", 1.0)
     T = rec.T
-    gs = np.array([l.g for l in rec.losses])
+    gs = rec.losses.G
     range_ok = bool(np.all(gs >= -1e-12) and float(np.max(gs)) <= l_inf + 1e-12)
     rows.append(_premise_row("gradient-range", range_ok,
                              float(np.max(np.abs(gs))), l_inf,

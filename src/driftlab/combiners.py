@@ -303,8 +303,8 @@ class _SleepingMLProd:
         z = eta * np.exp(log_w - np.max(log_w))
         return z / float(np.sum(z))
 
-    def step(self, keys, g: np.ndarray) -> np.ndarray:
-        p = self.weights(keys)
+    def step(self, keys, g: np.ndarray, p: np.ndarray) -> None:
+        """Update the awake ``keys`` on unit losses ``g`` under their weights ``p``."""
         lhat = float(p @ g)
         for k, gi in zip(keys, g):
             e = self.experts[k]
@@ -317,7 +317,6 @@ class _SleepingMLProd:
             e["log_w"] = (eta_new / e["eta"]) * (e["log_w"] + math.log(base))
             self.k_acc += _INV_E * (e["eta"] / eta_new - 1.0)
             e["eta"] = eta_new
-        return p
 
 
 class Scaffold(Learner):
@@ -339,6 +338,7 @@ class Scaffold(Learner):
         self.bases: dict[CoveringInterval, Learner] = {}
         self.t = 1
         self.geom = None
+        self._round = None
         self._sync()
 
     def _sync(self):
@@ -364,23 +364,29 @@ class Scaffold(Learner):
     def _keys(self):
         return self._order
 
+    def _mix(self):
+        """(weights, base plays, mixed play) of this round, computed once."""
+        if self._round is None:
+            p = self.meta.weights(self._order)
+            plays = [base.play() for base in self._awake]
+            self._round = (p, plays, sum(pi * yi for pi, yi in zip(p, plays)))
+        return self._round
+
     def play(self):
-        p = self.meta.weights(self._order)
-        plays = [base.play() for base in self._awake]
-        return sum(pi * yi for pi, yi in zip(p, plays))
+        return self._mix()[2]
 
     def update(self, loss: Loss, path_increment: float = 0.0):
         keys = self._order
-        plays = [base.play() for base in self._awake]
+        p, plays, x = self._mix()
         g = np.array([self.range.unit(loss._value(y)) for y in plays])
-        p = self.meta.step(keys, g)
+        self.meta.step(keys, g, p)
         update_many(self._awake, loss)
-        x = sum(pi * yi for pi, yi in zip(p, plays))
         row = {
             "value": loss._value(x),
             "active": len(keys),
             "k_acc": self.meta.k_acc,
         }
+        self._round = None
         self.t += 1
         self._sync()
         return row

@@ -9,6 +9,9 @@ Validation contract: the public evaluators (``value``, ``subgradient``,
 ``residual``, ``margin``) validate the point, then call the trusted evaluator
 of the same name with a leading underscore, which takes a validated 1-d
 float64 vector.  Callers holding validated points call those directly.
+
+Reports hold a run's losses as a ``LossTable`` of columns and evaluate them
+and their drift column-wise, building ``Loss`` objects only for rows they index.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ class _AffineLoss(Loss):
     def __init__(self, a, y: float):
         self.a = _as_vector(a)
         self.y = float(y)
+        if not np.isfinite(self.y):
+            raise LossError("loss target y must be finite")
         self.a.setflags(write=False)
 
     @property
@@ -159,6 +164,8 @@ class CompositeLoss(Loss):
     def __init__(self, base: Loss, l1_weight: float):
         if isinstance(base, CompositeLoss):
             raise LossError("composite base must not itself be composite")
+        if not np.isfinite(l1_weight):
+            raise LossError("l1_weight must be finite")
         if l1_weight < 0:
             raise LossError("l1_weight must be nonnegative")
         self.base = base
@@ -198,6 +205,94 @@ def loss_from_dict(spec: dict) -> Loss:
     if kind == "composite":
         return CompositeLoss(loss_from_dict(spec["base"]), spec["l1_weight"])
     raise LossError(f"unknown loss kind {kind!r}")
+
+
+_STACKED = {"linear": LinearLoss, "quadratic": QuadraticLoss,
+            "absolute": AbsoluteLoss, "hinge": HingeLoss}
+
+
+class LossTable:
+    """A run's losses: ``kinds`` present and, when they share one kind in
+    ``_STACKED`` and one dimension, the columns ``G`` (T, d) of linear losses
+    or ``A`` (T, d) and ``Y`` (T,) of affine ones.  ``table[i]`` is the
+    caller's own object when the table wraps a list, else built from row i."""
+
+    def __init__(self, kinds, M=None, Y=None, items=None):
+        self.kinds = frozenset(kinds)
+        self.kind = next(iter(self.kinds)) if len(self.kinds) == 1 else None
+        self._M, self.Y, self._items = M, Y, items
+        self.G, self.A = (M, None) if self.kind == "linear" else (None, M)
+
+    @classmethod
+    def from_losses(cls, losses) -> LossTable:
+        items = list(losses)
+        table = None
+        if all(type(l) is _STACKED.get(l.kind) for l in items):
+            table = cls._stacked([l.to_dict() for l in items])
+        if table is None:
+            table = cls({l.kind for l in items})
+        table._items = items
+        return table
+
+    @classmethod
+    def from_dicts(cls, specs: list) -> LossTable:
+        """The table of parsed loss specs; any that do not stack go through
+        ``loss_from_dict`` row by row, which raises its usual errors."""
+        table = cls._stacked(specs)
+        return table if table is not None else cls.from_losses(map(loss_from_dict, specs))
+
+    @classmethod
+    def _stacked(cls, specs: list):
+        kind = specs[0].get("kind") if specs and type(specs[0]) is dict else None
+        if kind not in _STACKED or not all(type(s) is dict and s.get("kind") == kind
+                                           for s in specs):
+            return None
+        try:
+            M = np.array([s["g" if kind == "linear" else "a"] for s in specs], dtype=float)
+            Y = None if kind == "linear" else np.array([s["y"] for s in specs], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            return None
+        if M.ndim != 2 or not M.shape[1] or not np.isfinite(M).all() or Y is not None and (
+                Y.shape != (len(specs),) or not np.isfinite(Y).all()
+                or kind == "hinge" and not np.all(np.abs(Y) == 1.0)):
+            return None
+        return cls({kind}, M, Y)
+
+    def __len__(self):
+        return len(self._M) if self._items is None else len(self._items)
+
+    def __getitem__(self, i) -> Loss:
+        if self._items is not None:
+            return self._items[i]
+        if self.kind == "linear":
+            return LinearLoss(self._M[i])
+        return _STACKED[self.kind](self._M[i], self.Y[i])
+
+    def dims(self) -> np.ndarray:
+        """Each loss's dimension, shape (T,)."""
+        if self._M is not None:
+            return np.full(len(self), self._M.shape[1])
+        return np.array([l.dim for l in self._items], dtype=int)
+
+    def values(self, points) -> np.ndarray:
+        """Row i's loss at ``points[i]``, equal bit for bit to ``self[i]._value``."""
+        points = np.asarray(points, dtype=float)
+        M = self._M
+        if M is None:
+            return np.array([l._value(x) for l, x in zip(self._items, points)], dtype=float)
+        if M.shape[1] == 1:
+            # exact products; + 0.0 turns a -0.0 into the dot product's +0.0
+            s = M[:, 0] * points[:, 0] + 0.0
+        else:
+            # one dot per row: a matrix product rounds differently
+            s = np.array([m @ x for m, x in zip(M, points)], dtype=float)
+        if self.kind == "linear":
+            return s
+        if self.kind == "hinge":
+            v = 1.0 - self.Y * s
+            return np.where(v > 0.0, v, 0.0)
+        r = s - self.Y
+        return 0.5 * r * r if self.kind == "quadratic" else np.abs(r)
 
 
 def batch_values(loss: Loss, pts: np.ndarray) -> np.ndarray:
@@ -269,13 +364,28 @@ def temporal_variability(losses, domain: Domain, grid_points: int = 10_000) -> V
     at zero from below per term, which is the variant the per-run regret
     bounds consume.  Linear losses over simplexes, boxes and balls and
     arbitrary one-dimensional pairs are handled in closed form; other shapes
-    fall back to a dense grid and are flagged inexact.
+    fall back to a dense grid and are flagged inexact.  Stacked linear and
+    1-d quadratic tables take all pairs at once, the rest go pair by pair.
 
     For losses over a clipped simplex the supremum is taken over the full
     simplex (the bounds compare against unclipped corners), which can only
     enlarge the total and keeps every checked inequality valid.
     """
-    losses = list(losses)
+    table = losses if isinstance(losses, LossTable) else LossTable.from_losses(losses)
+    if table.G is not None and isinstance(domain, (ClippedSimplex, Box, Interval)):
+        pos, neg = _linear_sups(np.diff(table.G, axis=0), domain)
+    elif table.kind == "quadratic" and table.A is not None and isinstance(domain, Interval):
+        a, y = table.A[:, 0], table.Y
+        pos, neg = _segment_sups((0.5 * a * a, -a * y, 0.5 * y * y), domain.lo, domain.hi)
+    else:
+        return _variability_by_pair(list(table), domain, grid_points)
+    # left-to-right sums of the terms Python's max(0.0, pos) and max(pos, neg) pick
+    signed = np.cumsum(np.concatenate(([0.0], np.where(pos > 0.0, pos, 0.0))))[-1]
+    absolute = np.cumsum(np.concatenate(([0.0], np.where(neg > pos, neg, pos))))[-1]
+    return Variability(float(signed), float(absolute), True)
+
+
+def _variability_by_pair(losses: list, domain: Domain, grid_points: int) -> Variability:
     if not losses:
         raise LossError("temporal variability needs at least one loss")
     signed = absolute = 0.0
@@ -296,6 +406,32 @@ def temporal_variability(losses, domain: Domain, grid_points: int = 10_000) -> V
     return Variability(signed, absolute, exact_all)
 
 
+def _linear_sups(dg: np.ndarray, domain: Domain):
+    """Per row of ``dg`` (n, d): the sups of <dg, x> and <-dg, x> over a
+    simplex, box or interval, each shape (n,)."""
+    if isinstance(domain, ClippedSimplex):
+        return np.max(dg, axis=1), np.max(-dg, axis=1)
+    lo, hi = np.atleast_1d(domain.lo), np.atleast_1d(domain.hi)
+    return (np.sum(np.maximum(dg * lo, dg * hi), axis=1),
+            np.sum(np.maximum(-dg * lo, -dg * hi), axis=1))
+
+
+def _segment_sups(coeffs, lo: float, hi: float):
+    """Sups of l_t - l_{t-1} and l_{t-1} - l_t on [lo, hi] for every consecutive
+    pair of single-segment quadratics (c2, c1, c0) given as (T,) columns."""
+    d2, d1, d0 = (np.diff(c) for c in coeffs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = -d1 / (2.0 * d2)
+    inside = (d2 != 0.0) & (lo < v) & (v < hi)
+    v = np.where(inside, v, lo)  # a finite stand-in where there is no vertex
+    sup_pos = sup_neg = np.full(d2.shape, -np.inf)
+    for x, keep in ((lo, True), (hi, True), (v, inside)):
+        f = d2 * x * x + d1 * x + d0
+        sup_pos = np.where(keep & (f > sup_pos), f, sup_pos)
+        sup_neg = np.where(keep & (-f > sup_neg), -f, sup_neg)
+    return sup_pos, sup_neg
+
+
 def _strip_matching_l1(cur: Loss, prev: Loss) -> tuple[Loss, Loss]:
     # a shared L1 penalty cancels in the difference
     if (isinstance(cur, CompositeLoss) and isinstance(prev, CompositeLoss)
@@ -312,17 +448,9 @@ def _pair_sup(cur: Loss, prev: Loss, domain: Domain, grid_points: int, pieces):
     cur, prev = _strip_matching_l1(cur, prev)
     if isinstance(cur, LinearLoss) and isinstance(prev, LinearLoss):
         dg = cur.g - prev.g
-        if isinstance(domain, ClippedSimplex):
-            return float(np.max(dg)), float(np.max(-dg)), True
-        if isinstance(domain, (Box, Interval)):
-            if isinstance(domain, Interval):
-                lo = np.array([domain.lo])
-                hi = np.array([domain.hi])
-            else:
-                lo, hi = domain.lo, domain.hi
-            pos = float(np.sum(np.maximum(dg * lo, dg * hi)))
-            neg = float(np.sum(np.maximum(-dg * lo, -dg * hi)))
-            return pos, neg, True
+        if isinstance(domain, (ClippedSimplex, Box, Interval)):
+            pos, neg = _linear_sups(dg[None, :], domain)
+            return float(pos[0]), float(neg[0]), True
         if isinstance(domain, Ball):
             mid = float(dg @ domain.center)
             rad = domain.radius * float(np.linalg.norm(dg))

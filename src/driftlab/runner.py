@@ -29,7 +29,7 @@ from .learners import (
     OGD,
     fixed_schedule,
 )
-from .losses import loss_from_dict, step_lengths
+from .losses import LossTable, loss_from_dict, step_lengths
 
 SCHEMA_VERSION = 1
 TRACE_KIND = "driftlab-trace"
@@ -44,9 +44,22 @@ ALGORITHMS = {
     "scaffold": "strongly adaptive mixture over dyadic intervals",
 }
 
-# per-round diagnostics that some learners emit and bound checks consume
-_EXTRA_KEYS = ("eg2", "p_a", "r", "eta", "k_acc", "loss_a", "loss_b",
-               "lhat", "active", "restart", "epoch")
+# the per-round keys each algorithm writes besides t, loss, x, u and value;
+# a trace missing one does not fit its header.  diomd and greedy rows on an
+# entropy mirror under linear losses also carry eg2.  Every key beyond the
+# learner keys is an extra column the bound rows may read.
+_LEARNER_KEYS = ("delta", "gnorm_dual", "lam", "solver")
+_ROW_KEYS = {
+    "greedy": _LEARNER_KEYS,
+    "diomd": _LEARNER_KEYS,
+    "ogd": _LEARNER_KEYS,
+    "diomd-doubling": _LEARNER_KEYS + ("epoch", "restart"),
+    "abprod": ("eta", "k_acc", "loss_a", "loss_b", "p_a", "r"),
+    "adapt-ml-prod": ("k_acc", "lhat"),
+    "scaffold": ("active", "k_acc"),
+}
+# one encoder for every trace line, as json.dumps(rec, sort_keys=True) writes it
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class TraceError(ValueError):
@@ -270,7 +283,7 @@ def run_cell(cell: dict) -> CellResult:
         final["epochs"] = learner.epoch
     records.append(final)
     # the report reads the records themselves; verify parses the same lines
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    lines = [_TRACE_ENCODER.encode(rec) for rec in records]
     return CellResult(name, lines, trace_to_report(records))
 
 
@@ -295,29 +308,56 @@ def _header_field(config, dotted: str):
     return node
 
 
-def _points(records: list, key: str, dim: int, wheres: list) -> np.ndarray:
+def _points(records: list, key: str, dim, wheres: list) -> np.ndarray:
     """The records' ``key`` points stacked into one (n, dim) array, checked once.
 
-    Each point must be a list of ``dim`` finite numbers; the first that is
-    not is named by its place in ``wheres`` and its field.
+    Each point must be a list of ``dim`` finite numbers, or one finite number
+    when ``dim`` is None; the first that is not is named by its place in
+    ``wheres`` and its field.
     """
     raw = [_require(rec, key, where) for rec, where in zip(records, wheres)]
+    shape = () if dim is None else (dim,)
     try:
         pts = np.array(raw, dtype=float)
-        if pts.shape == (len(raw), dim) and np.isfinite(pts).all():
+        if pts.shape == (len(raw), *shape) and np.isfinite(pts).all():
             return pts
     except (TypeError, ValueError):
         pass
-    where = next(w for w, p in zip(wheres, raw) if not _is_point(p, dim))
-    raise TraceError(f"{where}: trace field {key!r} must be a list of {dim} finite numbers")
+    where = next(w for w, p in zip(wheres, raw) if not _is_point(p, shape))
+    what = "a finite number" if dim is None else f"a list of {dim} finite numbers"
+    raise TraceError(f"{where}: trace field {key!r} must be {what}")
 
 
-def _is_point(p, dim: int) -> bool:
+def _is_point(p, shape: tuple) -> bool:
     try:
         v = np.asarray(p, dtype=float)
-        return v.shape == (dim,) and bool(np.isfinite(v).all())
+        return v.shape == shape and bool(np.isfinite(v).all())
     except (TypeError, ValueError):
         return False
+
+
+def _declared_keys(algorithm: str, params: dict, mirror: str, losses: LossTable):
+    """(row keys, final-record keys) that a trace of ``algorithm`` must carry."""
+    rows = _ROW_KEYS.get(algorithm, ())
+    if algorithm in ("diomd", "greedy") and mirror == "entropy" and losses.kind == "linear":
+        rows += ("eg2",)
+    final = ("epochs", "lam_final") if algorithm == "diomd-doubling" else ()
+    if algorithm == "diomd" and params.get("schedule_kind") != "fixed":
+        final = ("lam_final",)
+    return rows, final
+
+
+def _require_keys(rows: list, wheres: list, keys) -> None:
+    need = set(keys)
+    for row, where in zip(rows, wheres):
+        if not need <= row.keys():
+            raise TraceError(f"{where}: missing trace field {min(need - row.keys())!r}")
+
+
+def _column(rows: list, key: str):
+    """The rows' ``key`` values as a float array, or None if any row lacks one."""
+    col = [row.get(key) for row in rows]
+    return None if any(v is None for v in col) else np.array(col, dtype=float)
 
 
 def trace_to_report(records: list) -> dict:
@@ -346,39 +386,40 @@ def trace_to_report(records: list) -> dict:
     plays = _points(rows, "x", dim, wheres)
     comparators = _points(rows, "u", dim, wheres)
     x_final = _points([final], "x_final", dim, ["final record"])[0]
-    losses, values = [], []
-    deltas, lams, gnorms = [], [], []
-    extras = {}
+    specs = [_require(row, "loss", where) for row, where in zip(rows, wheres)]
+    try:
+        losses = LossTable.from_dicts(specs)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        for spec, where in zip(specs, wheres):  # name the first row that does not parse
+            _parsed(TraceError, f"{where}: trace field 'loss'", loss_from_dict, spec)
+        raise
+    off_dim = np.flatnonzero(losses.dims() != dim)
+    if off_dim.size:
+        raise TraceError(f"{wheres[off_dim[0]]}: trace field 'loss' must have dimension {dim}")
+    row_keys, final_keys = _declared_keys(algorithm, config["algorithm"], mirror, losses)
+    _require_keys(rows, wheres, ("t",) + row_keys)
+    _require_keys([final], ["final record"], final_keys)
+    values = _points(rows, "value", None, wheres)
+    recomputed = losses.values(plays)
+    off = np.abs(recomputed - values) > 1e-9
+    low = np.array([row.get("delta") is not None and row["delta"] < -1e-8 for row in rows])
     violations = []
-    for i, (row, where) in enumerate(zip(rows, wheres)):
-        t = _require(row, "t", where)
-        losses.append(_parsed(TraceError, f"{where}: trace field 'loss'",
-                              loss_from_dict, _require(row, "loss", where)))
-        v = float(_require(row, "value", where))
-        values.append(v)
-        recomputed = losses[-1]._value(plays[i])
-        if abs(recomputed - v) > 1e-9:
-            violations.append({"round": t, "check": "value",
-                               "recorded": v, "recomputed": recomputed})
-        deltas.append(row.get("delta"))
-        lams.append(row.get("lam"))
-        gnorms.append(row.get("gnorm_dual"))
-        if row.get("delta") is not None and row["delta"] < -1e-8:
-            violations.append({"round": t, "check": "delta-floor",
-                               "delta": row["delta"]})
-        for key in _EXTRA_KEYS:
-            if key in row:
-                extras.setdefault(key, []).append(row[key])
-
-    values = np.array(values)
+    for i in np.flatnonzero(off | low):
+        if off[i]:
+            violations.append({"round": rows[i]["t"], "check": "value",
+                               "recorded": float(values[i]),
+                               "recomputed": float(recomputed[i])})
+        if low[i]:
+            violations.append({"round": rows[i]["t"], "check": "delta-floor",
+                               "delta": rows[i]["delta"]})
     value_sum = final.get("value_sum")
     if value_sum is not None and abs(float(np.sum(values)) - value_sum) > 1e-9:
         violations.append({"round": None, "check": "value-sum",
                            "recorded": value_sum,
                            "recomputed": float(np.sum(values))})
 
-    have_g = all(g is not None for g in gnorms)
-    sum_gsq = float(np.sum(np.array(gnorms, dtype=float) ** 2)) if have_g else None
+    gnorms = _column(rows, "gnorm_dual")
+    sum_gsq = float(np.sum(gnorms ** 2)) if gnorms is not None else None
     record = RunRecord(
         algorithm=algorithm,
         geom=geom,
@@ -387,13 +428,14 @@ def trace_to_report(records: list) -> dict:
         x_final=x_final,
         comparators=comparators,
         values=values,
-        deltas=np.array(deltas, dtype=float) if all(d is not None for d in deltas) else None,
-        lams=np.array(lams, dtype=float) if all(l is not None for l in lams) else None,
-        gnorms=np.array(gnorms, dtype=float) if have_g else None,
+        deltas=_column(rows, "delta"),
+        lams=_column(rows, "lam"),
+        gnorms=gnorms,
         lam_final=final.get("lam_final"),
         epochs=final.get("epochs"),
         params=config["algorithm"],
-        extras=extras,
+        extras={key: [row[key] for row in rows]
+                for key in row_keys if key not in _LEARNER_KEYS},
     )
     bound_rows = [b.to_dict() for b in evaluate_bounds(record)]
     vt = record.variability

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.bounds import (
     BoundCheck,
+    RecursionCheck,
     RunRecord,
     check_recursion_bound,
     evaluate_bounds,
@@ -147,6 +150,58 @@ def test_recursion_fuzz_admissible_sequences_all_pass():
         rc = check_recursion_bound(a, b, c, d, deltas)
         assert rc.applicable
         assert rc.holds
+
+
+def _reference_recursion(a, b, c, d, deltas):
+    """The former step-by-step loop of ``check_recursion_bound``."""
+    a, b, dl = (np.asarray(v, dtype=float) for v in (a, b, deltas))
+    if abs(dl[0]) > 1e-12:
+        return RecursionCheck(False, False, dl[-1], 0.0, violated_at=0)
+    for t in range(a.size):
+        cap = d * b[t]
+        if dl[t] > 0:
+            cap = min(cap, c * a[t] * a[t] / (2.0 * dl[t]))
+        tol = 1e-9 * max(1.0, abs(dl[t]) + cap)
+        if dl[t + 1] > dl[t] + cap + tol:
+            return RecursionCheck(False, False, dl[-1], 0.0, violated_at=t + 1)
+    rhs = math.sqrt(d * d * float(b @ b) + c * float(a @ a))
+    holds = dl[-1] <= rhs + 1e-9 * max(1.0, rhs)
+    return RecursionCheck(True, bool(holds), float(dl[-1]), rhs)
+
+
+@st.composite
+def _recursions(draw):
+    """(a, b, c, d, deltas): sequences that follow the recursion, overshoot it
+    (sometimes right at its tolerance), or start away from zero."""
+    n = draw(st.integers(1, 30))
+    weights = st.sampled_from([0.0, 1.0, 1e-7]) | st.floats(0.0, 3.0)
+    a = draw(st.lists(weights, min_size=n, max_size=n))
+    b = draw(st.lists(weights, min_size=n, max_size=n))
+    c = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0))
+    d = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0))
+    deltas = [draw(st.sampled_from([0.0] * 6 + [1e-13, 1e-11]))]
+    overshoot = draw(st.sampled_from([None, 0, n // 2, n - 1]))
+    for t in range(n):
+        cap = d * b[t]
+        if deltas[-1] > 0.0:
+            cap = min(cap, c * a[t] * a[t] / (2.0 * deltas[-1]))
+        tol = 1e-9 * max(1.0, abs(deltas[-1]) + cap)
+        frac = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        slack = draw(st.sampled_from([0.0, 0.0, tol]))
+        if t == overshoot:
+            frac, slack = draw(st.sampled_from([(1.0, 2.0 * tol), (1.3, 0.0), (1.0, 1.01 * tol)]))
+        deltas.append(deltas[-1] + frac * cap + slack)
+    return a, b, c, d, deltas
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_recursions())
+def test_recursion_check_equals_the_step_loop(case):
+    got, want = check_recursion_bound(*case), _reference_recursion(*case)
+    assert (got.applicable, got.holds, got.violated_at) == \
+        (want.applicable, want.holds, want.violated_at)
+    assert (float(got.lhs).hex(), float(got.rhs).hex()) == \
+        (float(want.lhs).hex(), float(want.rhs).hex())
 
 
 def test_recursion_reports_premise_violations_distinctly():

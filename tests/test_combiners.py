@@ -11,6 +11,7 @@ from driftlab.combiners import (
     Piece,
     RangeError,
     Scaffold,
+    _SleepingMLProd,
     active_intervals,
     break_by_path_length,
     intervals_starting_at,
@@ -460,3 +461,24 @@ def test_scaffold_rejects_bad_horizon_and_range_escapes():
     combo = Scaffold(_ogd_factory, horizon=3)
     with pytest.raises(RangeError):
         combo.update(AbsoluteLoss([1.0], 5.0))
+
+
+def test_scaffold_computes_each_round_weights_once(monkeypatch):
+    calls = []
+    weights = _SleepingMLProd.weights
+    monkeypatch.setattr(_SleepingMLProd, "weights",
+                        lambda self, keys: calls.append(1) or weights(self, keys))
+    played = Scaffold(_ogd_factory, horizon=31, loss_range=LossRange(0.0, 2.0))
+    blind = Scaffold(_ogd_factory, horizon=31, loss_range=LossRange(0.0, 2.0))
+    rng = np.random.Generator(np.random.PCG64(3))
+    for y in rng.uniform(-0.5, 0.5, 31):
+        loss = AbsoluteLoss([1.0], float(y))
+        x = played.play()
+        assert np.array_equal(played.play(), x)
+        before = len(calls)
+        row = played.update(loss)
+        assert len(calls) == before  # update reuses the weights play computed
+        # an update that no play preceded computes them itself, to the same bits
+        assert blind.update(loss) == row
+    assert np.array_equal(played.play(), blind.play())
+    assert len(calls) == 2 * 31 + 2

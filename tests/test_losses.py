@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.geometry import Box, ClippedSimplex, Interval
 from driftlab.losses import (
@@ -10,7 +12,12 @@ from driftlab.losses import (
     HingeLoss,
     LinearLoss,
     LossError,
+    LossTable,
     QuadraticLoss,
+    _grid_pair_sup,
+    _interval_pair_sup,
+    _pieces_1d,
+    _strip_matching_l1,
     batch_values,
     loss_from_dict,
     path_length,
@@ -258,6 +265,142 @@ def test_variability_builds_each_piecewise_form_once(monkeypatch):
 def test_variability_rejects_empty():
     with pytest.raises(LossError):
         temporal_variability([], Interval(-1, 1))
+
+
+def _reference_variability(losses, domain, grid_points=10_000):
+    """The former scalar sweep: one pair at a time, linear pairs in closed form,
+    1-d pairs through their piecewise forms, running Python sums."""
+    signed = absolute = 0.0
+    exact_all = True
+    for prev, cur in zip(losses[:-1], losses[1:]):
+        cur, prev = _strip_matching_l1(cur, prev)
+        if isinstance(cur, LinearLoss) and isinstance(prev, LinearLoss) \
+                and isinstance(domain, (ClippedSimplex, Box, Interval)):
+            dg = cur.g - prev.g
+            if isinstance(domain, ClippedSimplex):
+                sup_pos, sup_neg = float(np.max(dg)), float(np.max(-dg))
+            else:
+                lo, hi = np.atleast_1d(domain.lo), np.atleast_1d(domain.hi)
+                sup_pos = float(np.sum(np.maximum(dg * lo, dg * hi)))
+                sup_neg = float(np.sum(np.maximum(-dg * lo, -dg * hi)))
+            exact = True
+        elif isinstance(domain, Interval):
+            sup_pos, sup_neg, exact = _interval_pair_sup(
+                _pieces_1d(cur, domain.lo, domain.hi), _pieces_1d(prev, domain.lo, domain.hi))
+        else:
+            sup_pos, sup_neg, exact = _grid_pair_sup(cur, prev, domain, grid_points)
+        signed += max(0.0, sup_pos)
+        absolute += max(sup_pos, sup_neg)
+        exact_all = exact_all and exact
+    return signed, absolute, exact_all
+
+
+def _same_variability(losses, domain):
+    v = temporal_variability(LossTable.from_losses(losses), domain)
+    signed, absolute, exact = _reference_variability(losses, domain)
+    assert (v.signed.hex(), v.absolute.hex(), v.exact) == \
+        (signed.hex(), absolute.hex(), exact)
+
+
+_COEFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-9]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _one_dim_sequences(draw):
+    """(losses, interval): quadratic or linear 1-d losses with repeated rounds,
+    zero scores and pairs whose difference has its vertex on or near an edge."""
+    lo = draw(st.sampled_from([-1.0, 0.0, -2.5]))
+    dom = Interval(lo, lo + draw(st.sampled_from([1.0, 2.0, 0.3])))
+    kind = draw(st.sampled_from(["quadratic", "linear"]))
+    losses = []
+    for _ in range(draw(st.integers(1, 12))):
+        move = draw(st.sampled_from(["fresh", "repeat", "edge"])) if losses else "fresh"
+        if move == "repeat":
+            losses.append(loss_from_dict(losses[-1].to_dict()))
+        elif kind == "linear":
+            losses.append(LinearLoss([draw(_COEFFS)]))
+        elif move == "edge":
+            a_p, y_p = float(losses[-1].a[0]), losses[-1].y
+            a = draw(st.sampled_from([0.7, -1.3, 2.0]))
+            v = draw(st.sampled_from([dom.lo, dom.hi, np.nextafter(dom.lo, dom.hi),
+                                      np.nextafter(dom.hi, dom.lo), dom.lo + 1e-12]))
+            # the vertex of the pair's difference, (a y - a_p y_p) / (a^2 - a_p^2), at v
+            y = (v * (a * a - a_p * a_p) + a_p * y_p) / a
+            losses.append(QuadraticLoss([a], y if np.isfinite(y) else 0.0))
+        else:
+            losses.append(QuadraticLoss([draw(_COEFFS)], draw(_COEFFS)))
+    return losses, dom
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_one_dim_sequences())
+def test_one_dim_variability_equals_the_pairwise_sweep(case):
+    _same_variability(*case)
+
+
+@st.composite
+def _linear_sequences(draw):
+    """(losses, domain): linear losses on a clipped simplex, interval or box,
+    with repeated rounds and zero coordinates."""
+    shape = draw(st.sampled_from(["simplex", "interval", "box"]))
+    d = 1 if shape == "interval" else draw(st.integers(2, 12))
+    if shape == "simplex":
+        dom = ClippedSimplex(d, 0.1)
+    elif shape == "interval":
+        dom = Interval(-0.5, 2.0)
+    else:
+        dom = Box(np.linspace(-1.0, 0.0, d), np.linspace(0.5, 3.0, d))
+    losses = []
+    for _ in range(draw(st.integers(1, 10))):
+        if losses and draw(st.booleans()):
+            losses.append(LinearLoss(losses[-1].g))
+        else:
+            losses.append(LinearLoss(draw(st.lists(_COEFFS, min_size=d, max_size=d))))
+    return losses, dom
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_linear_sequences())
+def test_linear_variability_equals_the_pairwise_sweep(case):
+    _same_variability(*case)
+
+
+def test_loss_table_values_equal_each_loss_bit_for_bit():
+    rng = np.random.Generator(np.random.PCG64(5))
+    for d in (1, 3):
+        X = rng.normal(size=(40, d))
+        X[:4] = 0.0
+        A = rng.normal(size=(40, d))
+        A[4:8] = -0.0
+        Y = rng.choice([-1.0, 1.0], 40)
+        for kind in ("linear", "quadratic", "absolute", "hinge"):
+            specs = [{"kind": kind, "g": a.tolist()} if kind == "linear"
+                     else {"kind": kind, "a": a.tolist(), "y": float(y)} for a, y in zip(A, Y)]
+            table = LossTable.from_dicts(specs)
+            assert table.kind == kind and len(table) == 40
+            got = table.values(X)
+            want = [loss_from_dict(s)._value(x) for s, x in zip(specs, X)]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+            assert table[7].to_dict() == specs[7]
+
+
+def test_loss_table_keeps_what_it_cannot_stack():
+    mixed = [QuadraticLoss([1.0], 0.2), AbsoluteLoss([1.0], 0.1)]
+    table = LossTable.from_losses(mixed)
+    assert table.kind is None and table.kinds == {"quadratic", "absolute"}
+    assert table[1] is mixed[1] and table.A is None
+    specs = [CompositeLoss(QuadraticLoss([1.0], 0.0), 0.5).to_dict()] * 3
+    assert LossTable.from_dicts(specs).kind == "composite"
+    with pytest.raises(LossError, match="finite"):
+        LossTable.from_dicts([{"kind": "quadratic", "a": [1.0], "y": float("nan")}])
+
+
+def test_non_finite_targets_and_penalties_are_rejected():
+    for y in (float("nan"), float("inf")):
+        with pytest.raises(LossError, match="finite"):
+            QuadraticLoss([1.0], y)
+        with pytest.raises(LossError, match="finite"):
+            CompositeLoss(QuadraticLoss([1.0], 0.0), y)
 
 
 # ---------------------------------------------------------------------------

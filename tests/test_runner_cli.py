@@ -437,8 +437,8 @@ def test_cli_out_of_domain_start_point_is_a_config_error(tmp_path, capsys):
     assert "algorithm.x0" in line
 
 
-def _verify_mutated_trace(tmp_path, mutate):
-    records = [json.loads(line) for line in run_cell(_cell()).trace_lines]
+def _verify_mutated_trace(tmp_path, mutate, config=BASIC):
+    records = [json.loads(line) for line in run_cell(_cell(config)).trace_lines]
     mutate(records)
     bad = tmp_path / "bad.trace.jsonl"
     bad.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
@@ -469,6 +469,69 @@ def _run_config(tmp_path, config):
 def test_malformed_traces_and_configs_exit_one_naming_the_field(tmp_path, capsys, argv, field):
     assert main(argv(tmp_path)) == 1
     assert field in _single_error_line(capsys.readouterr().err)
+
+
+LOWER_BOUND = {
+    "environment": {"kind": "lower-bound", "params": {"sigma": 0.3}},
+    "T": 20,
+    "algorithm": {"name": "diomd", "schedule": "adaptive", "tau": 0.0},
+}
+EXPERTS = {
+    "environment": {"kind": "shifting-experts", "params": {"d": 5, "shifts": 2}},
+    "T": 30,
+    "algorithm": {"name": "diomd", "schedule": "adaptive", "tau": 4.0},
+}
+ABPROD = {**BASIC, "algorithm": {"name": "abprod", "candidate": {"name": "diomd"}}}
+
+
+def _relabel(records, name):
+    records[0]["config"]["algorithm"]["name"] = name
+
+
+@pytest.mark.parametrize("config, mutate, message", [
+    pytest.param(LOWER_BOUND, lambda r: r[9]["loss"].update(y=float("nan")),
+                 "line 10: trace field 'loss': loss target y must be finite", id="nan-target"),
+    pytest.param(LOWER_BOUND, lambda r: r[3]["loss"].update(y=float("-inf")),
+                 "line 4: trace field 'loss': loss target y must be finite", id="infinite-target"),
+    pytest.param(BASIC, lambda r: _relabel(r, "diomd-doubling"),
+                 "line 2: missing trace field 'epoch'", id="diomd-relabelled-doubling"),
+    pytest.param(EXPERTS, lambda r: r[7].pop("eg2"),
+                 "line 8: missing trace field 'eg2'", id="expert-row-without-eg2"),
+    pytest.param(ABPROD, lambda r: r[4].pop("r"),
+                 "line 5: missing trace field 'r'", id="abprod-row-without-r"),
+    pytest.param(BASIC, lambda r: r[-1].pop("lam_final"),
+                 "final record: missing trace field 'lam_final'", id="final-without-lam"),
+    pytest.param(BASIC, lambda r: r[4]["loss"].update(a=[1.0, 2.0]),
+                 "line 5: trace field 'loss' must have dimension 1", id="loss-off-the-domain"),
+    pytest.param(BASIC, lambda r: r[6].update(value="abc"),
+                 "line 7: trace field 'value' must be a finite number", id="text-value"),
+])
+def test_cli_verify_rejects_traces_that_do_not_fit_their_header(
+        tmp_path, capsys, config, mutate, message):
+    argv = _verify_mutated_trace(tmp_path, mutate, config)
+    assert main(argv + ["--strict"]) == 1
+    line = _single_error_line(capsys.readouterr().err)
+    assert line == f"driftlab: error: {argv[1]}: {message}"
+
+
+def test_report_builds_a_constant_number_of_loss_objects(monkeypatch):
+    import driftlab.losses as losses_mod
+
+    res = run_cell(_cell({**LOWER_BOUND, "T": 1536}))
+    records = [json.loads(line) for line in res.trace_lines]
+    built = []
+
+    def counting(init):
+        def counted(self, *args):
+            built.append(type(self).__name__)
+            init(self, *args)
+        return counted
+
+    for cls in (losses_mod.LinearLoss, losses_mod._AffineLoss):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    report = trace_to_report(records)
+    assert report_json(report) == report_json(res.report)
+    assert 0 < len(built) <= 4
 
 
 def test_cli_verify_error_names_the_bad_trace_file(tmp_path, capsys, monkeypatch):
