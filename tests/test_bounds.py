@@ -24,14 +24,15 @@ from driftlab.learners import (
     GreedySchedule,
     Learner,
 )
-from driftlab.losses import AbsoluteLoss, LinearLoss, QuadraticLoss
+from driftlab.losses import AbsoluteLoss, CompositeLoss, LinearLoss, QuadraticLoss
 from driftlab.runner import run_cell
 
 INTERVAL = euclidean_geometry(Interval(-1.0, 1.0))
 
 
-def _run(learner, env):
-    """Drive a learner over an environment, collecting trace columns."""
+def _run(learner, env, wrap=lambda loss: loss):
+    """Drive a learner over an environment's losses, each passed through
+    ``wrap``, collecting trace columns."""
     plays, values, deltas, lams, gnorms = [], [], [], [], []
     prev_u = None
     for t in range(1, env.T + 1):
@@ -39,7 +40,7 @@ def _run(learner, env):
         inc = 0.0 if prev_u is None else float(np.linalg.norm(u - prev_u))
         prev_u = u
         plays.append(np.array(learner.play(), dtype=float))
-        row = learner.update(env.loss(t), inc)
+        row = learner.update(wrap(env.loss(t)), inc)
         values.append(row["value"])
         deltas.append(row.get("delta"))
         lams.append(row.get("lam"))
@@ -262,13 +263,13 @@ def test_greedy_row_inapplicable_when_comparators_leave_the_domain():
     assert res.report["bounds_summary"]["failed"] == 0
 
 
-def _adaptive_record(tau_alg, env):
+def _adaptive_record(tau_alg, env, wrap=lambda loss: loss):
     geom = env.default_geometry()
     beta_sq = geom.diameter_sq + geom.gamma * tau_alg
     learner = DynamicIOMD(geom, AdaptiveSchedule(beta_sq=beta_sq, tau=tau_alg))
-    cols = _run(learner, env)
+    cols = _run(learner, env, wrap)
     return RunRecord(
-        "diomd", geom, env.losses(), cols["plays"], cols["x_final"],
+        "diomd", geom, [wrap(loss) for loss in env.losses()], cols["plays"], cols["x_final"],
         comparators=env.comparators(), values=cols["values"],
         deltas=cols["deltas"], lams=cols["lams"], gnorms=cols["gnorms"],
         lam_final=learner.lam,
@@ -298,6 +299,25 @@ def test_adaptive_rows_gate_on_the_path_budget():
     for name in ("delta-floor", "lam-monotone", "lam-cap", "lam-recursion"):
         assert rows[name].status == "checked"
         assert rows[name].passed
+
+
+@pytest.mark.parametrize("tau_alg, status", [(2.0, "checked"), (0.5, "inapplicable")])
+def test_composite_rows_gate_on_the_path_budget(tau_alg, status):
+    # every round shares one L1 weight: the endpoint arm reads the drift of
+    # the quadratic parts and the endpoints of the full losses
+    env = DriftingQuadraticEnv(T=40, seed=5, tau=1.0)
+    rec = _adaptive_record(tau_alg, env, lambda loss: CompositeLoss(loss, 0.1))
+    rows = _by_name(evaluate_bounds(rec))
+    assert set(rows) == {"delta-floor", "lam-monotone", "lam-cap", "lam-recursion",
+                         "path-budget", "composite-arm-endpoint", "composite-arm-gradient"}
+    for name in ("path-budget", "composite-arm-endpoint", "composite-arm-gradient"):
+        assert rows[name].status == status
+    endpoint, gradient = rows["composite-arm-endpoint"], rows["composite-arm-gradient"]
+    assert endpoint.passed and gradient.passed
+    first, last = rec.values[0], rec.losses[-1].value(rec.x_final)
+    assert endpoint.rhs == 2.0 * (first - last + rec.variability.signed)
+    assert endpoint.note == "variable-part drift, full-loss endpoints"
+    assert gradient.note == ""
 
 
 def test_static_checker_mode_row():

@@ -204,6 +204,10 @@ def test_variability_one_dim_closed_forms_match_grid():
         lambda: QuadraticLoss([float(rng.uniform(0.3, 2.0))], float(rng.uniform(-0.9, 0.9))),
         lambda: AbsoluteLoss([float(rng.uniform(0.3, 2.0))], float(rng.uniform(-0.9, 0.9))),
         lambda: HingeLoss([float(rng.uniform(0.3, 2.0))], float(rng.choice([-1.0, 1.0]))),
+        # distinct L1 weights do not cancel: the difference has a kink at 0
+        lambda: CompositeLoss(QuadraticLoss([float(rng.uniform(0.3, 2.0))],
+                                            float(rng.uniform(-0.9, 0.9))),
+                              float(rng.uniform(0.05, 0.8))),
     ]
     for make in makers:
         for _ in range(6):

@@ -274,6 +274,23 @@ def test_cli_verify_matches_run_output_bytes(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("config", [
+    pytest.param({**BASIC, "algorithm": {"name": "scaffold", "base": {"name": "ogd"},
+                                         "loss_range": [0.0, 2.0]}},
+                 id="scaffold-of-ogd-bases"),
+    pytest.param({**BASIC, "geometry": {"domain": {"kind": "ball", "center": [0.0],
+                                                   "radius": 1.0}}},
+                 id="diomd-on-a-ball"),
+])
+def test_cli_verify_matches_run_output_bytes_for_other_builds(tmp_path, config):
+    out, redo = tmp_path / "out", tmp_path / "redo"
+    assert main(["run", _write_config(tmp_path, config), "--output-dir", str(out)]) == 0
+    [trace] = out.glob("*.trace.jsonl")
+    assert main(["verify", str(trace), "--output-dir", str(redo)]) == 0
+    name = trace.name.replace(".trace.jsonl", ".report.json")
+    assert (out / name).read_bytes() == (redo / name).read_bytes()
+
+
 def test_cli_verify_prints_report_to_stdout(tmp_path, capsys):
     cfg = _write_config(tmp_path, BASIC)
     out = tmp_path / "out"
