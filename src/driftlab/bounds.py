@@ -241,6 +241,15 @@ def _lam_rows(rec):
     return rows
 
 
+# the two-arm styles: (endpoint arm note, gradient arm note); a composite run's
+# drift is that of the variable parts, its endpoints those of the full losses
+_ARM_NOTES = {
+    "drift": ("regret <= 2 * (endpoint gap + signed drift)",
+              "regret <= 2 * sqrt((3 D^2 + gamma tau) sum ||g||*^2)"),
+    "composite": ("variable-part drift, full-loss endpoints", ""),
+}
+
+
 def _adaptive_rows(rec, tol):
     style = rec.params.get("bound_style") or (
         "expert" if rec.geom.mirror == "entropy" else "drift"
@@ -257,16 +266,17 @@ def _adaptive_rows(rec, tol):
     ct = rec.path_len
     vt = rec.variability.signed  # shared L1 parts cancel in consecutive differences
 
-    if style == "drift":
+    if style in _ARM_NOTES:
+        endpoint_note, gradient_note = _ARM_NOTES[style]
         ok = ct <= tau + 1e-9
         rows.append(_premise_row("path-budget", ok, ct, tau,
                                  note="comparator path within configured budget"))
-        rows.append(_row("drift-arm-endpoint", regret,
+        rows.append(_row(f"{style}-arm-endpoint", regret,
                          2.0 * (rec.endpoint_gap() + vt), tol, applicable=ok,
-                         note="regret <= 2 * (endpoint gap + signed drift)"))
-        rows.append(_row("drift-arm-gradient", regret,
+                         note=endpoint_note))
+        rows.append(_row(f"{style}-arm-gradient", regret,
                          2.0 * math.sqrt((3.0 * D2 + g * tau) * gsq), tol, applicable=ok,
-                         note="regret <= 2 * sqrt((3 D^2 + gamma tau) sum ||g||*^2)"))
+                         note=gradient_note))
     elif style == "static":
         factor = 2.0 + g * ct / D2
         arm = min(rec.endpoint_gap() + vt, math.sqrt(3.0 * D2 * gsq))
@@ -274,18 +284,6 @@ def _adaptive_rows(rec, tol):
                          note="beta^2 = D^2 checker mode"))
     elif style == "expert":
         rows.extend(_expert_rows(rec, tol, regret, gsq))
-    elif style == "composite":
-        ok = ct <= tau + 1e-9
-        rows.append(_premise_row("path-budget", ok, ct, tau,
-                                 note="comparator path within configured budget"))
-        first = float(rec.values[0])
-        last = rec.losses[-1]._value(rec.x_final)
-        rows.append(_row("composite-arm-endpoint", regret,
-                         2.0 * (first - last + vt), tol, applicable=ok,
-                         note="variable-part drift, full-loss endpoints"))
-        rows.append(_row("composite-arm-gradient", regret,
-                         2.0 * math.sqrt((3.0 * D2 + g * tau) * gsq), tol,
-                         applicable=ok))
     elif style == "composite-static":
         rhs = min(2.0 * (rec.endpoint_gap() + vt),
                   2.0 * math.sqrt(D2) * math.sqrt(3.0 * gsq))

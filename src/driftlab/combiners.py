@@ -151,7 +151,6 @@ class AdaptMLProd(Learner):
         self.r_sq = np.zeros(d)
         self.k_acc = 1.0
         self.t = 1
-        self._eta_floor_hit = False
 
     def weights(self) -> np.ndarray:
         z = self.eta * np.exp(self.log_w - np.max(self.log_w))
@@ -360,9 +359,6 @@ class Scaffold(Learner):
         # the awake intervals in order, sorted once per round
         self._order = sorted(self.bases)
         self._awake = [self.bases[k] for k in self._order]
-
-    def _keys(self):
-        return self._order
 
     def _mix(self):
         """(weights, base plays, mixed play) of this round, computed once."""

@@ -67,7 +67,7 @@ class Domain:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n member points, shape (n, dim). Used by tests and oracles."""
+        """Draw n member points, shape (n, dim)."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -298,18 +298,15 @@ class Geometry:
     and the dual norm is its conjugate.  Instances are immutable.
     """
 
-    def __init__(self, mirror: str, domain: Domain, diameter_sq: float | None = None,
-                 gamma: float | None = None):
+    def __init__(self, mirror: str, domain: Domain):
         if mirror not in (EUCLIDEAN, ENTROPY):
             raise GeometryError(f"unknown mirror {mirror!r}")
-        d2, g = derive_constants(mirror, domain)
+        self.diameter_sq, self.gamma = derive_constants(mirror, domain)
+        if self.diameter_sq <= 0:  # a tiny euclidean domain's squared diameter underflows
+            raise GeometryError("diameter_sq and gamma must be positive")
         self.mirror = mirror
         self.domain = domain
         self.primal_norm = "l2" if mirror == EUCLIDEAN else "l1"
-        self.diameter_sq = float(diameter_sq) if diameter_sq is not None else d2
-        self.gamma = float(gamma) if gamma is not None else g
-        if self.diameter_sq <= 0 or self.gamma <= 0:
-            raise GeometryError("diameter_sq and gamma must be positive")
 
     def __repr__(self):
         return (f"Geometry({self.mirror}, {self.domain!r}, "

@@ -560,8 +560,6 @@ def _interval_pair_sup(cur_pieces, prev_pieces):
 
 
 def _domain_grid(domain: Domain, grid_points: int) -> np.ndarray:
-    if isinstance(domain, Interval):
-        return np.linspace(domain.lo, domain.hi, grid_points)[:, None]
     if isinstance(domain, Box) and domain.dim <= 2:
         if domain.dim == 1:
             return np.linspace(domain.lo[0], domain.hi[0], grid_points)[:, None]

@@ -36,7 +36,6 @@ from .losses import (
     LinearLoss,
     Loss,
     QuadraticLoss,
-    batch_values,
 )
 
 DELTA_FLOOR = -1e-8
@@ -430,214 +429,3 @@ def _descent_route(loss, geom, x_t, lam, max_iter=100_000, tol=1e-9) -> ProxResu
             break
     return _finish(loss, geom, x_t, best, lam, "numeric-descent", move)
 
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-# ---------------------------------------------------------------------------
-
-
-def _batch_objective(loss, geom, x_t, lam, pts) -> np.ndarray:
-    vals = batch_values(loss, pts)
-    if lam > 0:
-        if geom.mirror == "euclidean":
-            d = pts - x_t
-            vals = vals + lam * 0.5 * np.sum(d * d, axis=1)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.where(pts > 0, pts * np.log(pts / x_t), 0.0)
-            vals = vals + lam * (np.sum(logs, axis=1) - np.sum(pts, axis=1) + np.sum(x_t))
-    return vals
-
-
-def _axes_for(domain, budget):
-    if isinstance(domain, Interval):
-        return [(domain.lo, domain.hi)], "interval"
-    if isinstance(domain, Box):
-        if domain.dim > 3:
-            raise SolverError("grid oracle supports at most 3 box axes")
-        return [(lo, hi) for lo, hi in zip(domain.lo, domain.hi)], "box"
-    if isinstance(domain, ClippedSimplex):
-        if domain.d > 3:
-            raise SolverError("grid oracle supports simplex d <= 3")
-        n_free = domain.d - 1
-        top = 1.0 - (domain.d - 1) * domain.floor
-        return [(domain.floor, top)] * n_free, "simplex"
-    if isinstance(domain, Ball):
-        if domain.dim > 3:
-            raise SolverError("grid oracle supports at most 3 ball axes")
-        return [
-            (c - domain.radius, c + domain.radius) for c in domain.center
-        ], "ball"
-    raise SolverError(f"no grid for domain {domain.kind!r}")
-
-
-def _grid_candidates(domain, kind, ranges, budget):
-    grids = [np.linspace(lo, hi, budget) for lo, hi in ranges]
-    if len(grids) == 1:
-        pts = grids[0][:, None]
-    elif len(grids) == 2:
-        g1, g2 = np.meshgrid(grids[0], grids[1], indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel()])
-    else:
-        g1, g2, g3 = np.meshgrid(grids[0], grids[1], grids[2], indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
-    if kind == "simplex":
-        last = 1.0 - np.sum(pts, axis=1)
-        keep = last >= domain.floor - 1e-12
-        pts = np.column_stack([pts[keep], last[keep]])
-    elif kind == "ball":
-        keep = np.linalg.norm(pts - domain.center, axis=1) <= domain.radius
-        pts = pts[keep]
-    return pts
-
-
-def prox_oracle(loss: Loss, geom: Geometry, x_t, lam: float,
-                budget: int = 400, mode: str | None = None,
-                descent_steps: int = 1_000_000) -> np.ndarray:
-    """Brute-force minimizer of the prox objective, for certification.
-
-    ``mode="grid"`` (default up to 3 effective axes): dense grid of ``budget``
-    points per axis refined once around the best cell; argument accuracy is
-    about 2 * range / budget^2, i.e. <= 1e-4 at the default budget on unit-
-    scale domains.  ``mode="descent"``: plain projected subgradient descent
-    with step 1/(lam*k + L) for ``descent_steps`` steps, returning the best
-    of final iterate, best-objective iterate and tail average; documented
-    accuracy about 1e-6 at the default step count on unit-scale instances.
-    """
-    x_t = _as_vector(x_t)
-    if mode is None:
-        try:
-            _axes_for(geom.domain, budget)
-            mode = "grid"
-        except SolverError:
-            mode = "descent"
-    if mode == "grid":
-        ranges, kind = _axes_for(geom.domain, budget)
-        pts = _grid_candidates(geom.domain, kind, ranges, budget)
-        if geom.mirror == "entropy":
-            pts = np.maximum(pts, 1e-300)
-        vals = _batch_objective(loss, geom, x_t, lam, pts)
-        best = pts[int(np.argmin(vals))]
-        # one refinement pass around the best cell
-        spans = [(hi - lo) / (budget - 1) for lo, hi in ranges]
-        refined = [
-            (max(lo, b - h), min(hi, b + h))
-            for (lo, hi), b, h in zip(ranges, best[: len(ranges)], spans)
-        ]
-        pts = _grid_candidates(geom.domain, kind, refined, budget)
-        if len(pts):
-            if geom.mirror == "entropy":
-                pts = np.maximum(pts, 1e-300)
-            vals2 = _batch_objective(loss, geom, x_t, lam, pts)
-            cand = pts[int(np.argmin(vals2))]
-            if _batch_objective(loss, geom, x_t, lam, cand[None, :])[0] <= \
-                    _batch_objective(loss, geom, x_t, lam, best[None, :])[0]:
-                best = cand
-        return np.asarray(best, dtype=float)
-    if mode == "descent":
-        return _oracle_descent(loss, geom, x_t, lam, descent_steps)
-    raise SolverError(f"unknown oracle mode {mode!r}")
-
-
-def _oracle_descent(loss, geom, x_t, lam, steps) -> np.ndarray:
-    if geom.mirror != "euclidean":
-        raise SolverError("descent oracle supports euclidean geometry only")
-    L = max(1.0, _curvature_bound(loss), float(np.linalg.norm(loss.subgradient(x_t))))
-    x = x_t.copy()
-    best = x.copy()
-    best_f = prox_objective(loss, geom, x_t, lam, x)
-    tail_from = int(0.9 * steps)
-    tail_sum = np.zeros_like(x)
-    tail_n = 0
-    for k in range(1, steps + 1):
-        g = loss.subgradient(x)
-        if lam > 0:
-            g = g + lam * (x - x_t)
-        x = geom.project(x - g / (lam * k + L))
-        if k % 64 == 0:
-            f = prox_objective(loss, geom, x_t, lam, x)
-            if f < best_f:
-                best_f = f
-                best = x.copy()
-        if k >= tail_from:
-            tail_sum += x
-            tail_n += 1
-    cands = [x, best]
-    if tail_n:
-        cands.append(geom.project(tail_sum / tail_n))
-    vals = [prox_objective(loss, geom, x_t, lam, c) for c in cands]
-    return cands[int(np.argmin(vals))].copy()
-
-
-def oracle_descent_batch(kind: str, A: np.ndarray, Y: np.ndarray, labels,
-                         X0: np.ndarray, LAM: np.ndarray, lo, hi,
-                         steps: int = 1_000_000, l1_weight: float = 0.0,
-                         tail_frac: float = 0.1):
-    """Vectorized descent oracle over many instances of one loss family.
-
-    Certification helper: runs the same projected subgradient recursion as
-    the scalar descent oracle simultaneously for N instances of kind
-    ``quadratic`` / ``absolute`` / ``hinge`` / ``composite`` with rows of A,
-    targets Y, anchors X0, weights LAM on a shared box [lo, hi].  Returns the
-    per-instance best of final iterate and tail average, shape (N, d).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    X = np.array(np.atleast_2d(np.asarray(X0, dtype=float)))
-    Y = np.asarray(Y, dtype=float)
-    LAM = np.asarray(LAM, dtype=float)
-    n, d = X.shape
-    na2 = np.sum(A * A, axis=1)
-    if kind == "hinge":
-        labels = np.asarray(labels, dtype=float)
-    curv = na2 if kind in ("quadratic", "composite") else np.zeros(n)
-    g0 = _family_subgradient(kind, A, Y, labels, X, l1_weight)
-    L = np.maximum(1.0, np.maximum(curv, np.linalg.norm(g0, axis=1)))
-    tail_from = int((1.0 - tail_frac) * steps)
-    tail = np.zeros_like(X)
-    tail_n = 0
-    for k in range(1, steps + 1):
-        G = _family_subgradient(kind, A, Y, labels, X, l1_weight)
-        G += LAM[:, None] * (X - X0)
-        step = 1.0 / (LAM * k + L)
-        X = np.clip(X - step[:, None] * G, lo, hi)
-        if k >= tail_from:
-            tail += X
-            tail_n += 1
-    out = np.empty_like(X)
-    avg = np.clip(tail / tail_n, lo, hi)
-    f_last = _family_objective(kind, A, Y, labels, X, X0, LAM, l1_weight)
-    f_avg = _family_objective(kind, A, Y, labels, avg, X0, LAM, l1_weight)
-    pick_avg = f_avg <= f_last
-    out[pick_avg] = avg[pick_avg]
-    out[~pick_avg] = X[~pick_avg]
-    return out
-
-
-def _family_subgradient(kind, A, Y, labels, X, l1_weight):
-    r = np.sum(A * X, axis=1) - Y
-    if kind == "quadratic":
-        return r[:, None] * A
-    if kind == "absolute":
-        return np.sign(r)[:, None] * A
-    if kind == "hinge":
-        m = labels * np.sum(A * X, axis=1)
-        return np.where((1.0 - m > 0)[:, None], -labels[:, None] * A, 0.0)
-    if kind == "composite":
-        return r[:, None] * A + l1_weight * np.sign(X)
-    raise SolverError(f"unknown family {kind!r}")
-
-
-def _family_objective(kind, A, Y, labels, X, X0, LAM, l1_weight):
-    r = np.sum(A * X, axis=1) - Y
-    if kind == "quadratic":
-        vals = 0.5 * r * r
-    elif kind == "absolute":
-        vals = np.abs(r)
-    elif kind == "hinge":
-        vals = np.maximum(0.0, 1.0 - labels * np.sum(A * X, axis=1))
-    elif kind == "composite":
-        vals = 0.5 * r * r + l1_weight * np.sum(np.abs(X), axis=1)
-    else:
-        raise SolverError(f"unknown family {kind!r}")
-    D = X - X0
-    return vals + LAM * 0.5 * np.sum(D * D, axis=1)

@@ -2,8 +2,8 @@
 
 Every test prints one ``criterion NN ...: PASS`` line (visible with -s; the
 -v test listing carries the same numbering).  Expected values come from closed
-forms computed inside each test or from the package's brute-force oracles,
-never from the implementation under test.
+forms computed inside each test or from the brute-force oracles in
+``tests/_oracles.py``, never from the implementation under test.
 """
 
 import json
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 import yaml
+from _oracles import oracle_descent_batch, prox_oracle
 
 from driftlab.cli import main
 from driftlab.combiners import (
@@ -50,12 +51,7 @@ from driftlab.losses import (
     temporal_variability,
 )
 from driftlab.montecarlo import LEARNERS, lower_bound_sweep
-from driftlab.prox import (
-    implicit_update,
-    oracle_descent_batch,
-    prox_objective,
-    prox_oracle,
-)
+from driftlab.prox import implicit_update, prox_objective
 
 TOL = 1e-6
 DELTA_FLOOR = -1e-8
@@ -465,8 +461,7 @@ def test_criterion_09_prox_certification():
     Y = rng.uniform(-1.5, 1.5, size=n)
     X0 = rng.uniform(-2.0, 2.0, size=(n, 2))
     LAM = rng.uniform(1.5, 6.0, size=n)
-    oracle_pts = oracle_descent_batch("quadratic", A, Y, None, X0, LAM,
-                                      -2.0, 2.0, steps=50_000)
+    oracle_pts = oracle_descent_batch(A, Y, X0, LAM, -2.0, 2.0, steps=50_000)
     for i in range(n):
         loss = QuadraticLoss(A[i], float(Y[i]))
         res = implicit_update(loss, box2, X0[i], float(LAM[i]))

@@ -416,8 +416,7 @@ def test_scaffold_tracks_the_covering():
     for t in range(1, 16):
         assert len(combo.bases) == int(math.log2(t)) + 1
         assert set(combo.meta.experts) == set(combo.bases)
-        keys = combo._keys()
-        w = combo.meta.weights(keys)
+        w = combo.meta.weights(combo._order)
         assert np.all(w >= 0.0)
         assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-12)
         row = combo.update(loss)

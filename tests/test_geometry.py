@@ -319,6 +319,8 @@ def test_mirror_domain_pairing_enforced():
         Geometry("entropy", Interval(-1, 1))
     with pytest.raises(GeometryError):
         Geometry("euclidean", ClippedSimplex(3, 0.5))
+    with pytest.raises(GeometryError, match="must be positive"):
+        euclidean_geometry(Interval(0.0, 1e-200))
 
 
 def test_domain_dict_roundtrip():

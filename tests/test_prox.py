@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import prox_oracle
 
 from driftlab.geometry import (
     Ball,
@@ -25,7 +26,6 @@ from driftlab.prox import (
     implicit_update,
     implicit_update_lanes,
     prox_objective,
-    prox_oracle,
 )
 
 INTERVAL = euclidean_geometry(Interval(-1.0, 1.0))
