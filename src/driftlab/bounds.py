@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Geometry
-from .losses import LinearLoss, LossTable, Variability, step_lengths, temporal_variability
+from .losses import LossTable, Variability, step_lengths, temporal_variability
 from .prox import DELTA_FLOOR
 
 DEFAULT_TOL = 1e-6
@@ -375,24 +375,21 @@ def _abprod_rows(rec, tol):
 def _mlprod_rows(rec, tol):
     from .combiners import AdaptMLProd, LossRange
 
-    d = rec.losses[0].dim
+    if rec.losses.G is None:
+        return [BoundCheck("mlprod-replay", 0.0, 0.0, False,
+                           status="inapplicable", note="needs linear losses")]
+    d = rec.losses.G.shape[1]
     rng_cfg = rec.params.get("loss_range", (0.0, 1.0))
     comb = AdaptMLProd(d, LossRange(*rng_cfg))
     lhat_sum = 0.0
     unit_losses = np.empty((rec.T, d))
     weighted_rsq = np.zeros(d)
-    for t, loss in enumerate(rec.losses):
-        if not isinstance(loss, LinearLoss):
-            return [BoundCheck("mlprod-replay", 0.0, 0.0, False,
-                               status="inapplicable", note="needs linear losses")]
-        g = np.array([comb.range.unit(v) for v in loss.g])
-        unit_losses[t] = g
-        p = comb.weights()
-        lhat = float(p @ g)
+    for t, g_raw in enumerate(rec.losses.G.tolist()):
+        unit_losses[t] = [comb.range.unit(v) for v in g_raw]
+        eta_old = comb.eta
+        _, lhat, r = comb._step(unit_losses[t])
         lhat_sum += lhat
-        eta_old = comb.eta.copy()
-        comb.update(loss)
-        weighted_rsq += eta_old * (lhat - g) ** 2
+        weighted_rsq += eta_old * (r * r)
     k_final = comb.k_acc
     rows = []
     col = np.sum(unit_losses, axis=0)

@@ -165,7 +165,16 @@ class AdaptMLProd(Learner):
         g_raw = loss.g
         if g_raw.shape != (self.d,):
             raise ConfigError(f"expected {self.d} expert losses, got {g_raw.shape}")
-        g = np.array([self.range.unit(v) for v in g_raw])
+        p, lhat, _ = self._step(np.array([self.range.unit(v) for v in g_raw]))
+        return {
+            "value": float(p @ g_raw),
+            "lhat": lhat,
+            "k_acc": self.k_acc,
+        }
+
+    def _step(self, g: np.ndarray):
+        """Advance on the unit losses ``g``; return this round's weights, their
+        loss ``lhat`` and the excesses ``r``."""
         p = self.weights()
         lhat = float(p @ g)
         r = lhat - g
@@ -177,13 +186,8 @@ class AdaptMLProd(Learner):
         self.log_w = (eta_new / self.eta) * (self.log_w + np.log(base))
         self.k_acc += _INV_E * float(np.sum(self.eta / eta_new - 1.0))
         self.eta = eta_new
-        row = {
-            "value": float(p @ g_raw),
-            "lhat": lhat,
-            "k_acc": self.k_acc,
-        }
         self.t += 1
-        return row
+        return p, lhat, r
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,8 @@ _ROW_KEYS = {
     "adapt-ml-prod": ("k_acc", "lhat"),
     "scaffold": ("active", "k_acc"),
 }
+# ogd writes null for these in every row
+_NULL_KEYS = {"ogd": ("delta", "lam")}
 # one encoder for every trace line, as json.dumps(rec, sort_keys=True) writes it
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -105,15 +107,29 @@ def _parsed(error, field: str, build, *args):
         raise error(f"{field}: {reason}") from None
 
 
+def _number(key: str, value) -> float:
+    """``float(value)``, with malformed input a ConfigError naming ``algorithm.key``."""
+    return _parsed(ConfigError, f"config field 'algorithm.{key}'", float, value)
+
+
+def _loss_range(spec: dict) -> LossRange:
+    """The spec's ``loss_range`` pair [lo, hi], by default [0, 1]."""
+    def build(pair):
+        lo, hi = pair
+        return LossRange(float(lo), float(hi))
+    return _parsed(ConfigError, "config field 'algorithm.loss_range'", build,
+                   spec.get("loss_range", (0.0, 1.0)))
+
+
 def _loss_sup(env, spec: dict) -> float:
     if "loss_sup" in spec:
-        return float(spec["loss_sup"])
+        return _number("loss_sup", spec["loss_sup"])
     return float(env.loss_sup()) if hasattr(env, "loss_sup") else 1.0
 
 
 def _expert_dim(env, spec: dict) -> int:
     if "d" in spec:
-        return int(spec["d"])
+        return _parsed(ConfigError, "config field 'algorithm.d'", int, spec["d"])
     if hasattr(env, "d"):
         return int(env.d)
     raise ConfigError("config field 'algorithm.d': needed outside expert environments")
@@ -126,19 +142,20 @@ def _build_diomd(spec, geom, env, T):
         scale = spec.get("scale")
         if scale is None:
             raise ConfigError("config field 'algorithm.scale': required for fixed schedules")
-        sched = fixed_schedule(shape, float(scale), T)
+        scale = _number("scale", scale)
+        sched = fixed_schedule(shape, scale, T)
         learner = DynamicIOMD(geom, sched, x0=spec.get("x0"))
         resolved = {"name": "diomd", "schedule_kind": "fixed",
-                    "shape": shape, "scale": float(scale)}
+                    "shape": shape, "scale": scale}
         return learner, resolved
     if sched_kind != "adaptive":
         raise ConfigError(
             f"config field 'algorithm.schedule': unknown kind {sched_kind!r}")
-    tau = float(spec.get("tau", 0.0))
+    tau = _number("tau", spec.get("tau", 0.0))
     beta_sq = spec.get("beta_sq")
     if beta_sq is None:
         beta_sq = geom.diameter_sq + geom.gamma * tau
-    beta_sq = float(beta_sq)
+    beta_sq = _number("beta_sq", beta_sq)
     learner = DynamicIOMD(geom, AdaptiveSchedule(beta_sq, tau), x0=spec.get("x0"))
     resolved = {"name": "diomd", "schedule_kind": "adaptive",
                 "beta_sq": beta_sq, "tau": tau}
@@ -151,12 +168,12 @@ def _build_diomd(spec, geom, env, T):
 
 
 def _build_scaffold(spec, geom, env, T):
-    rng_lo, rng_hi = spec.get("loss_range", (0.0, 1.0))
+    loss_range = _loss_range(spec)
     base_spec = spec.get("base")
     if base_spec is None:
         d = _expert_dim(env, spec)
         alpha = min(0.5, d / T)
-        base_beta = float(spec.get("base_beta_sq", math.log(max(2, T))))
+        base_beta = _number("base_beta_sq", spec.get("base_beta_sq", math.log(max(2, T))))
         base_geom = entropy_geometry(ClippedSimplex(d, alpha))
 
         def factory(interval):
@@ -169,8 +186,8 @@ def _build_scaffold(spec, geom, env, T):
             return _build_algorithm(base_spec, geom, env, T)[0]
 
         resolved_base = _build_algorithm(base_spec, geom, env, T)[1]
-    learner = Scaffold(factory, T, LossRange(float(rng_lo), float(rng_hi)))
-    resolved = {"name": "scaffold", "loss_range": [float(rng_lo), float(rng_hi)],
+    learner = Scaffold(factory, T, loss_range)
+    resolved = {"name": "scaffold", "loss_range": [loss_range.lo, loss_range.hi],
                 "base": resolved_base}
     return learner, resolved
 
@@ -190,27 +207,26 @@ def _build_algorithm(spec, geom, env, T):
         return learner, {"name": "diomd-doubling"}
     if name == "ogd":
         shape = spec.get("shape", "inv_sqrt")
-        scale = float(spec.get("scale", 1.0))
+        scale = _number("scale", spec.get("scale", 1.0))
         etas = fixed_schedule(shape, scale, T).etas
         return OGD(geom, etas, x0=spec.get("x0")), \
             {"name": "ogd", "shape": shape, "scale": scale}
     if name == "abprod":
-        rng_lo, rng_hi = spec.get("loss_range", (0.0, 1.0))
-        loss_range = LossRange(float(rng_lo), float(rng_hi))
+        loss_range = _loss_range(spec)
         cand, cand_resolved = _build_algorithm(
             spec.get("candidate", {"name": "scaffold"}), geom, env, T)
         bench, bench_resolved = _build_algorithm(
             spec.get("benchmark", {"name": "greedy"}), geom, env, T)
         learner = ABProd(cand, bench, loss_range)
         return learner, {"name": "abprod",
-                         "loss_range": [float(rng_lo), float(rng_hi)],
+                         "loss_range": [loss_range.lo, loss_range.hi],
                          "candidate": cand_resolved, "benchmark": bench_resolved}
     if name == "adapt-ml-prod":
-        rng_lo, rng_hi = spec.get("loss_range", (0.0, 1.0))
+        loss_range = _loss_range(spec)
         d = _expert_dim(env, spec)
-        learner = AdaptMLProd(d, LossRange(float(rng_lo), float(rng_hi)), geom=geom)
+        learner = AdaptMLProd(d, loss_range, geom=geom)
         return learner, {"name": "adapt-ml-prod", "d": d,
-                         "loss_range": [float(rng_lo), float(rng_hi)]}
+                         "loss_range": [loss_range.lo, loss_range.hi]}
     if name == "scaffold":
         return _build_scaffold(spec, geom, env, T)
     raise ConfigError(
@@ -324,8 +340,11 @@ def _points(records: list, key: str, dim, wheres: list) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     where = next(w for w, p in zip(wheres, raw) if not _is_point(p, shape))
-    what = "a finite number" if dim is None else f"a list of {dim} finite numbers"
-    raise TraceError(f"{where}: trace field {key!r} must be {what}")
+    raise TraceError(f"{where}: trace field {key!r} must be {_finite(dim)}")
+
+
+def _finite(dim) -> str:
+    return "a finite number" if dim is None else f"a list of {dim} finite numbers"
 
 
 def _is_point(p, shape: tuple) -> bool:
@@ -354,10 +373,50 @@ def _require_keys(rows: list, wheres: list, keys) -> None:
             raise TraceError(f"{where}: missing trace field {min(need - row.keys())!r}")
 
 
-def _column(rows: list, key: str):
-    """The rows' ``key`` values as a float array, or None if any row lacks one."""
-    col = [row.get(key) for row in rows]
-    return None if any(v is None for v in col) else np.array(col, dtype=float)
+def _column(rows: list, wheres: list, key: str, nullable: bool) -> np.ndarray:
+    """The rows' ``key`` values as a float array, each a finite number; where
+    ``nullable``, a row may also omit the key or write null, which reads NaN."""
+    if not nullable:
+        return _points(rows, key, None, wheres)
+    keep = [i for i, row in enumerate(rows) if row.get(key) is not None]
+    col = np.full(len(rows), np.nan)
+    col[keep] = _points([rows[i] for i in keep], key, None, [wheres[i] for i in keep])
+    return col
+
+
+def _whole(col: np.ndarray):
+    """``col``, or None where some row has no value."""
+    return None if np.isnan(col).any() else col
+
+
+def _check_final(final: dict, final_keys: tuple) -> None:
+    """The final record's run totals must be finite and its epoch count a
+    non-negative integer, where declared or written."""
+    for key in ("lam_final", "value_sum"):
+        if key in final_keys or final.get(key) is not None:
+            _points([final], key, None, ["final record"])
+    epochs = final.get("epochs")
+    if ("epochs" in final_keys or epochs is not None) and not (
+            type(epochs) is int and epochs >= 0):
+        raise TraceError("final record: trace field 'epochs' must be a non-negative integer")
+
+
+def _check_params(algorithm: str, config: dict, mirror: str) -> None:
+    """The header parameters the bound rows read must be finite, and present
+    where the rows give them no default."""
+    params = config["algorithm"]
+    need, optional = (), ()
+    if algorithm == "diomd" and params.get("schedule_kind") != "fixed":
+        need, optional = ("beta_sq",), ("tau",)
+        if mirror == "entropy" or params.get("bound_style") == "expert":
+            need, optional = ("beta_sq", "alpha"), ("tau", "loss_sup")
+    elif algorithm == "adapt-ml-prod":
+        optional = ("loss_range",)
+    for key in need + tuple(k for k in optional if k in params):
+        dim = 2 if key == "loss_range" else None
+        if not _is_point(_header_field(config, f"algorithm.{key}"), () if dim is None else (dim,)):
+            raise TraceError(
+                f"line 1: header field 'config.algorithm.{key}' must be {_finite(dim)}")
 
 
 def trace_to_report(records: list) -> dict:
@@ -381,6 +440,7 @@ def trace_to_report(records: list) -> dict:
                      domain_from_dict, _header_field(config, "geometry.domain"))
     geom = _parsed(TraceError, "line 1: header field 'config.geometry'",
                    Geometry, mirror, domain)
+    _check_params(algorithm, config, mirror)
     wheres = [f"line {i + 2}" for i in range(T)]
     dim = geom.domain.dim
     plays = _points(rows, "x", dim, wheres)
@@ -400,9 +460,17 @@ def trace_to_report(records: list) -> dict:
     _require_keys(rows, wheres, ("t",) + row_keys)
     _require_keys([final], ["final record"], final_keys)
     values = _points(rows, "value", None, wheres)
+    # declared keys are numbers; undeclared learner keys may be absent or null
+    nullable = set(_NULL_KEYS.get(algorithm, ())) | set(_LEARNER_KEYS) - set(row_keys)
+    cols = {key: _column(rows, wheres, key, key in nullable)
+            for key in dict.fromkeys(row_keys + _LEARNER_KEYS) if key != "solver"}
+    if "k_acc" in cols and (cols["k_acc"] < 1.0).any():
+        where = wheres[np.flatnonzero(cols["k_acc"] < 1.0)[0]]
+        raise TraceError(f"{where}: trace field 'k_acc' must be at least 1")
+    _check_final(final, final_keys)
     recomputed = losses.values(plays)
     off = np.abs(recomputed - values) > 1e-9
-    low = np.array([row.get("delta") is not None and row["delta"] < -1e-8 for row in rows])
+    low = cols["delta"] < -1e-8
     violations = []
     for i in np.flatnonzero(off | low):
         if off[i]:
@@ -418,7 +486,7 @@ def trace_to_report(records: list) -> dict:
                            "recorded": value_sum,
                            "recomputed": float(np.sum(values))})
 
-    gnorms = _column(rows, "gnorm_dual")
+    gnorms = _whole(cols["gnorm_dual"])
     sum_gsq = float(np.sum(gnorms ** 2)) if gnorms is not None else None
     record = RunRecord(
         algorithm=algorithm,
@@ -428,14 +496,13 @@ def trace_to_report(records: list) -> dict:
         x_final=x_final,
         comparators=comparators,
         values=values,
-        deltas=_column(rows, "delta"),
-        lams=_column(rows, "lam"),
+        deltas=_whole(cols["delta"]),
+        lams=_whole(cols["lam"]),
         gnorms=gnorms,
         lam_final=final.get("lam_final"),
         epochs=final.get("epochs"),
         params=config["algorithm"],
-        extras={key: [row[key] for row in rows]
-                for key in row_keys if key not in _LEARNER_KEYS},
+        extras={key: cols[key] for key in row_keys if key not in _LEARNER_KEYS},
     )
     bound_rows = [b.to_dict() for b in evaluate_bounds(record)]
     vt = record.variability
@@ -526,6 +593,8 @@ def expand_config(config: dict, seed_override=None) -> list:
     for spec in algs:
         if isinstance(spec, str):
             spec = {"name": spec}
+        if not isinstance(spec, dict):
+            raise ConfigError("config field 'algorithm': need a mapping with a 'name'")
         alg_name = spec.get("name", "?")
         for seed in seeds:
             base = f"{config['environment'].get('kind', 'env')}-{alg_name}-s{seed}"

@@ -454,6 +454,21 @@ def test_cli_out_of_domain_start_point_is_a_config_error(tmp_path, capsys):
     assert "algorithm.x0" in line
 
 
+LOWER_BOUND = {
+    "environment": {"kind": "lower-bound", "params": {"sigma": 0.3}},
+    "T": 20,
+    "algorithm": {"name": "diomd", "schedule": "adaptive", "tau": 0.0},
+}
+EXPERTS = {
+    "environment": {"kind": "shifting-experts", "params": {"d": 5, "shifts": 2}},
+    "T": 30,
+    "algorithm": {"name": "diomd", "schedule": "adaptive", "tau": 4.0},
+}
+ABPROD = {**BASIC, "algorithm": {"name": "abprod", "candidate": {"name": "diomd"}}}
+DOUBLING = {**BASIC, "algorithm": {"name": "diomd-doubling"}}
+OGD = {**BASIC, "algorithm": {"name": "ogd"}}
+
+
 def _verify_mutated_trace(tmp_path, mutate, config=BASIC):
     records = [json.loads(line) for line in run_cell(_cell(config)).trace_lines]
     mutate(records)
@@ -482,23 +497,27 @@ def _run_config(tmp_path, config):
                      "name": "abprod", "loss_range": [0.0, 0.001],
                      "candidate": {"name": "diomd"}}}),
                  "config field 'algorithm.loss_range'", id="undersized-loss-range"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "abprod", "loss_range": 1.0}}),
+                 "config field 'algorithm.loss_range'", id="abprod-scalar-loss-range"),
+    pytest.param(lambda p: _run_config(p, {**EXPERTS, "algorithm": {
+                     "name": "adapt-ml-prod", "loss_range": [0, 1, 2]}}),
+                 "config field 'algorithm.loss_range'", id="mlprod-three-loss-range"),
+    pytest.param(lambda p: _run_config(p, {**EXPERTS, "algorithm": {
+                     "name": "scaffold", "loss_range": 1.0}}),
+                 "config field 'algorithm.loss_range'", id="scaffold-scalar-loss-range"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "diomd", "tau": "x"}}),
+                 "config field 'algorithm.tau'", id="text-tau"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "ogd", "scale": "x"}}),
+                 "config field 'algorithm.scale'", id="text-ogd-scale"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": ["greedy"]}),
+                 "config field 'algorithm'", id="algorithm-list"),
 ])
 def test_malformed_traces_and_configs_exit_one_naming_the_field(tmp_path, capsys, argv, field):
     assert main(argv(tmp_path)) == 1
     assert field in _single_error_line(capsys.readouterr().err)
-
-
-LOWER_BOUND = {
-    "environment": {"kind": "lower-bound", "params": {"sigma": 0.3}},
-    "T": 20,
-    "algorithm": {"name": "diomd", "schedule": "adaptive", "tau": 0.0},
-}
-EXPERTS = {
-    "environment": {"kind": "shifting-experts", "params": {"d": 5, "shifts": 2}},
-    "T": 30,
-    "algorithm": {"name": "diomd", "schedule": "adaptive", "tau": 4.0},
-}
-ABPROD = {**BASIC, "algorithm": {"name": "abprod", "candidate": {"name": "diomd"}}}
 
 
 def _relabel(records, name):
@@ -522,6 +541,48 @@ def _relabel(records, name):
                  "line 5: trace field 'loss' must have dimension 1", id="loss-off-the-domain"),
     pytest.param(BASIC, lambda r: r[6].update(value="abc"),
                  "line 7: trace field 'value' must be a finite number", id="text-value"),
+    pytest.param(BASIC, lambda r: r[3].update(delta="abc"),
+                 "line 4: trace field 'delta' must be a finite number", id="text-delta"),
+    pytest.param(BASIC, lambda r: r[3].update(delta=None),
+                 "line 4: trace field 'delta' must be a finite number", id="null-delta"),
+    pytest.param(BASIC, lambda r: r[5].update(gnorm_dual="x"),
+                 "line 6: trace field 'gnorm_dual' must be a finite number", id="text-gnorm"),
+    pytest.param(BASIC, lambda r: r[8].update(lam=None),
+                 "line 9: trace field 'lam' must be a finite number", id="null-lam"),
+    pytest.param(ABPROD, lambda r: r[4].update(p_a="x"),
+                 "line 5: trace field 'p_a' must be a finite number", id="text-p-a"),
+    pytest.param(ABPROD, lambda r: r[-2].update(k_acc=0),
+                 "line 41: trace field 'k_acc' must be at least 1", id="zero-k-acc"),
+    pytest.param(BASIC, lambda r: r[-1].update(lam_final="x"),
+                 "final record: trace field 'lam_final' must be a finite number",
+                 id="text-lam-final"),
+    pytest.param(BASIC, lambda r: r[-1].update(value_sum="x"),
+                 "final record: trace field 'value_sum' must be a finite number",
+                 id="text-value-sum"),
+    pytest.param(DOUBLING, lambda r: r[-1].update(epochs="two"),
+                 "final record: trace field 'epochs' must be a non-negative integer",
+                 id="text-epochs"),
+    pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].pop("beta_sq"),
+                 "line 1: missing header field 'config.algorithm.beta_sq'",
+                 id="header-without-beta-sq"),
+    pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].update(beta_sq="x"),
+                 "line 1: header field 'config.algorithm.beta_sq' must be a finite number",
+                 id="header-text-beta-sq"),
+    pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].update(tau="x"),
+                 "line 1: header field 'config.algorithm.tau' must be a finite number",
+                 id="header-text-tau"),
+    pytest.param({**EXPERTS, "algorithm": "adapt-ml-prod"},
+                 lambda r: r[0]["config"]["algorithm"].update(loss_range="x"),
+                 "line 1: header field 'config.algorithm.loss_range' "
+                 "must be a list of 2 finite numbers", id="header-text-loss-range"),
+    pytest.param(OGD, lambda r: r[0]["config"]["algorithm"].update(
+                     name="diomd", schedule_kind="fixed"),
+                 "line 2: trace field 'delta' must be a finite number", id="ogd-relabelled-fixed"),
+    pytest.param(OGD, lambda r: r[0]["config"]["algorithm"].update(
+                     name="diomd", schedule_kind="adaptive", beta_sq=1.0)
+                 or r[-1].update(lam_final=1.0),
+                 "line 2: trace field 'delta' must be a finite number",
+                 id="ogd-relabelled-adaptive"),
 ])
 def test_cli_verify_rejects_traces_that_do_not_fit_their_header(
         tmp_path, capsys, config, mutate, message):
