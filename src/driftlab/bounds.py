@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .combiners import AdaptMLProd, LossRange
 from .geometry import Geometry
 from .losses import LossTable, Variability, step_lengths, temporal_variability
 from .prox import DELTA_FLOOR
@@ -241,15 +242,6 @@ def _lam_rows(rec):
     return rows
 
 
-# the two-arm styles: (endpoint arm note, gradient arm note); a composite run's
-# drift is that of the variable parts, its endpoints those of the full losses
-_ARM_NOTES = {
-    "drift": ("regret <= 2 * (endpoint gap + signed drift)",
-              "regret <= 2 * sqrt((3 D^2 + gamma tau) sum ||g||*^2)"),
-    "composite": ("variable-part drift, full-loss endpoints", ""),
-}
-
-
 def _adaptive_rows(rec, tol):
     style = rec.params.get("bound_style") or (
         "expert" if rec.geom.mirror == "entropy" else "drift"
@@ -266,8 +258,13 @@ def _adaptive_rows(rec, tol):
     ct = rec.path_len
     vt = rec.variability.signed  # shared L1 parts cancel in consecutive differences
 
-    if style in _ARM_NOTES:
-        endpoint_note, gradient_note = _ARM_NOTES[style]
+    if style in ("drift", "composite"):
+        # a composite run's drift is that of its variable parts, its endpoints
+        # those of the full losses
+        endpoint_note, gradient_note = (
+            ("regret <= 2 * (endpoint gap + signed drift)",
+             "regret <= 2 * sqrt((3 D^2 + gamma tau) sum ||g||*^2)") if style == "drift"
+            else ("variable-part drift, full-loss endpoints", ""))
         ok = ct <= tau + 1e-9
         rows.append(_premise_row("path-budget", ok, ct, tau,
                                  note="comparator path within configured budget"))
@@ -373,18 +370,17 @@ def _abprod_rows(rec, tol):
 
 
 def _mlprod_rows(rec, tol):
-    from .combiners import AdaptMLProd, LossRange
-
-    if rec.losses.G is None:
+    G = rec.losses.G
+    if G is None:
         return [BoundCheck("mlprod-replay", 0.0, 0.0, False,
                            status="inapplicable", note="needs linear losses")]
-    d = rec.losses.G.shape[1]
+    d = G.shape[1]
     rng_cfg = rec.params.get("loss_range", (0.0, 1.0))
     comb = AdaptMLProd(d, LossRange(*rng_cfg))
     lhat_sum = 0.0
     unit_losses = np.empty((rec.T, d))
     weighted_rsq = np.zeros(d)
-    for t, g_raw in enumerate(rec.losses.G.tolist()):
+    for t, g_raw in enumerate(G.tolist()):
         unit_losses[t] = [comb.range.unit(v) for v in g_raw]
         eta_old = comb.eta
         _, lhat, r = comb._step(unit_losses[t])

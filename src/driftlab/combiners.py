@@ -232,8 +232,6 @@ def break_by_path_length(points, diameter: float, norm: str = "l2") -> list[Piec
             acc = 0.0
     if start <= n - 1:
         pieces.append(Piece(start, n - 1, acc))
-    elif not pieces:
-        pieces.append(Piece(0, n - 1, 0.0))
     return pieces
 
 

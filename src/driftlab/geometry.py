@@ -299,8 +299,6 @@ class Geometry:
     """
 
     def __init__(self, mirror: str, domain: Domain):
-        if mirror not in (EUCLIDEAN, ENTROPY):
-            raise GeometryError(f"unknown mirror {mirror!r}")
         self.diameter_sq, self.gamma = derive_constants(mirror, domain)
         if self.diameter_sq <= 0:  # a tiny euclidean domain's squared diameter underflows
             raise GeometryError("diameter_sq and gamma must be positive")

@@ -340,11 +340,8 @@ def _points(records: list, key: str, dim, wheres: list) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     where = next(w for w, p in zip(wheres, raw) if not _is_point(p, shape))
-    raise TraceError(f"{where}: trace field {key!r} must be {_finite(dim)}")
-
-
-def _finite(dim) -> str:
-    return "a finite number" if dim is None else f"a list of {dim} finite numbers"
+    what = "a finite number" if dim is None else f"a list of {dim} finite numbers"
+    raise TraceError(f"{where}: trace field {key!r} must be {what}")
 
 
 def _is_point(p, shape: tuple) -> bool:
@@ -366,13 +363,6 @@ def _declared_keys(algorithm: str, params: dict, mirror: str, losses: LossTable)
     return rows, final
 
 
-def _require_keys(rows: list, wheres: list, keys) -> None:
-    need = set(keys)
-    for row, where in zip(rows, wheres):
-        if not need <= row.keys():
-            raise TraceError(f"{where}: missing trace field {min(need - row.keys())!r}")
-
-
 def _column(rows: list, wheres: list, key: str, nullable: bool) -> np.ndarray:
     """The rows' ``key`` values as a float array, each a finite number; where
     ``nullable``, a row may also omit the key or write null, which reads NaN."""
@@ -389,34 +379,15 @@ def _whole(col: np.ndarray):
     return None if np.isnan(col).any() else col
 
 
-def _check_final(final: dict, final_keys: tuple) -> None:
-    """The final record's run totals must be finite and its epoch count a
-    non-negative integer, where declared or written."""
-    for key in ("lam_final", "value_sum"):
-        if key in final_keys or final.get(key) is not None:
-            _points([final], key, None, ["final record"])
-    epochs = final.get("epochs")
-    if ("epochs" in final_keys or epochs is not None) and not (
-            type(epochs) is int and epochs >= 0):
-        raise TraceError("final record: trace field 'epochs' must be a non-negative integer")
-
-
-def _check_params(algorithm: str, config: dict, mirror: str) -> None:
+def _check_params(algorithm: str, params: dict, mirror: str) -> None:
     """The header parameters the bound rows read must be finite, and present
     where the rows give them no default."""
-    params = config["algorithm"]
-    need, optional = (), ()
+    need = ()
     if algorithm == "diomd" and params.get("schedule_kind") != "fixed":
-        need, optional = ("beta_sq",), ("tau",)
-        if mirror == "entropy" or params.get("bound_style") == "expert":
-            need, optional = ("beta_sq", "alpha"), ("tau", "loss_sup")
-    elif algorithm == "adapt-ml-prod":
-        optional = ("loss_range",)
-    for key in need + tuple(k for k in optional if k in params):
-        dim = 2 if key == "loss_range" else None
-        if not _is_point(_header_field(config, f"algorithm.{key}"), () if dim is None else (dim,)):
-            raise TraceError(
-                f"line 1: header field 'config.algorithm.{key}' must be {_finite(dim)}")
+        expert = mirror == "entropy" or params.get("bound_style") == "expert"
+        need = ("beta_sq", "alpha") if expert else ("beta_sq",)
+    for key in need + tuple(k for k in ("tau", "loss_sup", "loss_range") if k in params):
+        _points([params], key, 2 if key == "loss_range" else None, ["line 1"])
 
 
 def trace_to_report(records: list) -> dict:
@@ -440,7 +411,7 @@ def trace_to_report(records: list) -> dict:
                      domain_from_dict, _header_field(config, "geometry.domain"))
     geom = _parsed(TraceError, "line 1: header field 'config.geometry'",
                    Geometry, mirror, domain)
-    _check_params(algorithm, config, mirror)
+    _check_params(algorithm, config["algorithm"], mirror)
     wheres = [f"line {i + 2}" for i in range(T)]
     dim = geom.domain.dim
     plays = _points(rows, "x", dim, wheres)
@@ -457,17 +428,24 @@ def trace_to_report(records: list) -> dict:
     if off_dim.size:
         raise TraceError(f"{wheres[off_dim[0]]}: trace field 'loss' must have dimension {dim}")
     row_keys, final_keys = _declared_keys(algorithm, config["algorithm"], mirror, losses)
-    _require_keys(rows, wheres, ("t",) + row_keys)
-    _require_keys([final], ["final record"], final_keys)
     values = _points(rows, "value", None, wheres)
-    # declared keys are numbers; undeclared learner keys may be absent or null
+    # each declared key is present and a number, the solver label aside; ogd's
+    # null keys and undeclared learner keys may be absent or null
     nullable = set(_NULL_KEYS.get(algorithm, ())) | set(_LEARNER_KEYS) - set(row_keys)
     cols = {key: _column(rows, wheres, key, key in nullable)
-            for key in dict.fromkeys(row_keys + _LEARNER_KEYS) if key != "solver"}
+            for key in dict.fromkeys(("t",) + row_keys + _LEARNER_KEYS) if key != "solver"}
+    if "solver" in row_keys:
+        for row, where in zip(rows, wheres):
+            _require(row, "solver", where)
     if "k_acc" in cols and (cols["k_acc"] < 1.0).any():
         where = wheres[np.flatnonzero(cols["k_acc"] < 1.0)[0]]
         raise TraceError(f"{where}: trace field 'k_acc' must be at least 1")
-    _check_final(final, final_keys)
+    epochs = final.get("epochs")
+    if epochs is not None and not (type(epochs) is int and epochs >= 0):
+        raise TraceError("final record: trace field 'epochs' must be a non-negative integer")
+    for key in ("epochs", "lam_final", "value_sum"):
+        if key in final_keys or final.get(key) is not None:
+            _points([final], key, None, ["final record"])
     recomputed = losses.values(plays)
     off = np.abs(recomputed - values) > 1e-9
     low = cols["delta"] < -1e-8

@@ -320,6 +320,16 @@ def test_composite_rows_gate_on_the_path_budget(tau_alg, status):
     assert gradient.note == ""
 
 
+def test_composite_static_mode_row():
+    env = DriftingQuadraticEnv(T=40, seed=5, tau=1.0)
+    rec = _adaptive_record(2.0, env, lambda loss: CompositeLoss(loss, 0.1))
+    rec.params["bound_style"] = "composite-static"
+    rows = _by_name(evaluate_bounds(rec))
+    assert rows["composite-static-bound"].status == "checked"
+    assert rows["composite-static-bound"].passed
+    assert "path-budget" not in rows
+
+
 def test_static_checker_mode_row():
     env = DriftingQuadraticEnv(T=40, seed=9, tau=1.0)
     geom = env.default_geometry()

@@ -563,18 +563,18 @@ def _relabel(records, name):
                  "final record: trace field 'epochs' must be a non-negative integer",
                  id="text-epochs"),
     pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].pop("beta_sq"),
-                 "line 1: missing header field 'config.algorithm.beta_sq'",
+                 "line 1: missing trace field 'beta_sq'",
                  id="header-without-beta-sq"),
     pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].update(beta_sq="x"),
-                 "line 1: header field 'config.algorithm.beta_sq' must be a finite number",
+                 "line 1: trace field 'beta_sq' must be a finite number",
                  id="header-text-beta-sq"),
     pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].update(tau="x"),
-                 "line 1: header field 'config.algorithm.tau' must be a finite number",
+                 "line 1: trace field 'tau' must be a finite number",
                  id="header-text-tau"),
     pytest.param({**EXPERTS, "algorithm": "adapt-ml-prod"},
                  lambda r: r[0]["config"]["algorithm"].update(loss_range="x"),
-                 "line 1: header field 'config.algorithm.loss_range' "
-                 "must be a list of 2 finite numbers", id="header-text-loss-range"),
+                 "line 1: trace field 'loss_range' must be a list of 2 finite numbers",
+                 id="header-text-loss-range"),
     pytest.param(OGD, lambda r: r[0]["config"]["algorithm"].update(
                      name="diomd", schedule_kind="fixed"),
                  "line 2: trace field 'delta' must be a finite number", id="ogd-relabelled-fixed"),
