@@ -18,12 +18,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .combiners import AdaptMLProd, LossRange
+from .combiners import AdaptMLProd, LossRange, RangeError
 from .geometry import Geometry
 from .losses import LossTable, Variability, step_lengths, temporal_variability
 from .prox import DELTA_FLOOR
 
 DEFAULT_TOL = 1e-6
+# the styles of adaptive diomd rows that ``_adaptive_rows`` implements
+BOUND_STYLES = ("drift", "composite", "static", "expert", "composite-static")
+
+
+def bound_styles(mirror: str) -> tuple:
+    """The bound styles a run on ``mirror`` may name: expert needs entropy."""
+    return BOUND_STYLES if mirror == "entropy" else tuple(
+        s for s in BOUND_STYLES if s != "expert")
 
 
 @dataclass(frozen=True)
@@ -291,7 +299,7 @@ def _adaptive_rows(rec, tol):
 def _expert_rows(rec, tol, regret, gsq):
     rows = []
     tau = rec.params.get("tau", 0.0)
-    alpha = rec.params["alpha"]
+    alpha = rec.geom.domain.alpha
     l_inf = rec.params.get("loss_sup", 1.0)
     T = rec.T
     gs = rec.losses.G
@@ -381,7 +389,11 @@ def _mlprod_rows(rec, tol):
     unit_losses = np.empty((rec.T, d))
     weighted_rsq = np.zeros(d)
     for t, g_raw in enumerate(G.tolist()):
-        unit_losses[t] = [comb.range.unit(v) for v in g_raw]
+        try:
+            unit_losses[t] = [comb.range.unit(v) for v in g_raw]
+        except RangeError as exc:
+            exc.row = t
+            raise
         eta_old = comb.eta
         _, lhat, r = comb._step(unit_losses[t])
         lhat_sum += lhat

@@ -27,7 +27,9 @@ _INV_E = 1.0 / math.e
 
 
 class RangeError(ValueError):
-    pass
+    """A loss outside its declared range; ``row`` is its round index where known."""
+
+    row = None
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,10 @@ class Domain:
     def _contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
 
+    def _contains_rows(self, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """Membership of each row of a checked (k, dim) array."""
+        raise NotImplementedError
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n member points, shape (n, dim)."""
         raise NotImplementedError
@@ -90,6 +94,9 @@ class Interval(Domain):
 
     def _contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return x.shape == (1,) and self.lo - tol <= x[0] <= self.hi + tol
+
+    def _contains_rows(self, X, tol: float = MEMBERSHIP_TOL):
+        return (X[:, 0] >= self.lo - tol) & (X[:, 0] <= self.hi + tol)
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lo, self.hi)
@@ -127,6 +134,9 @@ class Box(Domain):
         if x.shape != self.lo.shape:
             return False
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+
+    def _contains_rows(self, X, tol: float = MEMBERSHIP_TOL):
+        return ((X >= self.lo - tol) & (X <= self.hi + tol)).all(axis=1)
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lo, self.hi)
@@ -184,9 +194,8 @@ class ClippedSimplex(Domain):
     def _contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return x.shape == (self.d,) and bool(self._contains_rows(x[None, :], tol)[0])
 
-    def _contains_rows(self, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        """Membership of each row of a checked (k, d) array."""
-        return (X >= self.floor - tol).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= tol)
+    def _contains_rows(self, X, tol: float = MEMBERSHIP_TOL):
+        return _simplex_rows(X, self.floor, tol)
 
     def sample(self, rng, n):
         # floor plus a Dirichlet spread of the free mass stays feasible
@@ -219,6 +228,9 @@ class Ball(Domain):
             return False
         return float(np.linalg.norm(x - self.center)) <= self.radius + tol
 
+    def _contains_rows(self, X, tol: float = MEMBERSHIP_TOL):
+        return np.linalg.norm(X - self.center, axis=1) <= self.radius + tol
+
     def l2_diameter(self) -> float:
         return 2.0 * self.radius
 
@@ -243,6 +255,11 @@ class Ball(Domain):
 
     def __hash__(self):
         return hash((self.kind, self.center.tobytes(), self.radius))
+
+
+def _simplex_rows(X: np.ndarray, floor: float, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Whether each row of X is a probability vector with coordinates >= floor."""
+    return (X >= floor - tol).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= tol)
 
 
 def domain_from_dict(spec: dict) -> Domain:

@@ -16,19 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import RunRecord, evaluate_bounds
+from .bounds import RunRecord, bound_styles, evaluate_bounds
 from .combiners import ABProd, AdaptMLProd, LossRange, RangeError, Scaffold
 from .envs import GENERATOR_NAME, make_environment
-from .geometry import ClippedSimplex, Geometry, domain_from_dict, entropy_geometry
-from .learners import (
-    AdaptiveSchedule,
-    ConfigError,
-    DoublingSchedule,
-    DynamicIOMD,
-    GreedySchedule,
-    OGD,
-    fixed_schedule,
-)
+from .geometry import ClippedSimplex, Geometry, _simplex_rows, domain_from_dict, entropy_geometry
+from .learners import (AdaptiveSchedule, ConfigError, DoublingSchedule, DynamicIOMD,
+                       GreedySchedule, OGD, fixed_schedule)
 from .losses import LossTable, loss_from_dict, step_lengths
 
 SCHEMA_VERSION = 1
@@ -44,22 +37,38 @@ ALGORITHMS = {
     "scaffold": "strongly adaptive mixture over dyadic intervals",
 }
 
-# the per-round keys each algorithm writes besides t, loss, x, u and value;
-# a trace missing one does not fit its header.  diomd and greedy rows on an
-# entropy mirror under linear losses also carry eg2.  Every key beyond the
-# learner keys is an extra column the bound rows may read.
-_LEARNER_KEYS = ("delta", "gnorm_dual", "lam", "solver")
-_ROW_KEYS = {
-    "greedy": _LEARNER_KEYS,
-    "diomd": _LEARNER_KEYS,
-    "ogd": _LEARNER_KEYS,
-    "diomd-doubling": _LEARNER_KEYS + ("epoch", "restart"),
-    "abprod": ("eta", "k_acc", "loss_a", "loss_b", "p_a", "r"),
-    "adapt-ml-prod": ("k_acc", "lhat"),
-    "scaffold": ("active", "k_acc"),
+# The trace contract: for each algorithm, the kind (see _KINDS) of its row keys
+# besides t, loss, x, u and value, of its final-record keys besides x_final and
+# value_sum, and of the config.algorithm parameters its bound rows read, which
+# are checked where written.  _contract adds what depends on the run.
+_LEARNER_ROW = {"delta": "number", "gnorm_dual": "number", "lam": "number", "solver": "label"}
+_PROD = {"loss_range": "increasing pair"}
+_CONTRACT = {  # algorithm: (row keys, final-record keys, header parameters)
+    "greedy": (_LEARNER_ROW, {}, {}),
+    "diomd": (_LEARNER_ROW, {},
+              {"beta_sq": "positive", "tau": "non-negative", "loss_sup": "non-negative"}),
+    "diomd-doubling": ({**_LEARNER_ROW, "epoch": "count", "restart": "flag"},
+                       {"epochs": "count", "lam_final": "number"}, {}),
+    "ogd": ({**_LEARNER_ROW, "delta": "nullable", "lam": "nullable"}, {}, {}),
+    "abprod": ({"eta": "number", "k_acc": "at least 1", "loss_a": "number",
+                "loss_b": "number", "p_a": "number", "r": "number"}, {}, _PROD),
+    "adapt-ml-prod": ({"k_acc": "at least 1", "lhat": "number"}, {}, _PROD),
+    "scaffold": ({"active": "count", "k_acc": "at least 1"}, {}, _PROD),
 }
-# ogd writes null for these in every row
-_NULL_KEYS = {"ogd": ("delta", "lam")}
+# kind: (what a value must be, its test).  Numeric kinds are read as finite
+# floats (a pair: two) before their test; a nullable key may be absent or null,
+# read as NaN.  Other kinds keep their JSON values; a tuple lists the labels.
+_KINDS = {
+    "number": ("a finite number", None),
+    "positive": ("positive", lambda col: col > 0),
+    "non-negative": ("non-negative", lambda col: col >= 0),
+    "at least 1": ("at least 1", lambda col: col >= 1),
+    "increasing pair": ("increasing", lambda col: col[:, 0] < col[:, 1]),
+    "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "flag": ("true or false", lambda v: type(v) is bool),
+    "label": ("a string", lambda v: type(v) is str),
+}
+_NUMERIC = ("number", "positive", "non-negative", "at least 1", "increasing pair")
 # one encoder for every trace line, as json.dumps(rec, sort_keys=True) writes it
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -143,11 +152,9 @@ def _build_diomd(spec, geom, env, T):
         if scale is None:
             raise ConfigError("config field 'algorithm.scale': required for fixed schedules")
         scale = _number("scale", scale)
-        sched = fixed_schedule(shape, scale, T)
-        learner = DynamicIOMD(geom, sched, x0=spec.get("x0"))
-        resolved = {"name": "diomd", "schedule_kind": "fixed",
-                    "shape": shape, "scale": scale}
-        return learner, resolved
+        learner = DynamicIOMD(geom, fixed_schedule(shape, scale, T), x0=spec.get("x0"))
+        return learner, {"name": "diomd", "schedule_kind": "fixed",
+                         "shape": shape, "scale": scale}
     if sched_kind != "adaptive":
         raise ConfigError(
             f"config field 'algorithm.schedule': unknown kind {sched_kind!r}")
@@ -160,6 +167,10 @@ def _build_diomd(spec, geom, env, T):
     resolved = {"name": "diomd", "schedule_kind": "adaptive",
                 "beta_sq": beta_sq, "tau": tau}
     if "bound_style" in spec:
+        styles = bound_styles(geom.mirror)
+        if spec["bound_style"] not in styles:
+            raise ConfigError("config field 'algorithm.bound_style': must be one of "
+                              + ", ".join(styles))
         resolved["bound_style"] = spec["bound_style"]
     if isinstance(geom.domain, ClippedSimplex):
         resolved["alpha"] = geom.domain.alpha
@@ -289,15 +300,11 @@ def run_cell(cell: dict) -> CellResult:
                "x": np.asarray(x, dtype=float).tolist(), "u": u.tolist()}
         rec.update(row)
         records.append(rec)
-    final = {"final": True,
-             "x_final": np.asarray(learner.play(), dtype=float).tolist(),
-             "value_sum": value_sum}
-    schedule = getattr(learner, "schedule", None)
-    if isinstance(schedule, (AdaptiveSchedule, DoublingSchedule)):
-        final["lam_final"] = learner.lam
-    if isinstance(schedule, DoublingSchedule):
-        final["epochs"] = learner.epoch
-    records.append(final)
+    state = {"value_sum": value_sum, "lam_final": getattr(learner, "lam", None),
+             "epochs": getattr(learner, "epoch", None)}
+    final_keys = _contract(resolved["name"], resolved, geom.mirror)[2]
+    records.append({"final": True, "x_final": np.asarray(learner.play(), dtype=float).tolist(),
+                    **{key: state[key] for key in final_keys}})
     # the report reads the records themselves; verify parses the same lines
     lines = [_TRACE_ENCODER.encode(rec) for rec in records]
     return CellResult(name, lines, trace_to_report(records))
@@ -325,12 +332,9 @@ def _header_field(config, dotted: str):
 
 
 def _points(records: list, key: str, dim, wheres: list) -> np.ndarray:
-    """The records' ``key`` points stacked into one (n, dim) array, checked once.
-
-    Each point must be a list of ``dim`` finite numbers, or one finite number
-    when ``dim`` is None; the first that is not is named by its place in
-    ``wheres`` and its field.
-    """
+    """The records' ``key`` points stacked into one (n, dim) array, checked once:
+    each a list of ``dim`` finite numbers (one number when ``dim`` is None); the
+    first that is not is named by its place in ``wheres`` and its field."""
     raw = [_require(rec, key, where) for rec, where in zip(records, wheres)]
     shape = () if dim is None else (dim,)
     try:
@@ -352,25 +356,43 @@ def _is_point(p, shape: tuple) -> bool:
         return False
 
 
-def _declared_keys(algorithm: str, params: dict, mirror: str, losses: LossTable):
-    """(row keys, final-record keys) that a trace of ``algorithm`` must carry."""
-    rows = _ROW_KEYS.get(algorithm, ())
-    if algorithm in ("diomd", "greedy") and mirror == "entropy" and losses.kind == "linear":
-        rows += ("eg2",)
-    final = ("epochs", "lam_final") if algorithm == "diomd-doubling" else ()
+def _contract(algorithm: str, params: dict, mirror: str, linear: bool = False):
+    """(header, row, final-record) kinds that a trace of ``algorithm`` must fit;
+    a learner key the algorithm does not declare, such as abprod's copied
+    delta or the eg2 that doubling omits on restart rows, is nullable."""
+    rows, final, header = _CONTRACT[algorithm]
+    rows = {"t": "count", "value": "number",
+            **dict.fromkeys(("delta", "gnorm_dual", "lam", "eg2"), "nullable"), **rows}
+    final = {"value_sum": "number", **final}
+    header = {key: kind for key, kind in header.items() if key in params}
+    if algorithm in ("diomd", "greedy") and mirror == "entropy" and linear:
+        rows["eg2"] = "number"
     if algorithm == "diomd" and params.get("schedule_kind") != "fixed":
-        final = ("lam_final",)
-    return rows, final
+        header = {"beta_sq": "positive", **header}
+        final["lam_final"] = "number"
+        if "bound_style" in params:
+            header["bound_style"] = bound_styles(mirror)
+    return header, rows, final
 
 
-def _column(rows: list, wheres: list, key: str, nullable: bool) -> np.ndarray:
-    """The rows' ``key`` values as a float array, each a finite number; where
-    ``nullable``, a row may also omit the key or write null, which reads NaN."""
-    if not nullable:
-        return _points(rows, key, None, wheres)
-    keep = [i for i, row in enumerate(rows) if row.get(key) is not None]
-    col = np.full(len(rows), np.nan)
-    col[keep] = _points([rows[i] for i in keep], key, None, [wheres[i] for i in keep])
+def _column(records: list, wheres: list, key: str, kind):
+    """The records' ``key`` values, each of ``kind``: a float array for numeric
+    kinds, else a list; the first misfit is named by its ``wheres`` and field."""
+    if kind == "nullable":
+        keep = [i for i, rec in enumerate(records) if rec.get(key) is not None]
+        col = np.full(len(records), np.nan)
+        col[keep] = _points([records[i] for i in keep], key, None, [wheres[i] for i in keep])
+        return col
+    what, test = _KINDS[kind] if type(kind) is str else (
+        f"one of {', '.join(kind)}", lambda v: v in kind)
+    if kind in _NUMERIC:
+        col = _points(records, key, 2 if kind == "increasing pair" else None, wheres)
+        bad = () if test is None else np.flatnonzero(~test(col))
+    else:
+        col = [_require(rec, key, where) for rec, where in zip(records, wheres)]
+        bad = [i for i, v in enumerate(col) if not test(v)]
+    if len(bad):
+        raise TraceError(f"{wheres[bad[0]]}: trace field {key!r} must be {what}")
     return col
 
 
@@ -379,15 +401,12 @@ def _whole(col: np.ndarray):
     return None if np.isnan(col).any() else col
 
 
-def _check_params(algorithm: str, params: dict, mirror: str) -> None:
-    """The header parameters the bound rows read must be finite, and present
-    where the rows give them no default."""
-    need = ()
-    if algorithm == "diomd" and params.get("schedule_kind") != "fixed":
-        expert = mirror == "entropy" or params.get("bound_style") == "expert"
-        need = ("beta_sq", "alpha") if expert else ("beta_sq",)
-    for key in need + tuple(k for k in ("tau", "loss_sup", "loss_range") if k in params):
-        _points([params], key, 2 if key == "loss_range" else None, ["line 1"])
+def _on_simplex(params: dict) -> bool:
+    """Whether adapt-ml-prod plays anywhere in the learner tree ``params``:
+    its weights range over the whole probability simplex, not the domain."""
+    return params.get("name") == "adapt-ml-prod" or any(
+        isinstance(params.get(key), dict) and _on_simplex(params[key])
+        for key in ("candidate", "benchmark", "base"))
 
 
 def trace_to_report(records: list) -> dict:
@@ -406,12 +425,15 @@ def trace_to_report(records: list) -> dict:
         raise TraceError(f"trace has {len(rows)} rounds, config says T={T!r}")
 
     algorithm = _header_field(config, "algorithm.name")
+    if type(algorithm) is not str or algorithm not in _CONTRACT:
+        raise TraceError(f"line 1: header field 'config.algorithm.name': "
+                         f"unknown algorithm {algorithm!r}")
+    params = config["algorithm"]
     mirror = _header_field(config, "geometry.mirror")
     domain = _parsed(TraceError, "line 1: header field 'config.geometry.domain'",
                      domain_from_dict, _header_field(config, "geometry.domain"))
     geom = _parsed(TraceError, "line 1: header field 'config.geometry'",
                    Geometry, mirror, domain)
-    _check_params(algorithm, config["algorithm"], mirror)
     wheres = [f"line {i + 2}" for i in range(T)]
     dim = geom.domain.dim
     plays = _points(rows, "x", dim, wheres)
@@ -427,30 +449,23 @@ def trace_to_report(records: list) -> dict:
     off_dim = np.flatnonzero(losses.dims() != dim)
     if off_dim.size:
         raise TraceError(f"{wheres[off_dim[0]]}: trace field 'loss' must have dimension {dim}")
-    row_keys, final_keys = _declared_keys(algorithm, config["algorithm"], mirror, losses)
-    values = _points(rows, "value", None, wheres)
-    # each declared key is present and a number, the solver label aside; ogd's
-    # null keys and undeclared learner keys may be absent or null
-    nullable = set(_NULL_KEYS.get(algorithm, ())) | set(_LEARNER_KEYS) - set(row_keys)
-    cols = {key: _column(rows, wheres, key, key in nullable)
-            for key in dict.fromkeys(("t",) + row_keys + _LEARNER_KEYS) if key != "solver"}
-    if "solver" in row_keys:
-        for row, where in zip(rows, wheres):
-            _require(row, "solver", where)
-    if "k_acc" in cols and (cols["k_acc"] < 1.0).any():
-        where = wheres[np.flatnonzero(cols["k_acc"] < 1.0)[0]]
-        raise TraceError(f"{where}: trace field 'k_acc' must be at least 1")
-    epochs = final.get("epochs")
-    if epochs is not None and not (type(epochs) is int and epochs >= 0):
-        raise TraceError("final record: trace field 'epochs' must be a non-negative integer")
-    for key in ("epochs", "lam_final", "value_sum"):
-        if key in final_keys or final.get(key) is not None:
-            _points([final], key, None, ["final record"])
+    header_kinds, row_kinds, final_kinds = _contract(
+        algorithm, params, mirror, losses.kind == "linear")
+    for key, kind in header_kinds.items():
+        _column([params], ["line 1"], key, kind)
+    cols = {key: _column(rows, wheres, key, kind) for key, kind in row_kinds.items()}
+    for key, kind in final_kinds.items():
+        _column([final], ["final record"], key, kind)
+    lam_final, epochs = (final.get(key) if key in final_kinds else None
+                         for key in ("lam_final", "epochs"))
+    values = cols["value"]
     recomputed = losses.values(plays)
     off = np.abs(recomputed - values) > 1e-9
     low = cols["delta"] < -1e-8
+    pts = np.vstack([plays, x_final])
+    inside = _simplex_rows(pts, 0.0) if _on_simplex(params) else geom.domain._contains_rows(pts)
     violations = []
-    for i in np.flatnonzero(off | low):
+    for i in np.flatnonzero(off | low | ~inside[:-1]):
         if off[i]:
             violations.append({"round": rows[i]["t"], "check": "value",
                                "recorded": float(values[i]),
@@ -458,38 +473,31 @@ def trace_to_report(records: list) -> dict:
         if low[i]:
             violations.append({"round": rows[i]["t"], "check": "delta-floor",
                                "delta": rows[i]["delta"]})
-    value_sum = final.get("value_sum")
-    if value_sum is not None and abs(float(np.sum(values)) - value_sum) > 1e-9:
+        if not inside[i]:
+            violations.append({"round": rows[i]["t"], "check": "play-set"})
+    if not inside[-1]:
+        violations.append({"round": None, "check": "final-play-set"})
+    if abs(float(np.sum(values)) - final["value_sum"]) > 1e-9:
         violations.append({"round": None, "check": "value-sum",
-                           "recorded": value_sum,
+                           "recorded": final["value_sum"],
                            "recomputed": float(np.sum(values))})
 
     gnorms = _whole(cols["gnorm_dual"])
     sum_gsq = float(np.sum(gnorms ** 2)) if gnorms is not None else None
     record = RunRecord(
-        algorithm=algorithm,
-        geom=geom,
-        losses=losses,
-        plays=plays,
-        x_final=x_final,
-        comparators=comparators,
-        values=values,
-        deltas=_whole(cols["delta"]),
-        lams=_whole(cols["lam"]),
-        gnorms=gnorms,
-        lam_final=final.get("lam_final"),
-        epochs=final.get("epochs"),
-        params=config["algorithm"],
-        extras={key: cols[key] for key in row_keys if key not in _LEARNER_KEYS},
-    )
-    bound_rows = [b.to_dict() for b in evaluate_bounds(record)]
+        algorithm=algorithm, geom=geom, losses=losses, plays=plays, x_final=x_final,
+        comparators=comparators, values=values, deltas=_whole(cols["delta"]),
+        lams=_whole(cols["lam"]), gnorms=gnorms, lam_final=lam_final, epochs=epochs,
+        params=params, extras=cols)
+    try:
+        bound_rows = [b.to_dict() for b in evaluate_bounds(record)]
+    except RangeError as exc:  # the ML-Prod replay met a loss outside loss_range
+        raise TraceError(f"{wheres[exc.row]}: trace field 'loss': {exc}") from None
     vt = record.variability
-    summary = {
-        "checked": sum(1 for b in bound_rows if b["status"] == "checked"),
-        "passed": sum(1 for b in bound_rows if b["status"] == "checked" and b["passed"]),
-        "failed": sum(1 for b in bound_rows if b["status"] == "checked" and not b["passed"]),
-        "inapplicable": sum(1 for b in bound_rows if b["status"] == "inapplicable"),
-    }
+    checked = [b["passed"] for b in bound_rows if b["status"] == "checked"]
+    summary = {"checked": len(checked), "passed": sum(checked),
+               "failed": len(checked) - sum(checked),
+               "inapplicable": len(bound_rows) - len(checked)}
     metrics = {
         "rounds": T,
         "regret": record.regret(),
@@ -500,8 +508,8 @@ def trace_to_report(records: list) -> dict:
         "vt_abs": vt.absolute,
         "vt_exact": vt.exact,
         "sum_gsq": sum_gsq,
-        "lam_final": final.get("lam_final"),
-        "epochs": final.get("epochs"),
+        "lam_final": lam_final,
+        "epochs": epochs,
     }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -642,27 +650,15 @@ def summarize(reports: list) -> str:
     writer = csv.DictWriter(out, fieldnames=_SUMMARY_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for rep in sorted(reports, key=lambda r: r["cell"]):
-        m, s = rep["metrics"], rep["bounds_summary"]
-        writer.writerow({
-            "schema_version": rep["schema_version"],
-            "cell": rep["cell"],
-            "environment": rep["config"]["environment"]["kind"],
-            "algorithm": rep["config"]["algorithm"]["name"],
-            "seed": rep["config"]["seed"],
-            "rounds": m["rounds"],
-            "regret": repr(m["regret"]),
-            "ct": repr(m["ct"]),
-            "vt_signed": repr(m["vt_signed"]),
-            "vt_abs": repr(m["vt_abs"]),
-            "sum_gsq": "" if m["sum_gsq"] is None else repr(m["sum_gsq"]),
-            "lam_final": "" if m["lam_final"] is None else repr(m["lam_final"]),
-            "epochs": "" if m["epochs"] is None else m["epochs"],
-            "bounds_checked": s["checked"],
-            "bounds_passed": s["passed"],
-            "bounds_failed": s["failed"],
-            "bounds_inapplicable": s["inapplicable"],
-            "integrity_ok": rep["integrity"]["ok"],
-        })
+        m, cfg = rep["metrics"], rep["config"]
+        row = {"schema_version": rep["schema_version"], "cell": rep["cell"],
+               "environment": cfg["environment"]["kind"], "algorithm": cfg["algorithm"]["name"],
+               "seed": cfg["seed"], "rounds": m["rounds"], "integrity_ok": rep["integrity"]["ok"],
+               "epochs": "" if m["epochs"] is None else m["epochs"]}
+        row.update({key: "" if m[key] is None else repr(m[key])
+                    for key in ("regret", "ct", "vt_signed", "vt_abs", "sum_gsq", "lam_final")})
+        row.update({f"bounds_{key}": n for key, n in rep["bounds_summary"].items()})
+        writer.writerow(row)
     return out.getvalue()
 
 

@@ -341,3 +341,20 @@ def test_norms_follow_mirror():
     gn = entropy_geometry(ClippedSimplex(2, 0.5))
     assert gn.norm([0.5, -0.5]) == pytest.approx(1.0)
     assert gn.dual_norm([0.5, -0.25]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("dom", [
+    Interval(-0.4, 0.4),
+    Box([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0]),
+    Ball([0.5, -1.0], 2.0),
+    ClippedSimplex(4, 0.2),
+], ids=lambda d: d.kind)
+def test_row_membership_matches_the_point_rule(dom):
+    rng = np.random.default_rng(5)
+    inside = dom.sample(rng, 40)
+    # points on, just inside and just outside the boundary, and far outside
+    edge = np.vstack([dom.sample(rng, 40) * s for s in (1.0 - 1e-10, 1.0 + 1e-8, 3.0)])
+    X = np.vstack([inside, edge, inside + 1e-10, inside - 1e-8])
+    expected = [dom._contains(x) for x in X]
+    assert dom._contains_rows(X).tolist() == expected
+    assert all(expected[:40]) and not all(expected)

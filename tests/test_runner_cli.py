@@ -514,6 +514,12 @@ def _run_config(tmp_path, config):
                  "config field 'algorithm.scale'", id="text-ogd-scale"),
     pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": ["greedy"]}),
                  "config field 'algorithm'", id="algorithm-list"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "diomd", "bound_style": "expert"}}),
+                 "config field 'algorithm.bound_style'", id="expert-style-off-entropy"),
+    pytest.param(lambda p: _run_config(p, {**EXPERTS, "algorithm": {
+                     "name": "diomd", "bound_style": "bogus"}}),
+                 "config field 'algorithm.bound_style'", id="unknown-bound-style"),
 ])
 def test_malformed_traces_and_configs_exit_one_naming_the_field(tmp_path, capsys, argv, field):
     assert main(argv(tmp_path)) == 1
@@ -583,6 +589,52 @@ def _relabel(records, name):
                  or r[-1].update(lam_final=1.0),
                  "line 2: trace field 'delta' must be a finite number",
                  id="ogd-relabelled-adaptive"),
+    # rejected by the trace contract's kinds; each verified at the parent
+    pytest.param(DOUBLING, lambda r: r[5].update(epoch=0.5),
+                 "line 6: trace field 'epoch' must be a non-negative integer",
+                 id="fractional-epoch"),
+    pytest.param(DOUBLING, lambda r: r[5].update(restart=0.5),
+                 "line 6: trace field 'restart' must be true or false", id="fractional-restart"),
+    pytest.param(DOUBLING, lambda r: r[5].update(restart=7),
+                 "line 6: trace field 'restart' must be true or false", id="integer-restart"),
+    pytest.param(BASIC, lambda r: r[5].update(solver=5),
+                 "line 6: trace field 'solver' must be a string", id="numeric-solver"),
+    pytest.param(BASIC, lambda r: r[5].update(t=0.5),
+                 "line 6: trace field 't' must be a non-negative integer", id="fractional-t"),
+    pytest.param({**EXPERTS, "algorithm": "scaffold"}, lambda r: r[5].update(active=-3),
+                 "line 6: trace field 'active' must be a non-negative integer",
+                 id="negative-active"),
+    pytest.param(BASIC, lambda r: r[-1].pop("value_sum"),
+                 "final record: missing trace field 'value_sum'", id="final-without-value-sum"),
+    pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].update(beta_sq=0),
+                 "line 1: trace field 'beta_sq' must be positive", id="header-zero-beta-sq"),
+    pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].update(beta_sq=-1),
+                 "line 1: trace field 'beta_sq' must be positive", id="header-negative-beta-sq"),
+    pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].update(tau=-1),
+                 "line 1: trace field 'tau' must be non-negative", id="header-negative-tau"),
+    pytest.param(EXPERTS, lambda r: r[0]["config"]["algorithm"].update(loss_sup=-1),
+                 "line 1: trace field 'loss_sup' must be non-negative",
+                 id="header-negative-loss-sup"),
+    pytest.param({**EXPERTS, "algorithm": "adapt-ml-prod"},
+                 lambda r: r[0]["config"]["algorithm"].update(loss_range=[1.0, 0.0]),
+                 "line 1: trace field 'loss_range' must be increasing",
+                 id="mlprod-inverted-loss-range"),
+    pytest.param(ABPROD, lambda r: r[0]["config"]["algorithm"].update(loss_range=[1.0, 0.0]),
+                 "line 1: trace field 'loss_range' must be increasing",
+                 id="abprod-inverted-loss-range"),
+    pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].update(bound_style="bogus"),
+                 "line 1: trace field 'bound_style' must be one of "
+                 "drift, composite, static, composite-static", id="header-bogus-bound-style"),
+    pytest.param(BASIC, lambda r: r[0]["config"]["algorithm"].update(bound_style="expert"),
+                 "line 1: trace field 'bound_style' must be one of "
+                 "drift, composite, static, composite-static", id="header-expert-off-entropy"),
+    pytest.param(BASIC, lambda r: _relabel(r, "nonsense"),
+                 "line 1: header field 'config.algorithm.name': unknown algorithm 'nonsense'",
+                 id="unknown-algorithm"),
+    pytest.param({**EXPERTS, "algorithm": "adapt-ml-prod"},
+                 lambda r: r[5]["loss"]["g"].__setitem__(0, 5.0),
+                 "line 6: trace field 'loss': loss value 5.0 escapes declared range [0.0, 1.0]",
+                 id="mlprod-loss-escapes-range"),
 ])
 def test_cli_verify_rejects_traces_that_do_not_fit_their_header(
         tmp_path, capsys, config, mutate, message):
@@ -590,6 +642,46 @@ def test_cli_verify_rejects_traces_that_do_not_fit_their_header(
     assert main(argv + ["--strict"]) == 1
     line = _single_error_line(capsys.readouterr().err)
     assert line == f"driftlab: error: {argv[1]}: {message}"
+
+
+def _forge_corner_plays(records):
+    """Move every play to its comparator and recompute what depends on it."""
+    for row in records[1:-1]:
+        g = np.array(row["loss"]["g"])
+        row["x"] = row["u"]
+        row["value"] = float(g @ np.array(row["u"]))
+        row["eg2"] = float(np.array(row["u"]) @ (g * g))
+    records[-1]["value_sum"] = sum(row["value"] for row in records[1:-1])
+
+
+def test_cli_verify_flags_plays_outside_the_domain(tmp_path, capsys):
+    argv = _verify_mutated_trace(tmp_path, _forge_corner_plays, EXPERTS)
+    assert main(argv + ["--strict"]) == 2
+    assert "integrity" in capsys.readouterr().err
+    report = verify_trace(argv[1])
+    checks = {v["check"] for v in report["integrity"]["violations"]}
+    assert checks == {"play-set"}
+
+
+def test_mlprod_trees_play_on_the_probability_simplex():
+    # their weights fall below the clipped floor, and that is no violation
+    for spec in ("adapt-ml-prod", {"name": "abprod", "candidate": "adapt-ml-prod"}):
+        res = run_cell(_cell({**EXPERTS, "algorithm": spec}))
+        assert res.report["integrity"]["ok"], spec
+    res = run_cell(_cell({**EXPERTS, "algorithm": {"name": "abprod",
+                                                    "candidate": "adapt-ml-prod"}}))
+    records = [json.loads(line) for line in res.trace_lines]
+    records[4]["x"] = [0.5, 0.5, 0.5, -0.5, 0.0]  # sums to 1, leaves the simplex
+    checks = [v for v in trace_to_report(records)["integrity"]["violations"]
+              if v["check"] == "play-set"]
+    assert checks == [{"round": 4, "check": "play-set"}]
+
+
+def test_expert_rows_read_alpha_from_the_domain():
+    res = run_cell(_cell(EXPERTS))
+    records = [json.loads(line) for line in res.trace_lines]
+    records[0]["config"]["algorithm"]["alpha"] = 0.9
+    assert trace_to_report(records)["bounds"] == res.report["bounds"]
 
 
 def test_report_builds_a_constant_number_of_loss_objects(monkeypatch):
