@@ -183,15 +183,16 @@ def _build_scaffold(spec, geom, env, T):
     base_spec = spec.get("base")
     if base_spec is None:
         d = _expert_dim(env, spec)
-        alpha = min(0.5, d / T)
         base_beta = _number("base_beta_sq", spec.get("base_beta_sq", math.log(max(2, T))))
-        base_geom = entropy_geometry(ClippedSimplex(d, alpha))
+        # the bases play on the run's clipped simplex, so the mixture stays in it
+        base_geom = geom if geom.mirror == "entropy" else entropy_geometry(
+            ClippedSimplex(d, min(0.5, d / T)))
 
         def factory(interval):
             return DynamicIOMD(base_geom, AdaptiveSchedule(base_beta))
 
         resolved_base = {"name": "diomd", "schedule_kind": "adaptive",
-                         "beta_sq": base_beta, "tau": 0.0, "alpha": alpha}
+                         "beta_sq": base_beta, "tau": 0.0, "alpha": base_geom.domain.alpha}
     else:
         def factory(interval):
             return _build_algorithm(base_spec, geom, env, T)[0]

@@ -668,13 +668,19 @@ def test_mlprod_trees_play_on_the_probability_simplex():
     for spec in ("adapt-ml-prod", {"name": "abprod", "candidate": "adapt-ml-prod"}):
         res = run_cell(_cell({**EXPERTS, "algorithm": spec}))
         assert res.report["integrity"]["ok"], spec
-    res = run_cell(_cell({**EXPERTS, "algorithm": {"name": "abprod",
-                                                    "candidate": "adapt-ml-prod"}}))
-    records = [json.loads(line) for line in res.trace_lines]
+    records = [json.loads(line) for line in res.trace_lines]  # the abprod cell
     records[4]["x"] = [0.5, 0.5, 0.5, -0.5, 0.0]  # sums to 1, leaves the simplex
     checks = [v for v in trace_to_report(records)["integrity"]["violations"]
               if v["check"] == "play-set"]
     assert checks == [{"round": 4, "check": "play-set"}]
+
+
+def test_scaffold_bases_play_on_the_configured_simplex():
+    res = run_cell(_cell({**EXPERTS, "algorithm": "scaffold", "geometry": {
+        "domain": {"kind": "clipped-simplex", "d": 5, "alpha": 0.5}}}))
+    header = json.loads(res.trace_lines[0])
+    assert header["config"]["algorithm"]["base"]["alpha"] == 0.5
+    assert res.report["integrity"]["ok"]
 
 
 def test_expert_rows_read_alpha_from_the_domain():
