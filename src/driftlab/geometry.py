@@ -77,9 +77,49 @@ class Domain:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
+    def midpoint(self) -> np.ndarray:
+        """The default first play: the center of the domain."""
+        raise NotImplementedError
+
+    def _project(self, p: np.ndarray) -> np.ndarray:
+        """Projection of a checked point under the mirror the domain pairs with."""
+        raise NotImplementedError
+
+    def _linear_argmin(self, g: np.ndarray, x_t: np.ndarray) -> np.ndarray:
+        """A minimizer of <g, x>: the lam -> 0 limit of the prox step from x_t."""
+        raise NotImplementedError
+
+    def _support(self, G: np.ndarray) -> np.ndarray:
+        """The sup of <g, x> over the domain for each row g of G, (n, d) -> (n,)."""
+        raise NotImplementedError
+
+    def _grid(self, n: int) -> np.ndarray:
+        """About n points of the domain to search; by default a seeded sample."""
+        return self.sample(np.random.Generator(np.random.PCG64(0)), n)
+
+
+class _Orthotope(Domain):
+    """Coordinate-wise bounds ``lo <= x <= hi``: an interval or a box."""
+
+    def clip(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(x, self.lo, self.hi)
+
+    def midpoint(self):
+        return 0.5 * (np.atleast_1d(self.lo) + self.hi)
+
+    def _project(self, p):
+        return self.clip(p)
+
+    def _linear_argmin(self, g, x_t):
+        # coordinates with zero slope keep the anchor (lam -> 0 limit)
+        return np.where(g > 0, self.lo, np.where(g < 0, self.hi, x_t))
+
+    def _support(self, G):
+        return np.sum(np.maximum(G * self.lo, G * self.hi), axis=1)
+
 
 @dataclass(frozen=True)
-class Interval(Domain):
+class Interval(_Orthotope):
     lo: float
     hi: float
     kind = "interval"
@@ -98,9 +138,6 @@ class Interval(Domain):
     def _contains_rows(self, X, tol: float = MEMBERSHIP_TOL):
         return (X[:, 0] >= self.lo - tol) & (X[:, 0] <= self.hi + tol)
 
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
-
     def l2_diameter(self) -> float:
         return self.hi - self.lo
 
@@ -111,7 +148,7 @@ class Interval(Domain):
         return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
 
 
-class Box(Domain):
+class Box(_Orthotope):
     """Axis-aligned box given by coordinate-wise bounds."""
 
     kind = "box"
@@ -138,14 +175,22 @@ class Box(Domain):
     def _contains_rows(self, X, tol: float = MEMBERSHIP_TOL):
         return ((X >= self.lo - tol) & (X <= self.hi + tol)).all(axis=1)
 
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
-
     def l2_diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
     def sample(self, rng, n):
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
+
+    def _grid(self, n):
+        if self.dim == 1:
+            return np.linspace(self.lo[0], self.hi[0], n)[:, None]
+        if self.dim > 2:
+            return super()._grid(n)
+        side = max(2, int(np.sqrt(n)))
+        xs = np.linspace(self.lo[0], self.hi[0], side)
+        ys = np.linspace(self.lo[1], self.hi[1], side)
+        gx, gy = np.meshgrid(xs, ys)
+        return np.column_stack([gx.ravel(), gy.ravel()])
 
     def to_dict(self):
         return {"kind": self.kind, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -205,6 +250,37 @@ class ClippedSimplex(Domain):
     def to_dict(self):
         return {"kind": self.kind, "d": self.d, "alpha": self.alpha}
 
+    def midpoint(self):
+        return np.full(self.d, 1.0 / self.d)
+
+    def _project(self, p):
+        if p.shape != (self.d,):
+            raise GeometryError(f"expected {self.d} coordinates, got {p.shape}")
+        return _kl_project_clipped_simplex(p[None, :], self)[0]
+
+    def _linear_argmin(self, g, x_t):
+        # floor everywhere, the remaining mass on the first argmin
+        x = np.full(self.d, self.floor)
+        x[int(np.argmin(g))] = 1.0 - self.floor * (self.d - 1)
+        return x
+
+    def _support(self, G):
+        # over the full simplex: the bounds compare against unclipped corners
+        return np.max(G, axis=1)
+
+    def _grid(self, n):
+        if self.d == 2:
+            s = np.linspace(self.floor, 1.0 - self.floor, n)
+            return np.column_stack([s, 1.0 - s])
+        if self.d > 3:
+            return super()._grid(n)
+        side = max(2, int(np.sqrt(n)))
+        s = np.linspace(self.floor, 1.0 - 2 * self.floor, side)
+        g1, g2 = np.meshgrid(s, s)
+        g3 = 1.0 - g1 - g2
+        keep = g3 >= self.floor
+        return np.column_stack([g1[keep], g2[keep], g3[keep]])
+
 
 class Ball(Domain):
     """Euclidean ball of given center and radius."""
@@ -242,6 +318,25 @@ class Ball(Domain):
 
     def to_dict(self):
         return {"kind": self.kind, "center": self.center.tolist(), "radius": self.radius}
+
+    def midpoint(self):
+        return self.center.copy()
+
+    def _project(self, p):
+        r = p - self.center
+        nr = float(np.linalg.norm(r))
+        if nr <= self.radius:
+            return p.copy()
+        return self.center + (self.radius / nr) * r
+
+    def _linear_argmin(self, g, x_t):
+        ng = float(np.linalg.norm(g))
+        return x_t.copy() if ng == 0.0 else self.center - (self.radius / ng) * g
+
+    def _support(self, G):
+        # one dot and one norm per row: a matrix product rounds differently
+        return (np.array([float(g @ self.center) for g in G], dtype=float)
+                + self.radius * np.array([float(np.linalg.norm(g)) for g in G], dtype=float))
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
@@ -381,21 +476,7 @@ class Geometry:
         weight vector by capping floored coordinates and renormalizing the
         rest (at most d passes).
         """
-        p = _as_vector(p)
-        dom = self.domain
-        if isinstance(dom, (Interval, Box)):
-            return dom.clip(p)
-        if isinstance(dom, Ball):
-            r = p - dom.center
-            nr = float(np.linalg.norm(r))
-            if nr <= dom.radius:
-                return p.copy()
-            return dom.center + (dom.radius / nr) * r
-        if isinstance(dom, ClippedSimplex):
-            if p.shape != (dom.d,):
-                raise GeometryError(f"expected {dom.d} coordinates, got {p.shape}")
-            return _kl_project_clipped_simplex(p[None, :], dom)[0]
-        raise GeometryError(f"no projection for domain {dom.kind!r}")
+        return self.domain._project(_as_vector(p))
 
 
 def _kl_project_clipped_simplex(P: np.ndarray, dom: ClippedSimplex) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ball, Box, ClippedSimplex, Geometry, Interval, _as_vector
+from .geometry import Geometry, _as_vector
 from .losses import LinearLoss, Loss
 from .prox import implicit_update, implicit_update_lanes
 
@@ -25,22 +25,10 @@ class ConfigError(ValueError):
     pass
 
 
-def domain_center(domain) -> np.ndarray:
-    if isinstance(domain, Interval):
-        return np.array([0.5 * (domain.lo + domain.hi)])
-    if isinstance(domain, Box):
-        return 0.5 * (domain.lo + domain.hi)
-    if isinstance(domain, ClippedSimplex):
-        return np.full(domain.d, 1.0 / domain.d)
-    if isinstance(domain, Ball):
-        return domain.center.copy()
-    raise ConfigError(f"no default start point for domain {domain.kind!r}")
-
-
 def start_point(geom: Geometry, x0=None) -> np.ndarray:
-    """The first play: ``x0`` checked against the domain, or the domain center."""
+    """The first play: ``x0`` checked against the domain, or its midpoint."""
     if x0 is None:
-        return domain_center(geom.domain)
+        return geom.domain.midpoint()
     try:
         x = _as_vector(x0)
     except (TypeError, ValueError) as exc:

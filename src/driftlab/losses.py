@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Ball, Box, ClippedSimplex, Domain, Interval, _as_vector
+from .geometry import Domain, Interval, _as_vector
 
 
 class LossError(ValueError):
@@ -77,7 +77,8 @@ class LinearLoss(Loss):
 
 
 class _AffineLoss(Loss):
-    """Base of the losses of one score <a, x> against a target y."""
+    """Base of the losses of one score <a, x> against a target y: each class
+    gives its value as ``_link(score, y)``, elementwise on arrays."""
 
     def __init__(self, a, y: float):
         self.a = _as_vector(a)
@@ -96,6 +97,9 @@ class _AffineLoss(Loss):
     def _residual(self, x):
         return float(self.a @ x) - self.y
 
+    def _value(self, x):
+        return float(self._link(float(self.a @ x), self.y))
+
     def to_dict(self):
         return {"kind": self.kind, "a": self.a.tolist(), "y": self.y}
 
@@ -108,8 +112,9 @@ class QuadraticLoss(_AffineLoss):
 
     kind = "quadratic"
 
-    def _value(self, x):
-        r = self._residual(x)
+    @staticmethod
+    def _link(s, y):
+        r = s - y
         return 0.5 * r * r
 
     def _subgradient(self, x):
@@ -121,8 +126,9 @@ class AbsoluteLoss(_AffineLoss):
 
     kind = "absolute"
 
-    def _value(self, x):
-        return abs(self._residual(x))
+    @staticmethod
+    def _link(s, y):
+        return abs(s - y)
 
     def _subgradient(self, x):
         r = self._residual(x)
@@ -147,8 +153,10 @@ class HingeLoss(_AffineLoss):
     def _margin(self, x):
         return self.y * float(self.a @ x)
 
-    def _value(self, x):
-        return max(0.0, 1.0 - self._margin(x))
+    @staticmethod
+    def _link(s, y):
+        v = 1.0 - y * s
+        return np.where(v > 0.0, v, 0.0)
 
     def _subgradient(self, x):
         if self._margin(x) < 1.0:
@@ -196,12 +204,8 @@ def loss_from_dict(spec: dict) -> Loss:
     kind = spec.get("kind")
     if kind == "linear":
         return LinearLoss(spec["g"])
-    if kind == "quadratic":
-        return QuadraticLoss(spec["a"], spec["y"])
-    if kind == "absolute":
-        return AbsoluteLoss(spec["a"], spec["y"])
-    if kind == "hinge":
-        return HingeLoss(spec["a"], spec["y"])
+    if kind in _STACKED:
+        return _STACKED[kind](spec["a"], spec["y"])
     if kind == "composite":
         return CompositeLoss(loss_from_dict(spec["base"]), spec["l1_weight"])
     raise LossError(f"unknown loss kind {kind!r}")
@@ -286,26 +290,15 @@ class LossTable:
         else:
             # one dot per row: a matrix product rounds differently
             s = np.array([m @ x for m, x in zip(M, points)], dtype=float)
-        if self.kind == "linear":
-            return s
-        if self.kind == "hinge":
-            v = 1.0 - self.Y * s
-            return np.where(v > 0.0, v, 0.0)
-        r = s - self.Y
-        return 0.5 * r * r if self.kind == "quadratic" else np.abs(r)
+        return s if self.Y is None else _STACKED[self.kind]._link(s, self.Y)
 
 
 def batch_values(loss: Loss, pts: np.ndarray) -> np.ndarray:
     """Values of one loss at every row of ``pts``, shape (n, dim) -> (n,)."""
     if isinstance(loss, LinearLoss):
         return pts @ loss.g
-    if isinstance(loss, QuadraticLoss):
-        r = pts @ loss.a - loss.y
-        return 0.5 * r * r
-    if isinstance(loss, AbsoluteLoss):
-        return np.abs(pts @ loss.a - loss.y)
-    if isinstance(loss, HingeLoss):
-        return np.maximum(0.0, 1.0 - loss.y * (pts @ loss.a))
+    if isinstance(loss, _AffineLoss):
+        return loss._link(pts @ loss.a, loss.y)
     if isinstance(loss, CompositeLoss):
         return batch_values(loss.base, pts) + loss.l1_weight * np.sum(np.abs(pts), axis=1)
     return np.array([loss.value(p) for p in pts])
@@ -372,8 +365,9 @@ def temporal_variability(losses, domain: Domain, grid_points: int = 10_000) -> V
     enlarge the total and keeps every checked inequality valid.
     """
     table = losses if isinstance(losses, LossTable) else LossTable.from_losses(losses)
-    if table.G is not None and isinstance(domain, (ClippedSimplex, Box, Interval)):
-        pos, neg = _linear_sups(np.diff(table.G, axis=0), domain)
+    if table.G is not None:
+        dg = np.diff(table.G, axis=0)
+        pos, neg = domain._support(dg), domain._support(-dg)
     elif table.kind == "quadratic" and table.A is not None and isinstance(domain, Interval):
         a, y = table.A[:, 0], table.Y
         pos, neg = _segment_sups((0.5 * a * a, -a * y, 0.5 * y * y), domain.lo, domain.hi)
@@ -404,16 +398,6 @@ def _variability_by_pair(losses: list, domain: Domain, grid_points: int) -> Vari
         absolute += max(sup_pos, sup_neg)
         exact_all = exact_all and exact
     return Variability(signed, absolute, exact_all)
-
-
-def _linear_sups(dg: np.ndarray, domain: Domain):
-    """Per row of ``dg`` (n, d): the sups of <dg, x> and <-dg, x> over a
-    simplex, box or interval, each shape (n,)."""
-    if isinstance(domain, ClippedSimplex):
-        return np.max(dg, axis=1), np.max(-dg, axis=1)
-    lo, hi = np.atleast_1d(domain.lo), np.atleast_1d(domain.hi)
-    return (np.sum(np.maximum(dg * lo, dg * hi), axis=1),
-            np.sum(np.maximum(-dg * lo, -dg * hi), axis=1))
 
 
 def _segment_sups(coeffs, lo: float, hi: float):
@@ -447,14 +431,8 @@ def _pair_sup(cur: Loss, prev: Loss, domain: Domain, grid_points: int, pieces):
     """
     cur, prev = _strip_matching_l1(cur, prev)
     if isinstance(cur, LinearLoss) and isinstance(prev, LinearLoss):
-        dg = cur.g - prev.g
-        if isinstance(domain, (ClippedSimplex, Box, Interval)):
-            pos, neg = _linear_sups(dg[None, :], domain)
-            return float(pos[0]), float(neg[0]), True
-        if isinstance(domain, Ball):
-            mid = float(dg @ domain.center)
-            rad = domain.radius * float(np.linalg.norm(dg))
-            return mid + rad, -mid + rad, True
+        dg = (cur.g - prev.g)[None, :]
+        return float(domain._support(dg)[0]), float(domain._support(-dg)[0]), True
     if isinstance(domain, Interval):
         return _interval_pair_sup(pieces(cur), pieces(prev))
     return _grid_pair_sup(cur, prev, domain, grid_points)
@@ -485,31 +463,24 @@ def _pieces_1d(loss: Loss, lo: float, hi: float):
         return [lo, hi], [(0.5 * a * a, -a * y, 0.5 * y * y)]
     if isinstance(loss, AbsoluteLoss):
         a, y = float(loss.a[0]), loss.y
-        if a == 0.0:
-            return [lo, hi], [(0.0, 0.0, abs(y))]
-        kink = y / a
-        breaks, coeffs = _split_at([lo, hi], [None], kink)
-        out = []
-        for i in range(len(coeffs)):
-            mid = 0.5 * (breaks[i] + breaks[i + 1])
-            s = 1.0 if a * mid - y >= 0 else -1.0
-            out.append((0.0, s * a, -s * y))
-        return breaks, out
+        return _larger_line((a, -y), (-a, y), lo, hi)
     if isinstance(loss, HingeLoss):
         a, y = float(loss.a[0]), loss.y
-        if a == 0.0:
-            return [lo, hi], [(0.0, 0.0, 1.0)]
-        kink = 1.0 / (y * a)
-        breaks, coeffs = _split_at([lo, hi], [None], kink)
-        out = []
-        for i in range(len(coeffs)):
-            mid = 0.5 * (breaks[i] + breaks[i + 1])
-            if 1.0 - y * a * mid > 0:
-                out.append((0.0, -y * a, 1.0))
-            else:
-                out.append((0.0, 0.0, 0.0))
-        return breaks, out
+        return _larger_line((0.0, 0.0), (-y * a, 1.0), lo, hi)
     raise LossError(f"no 1-d piecewise form for {loss.kind!r}")
+
+
+def _larger_line(p, q, lo: float, hi: float):
+    """Piecewise form of max(p1 x + p0, q1 x + q0) on [lo, hi], ties to p."""
+    (p1, p0), (q1, q0) = p, q
+    if p1 == q1:  # only for a = +-0: a constant, its zero +0.0
+        return [lo, hi], [(0.0, 0.0, max(p0, q0) + 0.0)]
+    breaks, _ = _split_at([lo, hi], [None], -(p0 - q0) / (p1 - q1))
+    coeffs = []
+    for left, right in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (left + right)
+        coeffs.append((0.0, p1, p0) if p1 * mid + p0 >= q1 * mid + q0 else (0.0, q1, q0))
+    return breaks, coeffs
 
 
 def _split_at(breaks, coeffs, point):
@@ -559,32 +530,7 @@ def _interval_pair_sup(cur_pieces, prev_pieces):
 # -- grid fallback ----------------------------------------------------------
 
 
-def _domain_grid(domain: Domain, grid_points: int) -> np.ndarray:
-    if isinstance(domain, Box) and domain.dim <= 2:
-        if domain.dim == 1:
-            return np.linspace(domain.lo[0], domain.hi[0], grid_points)[:, None]
-        side = max(2, int(np.sqrt(grid_points)))
-        xs = np.linspace(domain.lo[0], domain.hi[0], side)
-        ys = np.linspace(domain.lo[1], domain.hi[1], side)
-        gx, gy = np.meshgrid(xs, ys)
-        return np.column_stack([gx.ravel(), gy.ravel()])
-    if isinstance(domain, ClippedSimplex) and domain.d == 2:
-        s = np.linspace(domain.floor, 1.0 - domain.floor, grid_points)
-        return np.column_stack([s, 1.0 - s])
-    if isinstance(domain, ClippedSimplex) and domain.d == 3:
-        side = max(2, int(np.sqrt(grid_points)))
-        s1 = np.linspace(domain.floor, 1.0 - 2 * domain.floor, side)
-        s2 = np.linspace(domain.floor, 1.0 - 2 * domain.floor, side)
-        g1, g2 = np.meshgrid(s1, s2)
-        g3 = 1.0 - g1 - g2
-        keep = g3 >= domain.floor
-        return np.column_stack([g1[keep], g2[keep], g3[keep]])
-    # high-dimensional fallback: seeded member sample, explicitly inexact
-    rng = np.random.Generator(np.random.PCG64(0))
-    return domain.sample(rng, grid_points)
-
-
 def _grid_pair_sup(cur: Loss, prev: Loss, domain: Domain, grid_points: int):
-    pts = _domain_grid(domain, grid_points)
+    pts = domain._grid(grid_points)
     diffs = batch_values(cur, pts) - batch_values(prev, pts)
     return float(np.max(diffs)), float(np.max(-diffs)), False

@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Ball,
-    Box,
-    ClippedSimplex,
-    Geometry,
-    GeometryError,
-    Interval,
-    _as_vector,
-    _kl_project_clipped_simplex,
-)
+from .geometry import Geometry, GeometryError, Interval, _as_vector, _kl_project_clipped_simplex
 from .losses import (
     AbsoluteLoss,
     CompositeLoss,
@@ -130,10 +121,8 @@ def implicit_update(loss: Loss, geom: Geometry, x_t, lam: float) -> ProxResult:
         return _linear_euclidean(loss, geom, x_t, lam)
     if isinstance(loss, QuadraticLoss):
         return _quadratic_euclidean(loss, geom, x_t, lam)
-    if isinstance(loss, AbsoluteLoss):
-        return _absolute_euclidean(loss, geom, x_t, lam)
-    if isinstance(loss, HingeLoss):
-        return _hinge_euclidean(loss, geom, x_t, lam)
+    if isinstance(loss, (AbsoluteLoss, HingeLoss)):
+        return _kinked_euclidean(loss, geom, x_t, lam)
     if isinstance(loss, CompositeLoss) and isinstance(loss.base, QuadraticLoss):
         return _composite_quadratic(loss, geom, x_t, lam)
     return _descent_route(loss, geom, x_t, lam)
@@ -151,25 +140,11 @@ def _finish(loss, geom, x_t, x_next, lam, solver, residual) -> ProxResult:
 
 
 def _linear_euclidean(loss, geom, x_t, lam) -> ProxResult:
-    dom = geom.domain
     if lam > 0:
         x = geom.project(x_t - loss.g / lam)
-        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
-    g = loss.g
-    if isinstance(dom, (Interval, Box)):
-        if isinstance(dom, Interval):
-            lo = np.array([dom.lo])
-            hi = np.array([dom.hi])
-        else:
-            lo, hi = dom.lo, dom.hi
-        # coordinates with zero slope keep the anchor (lam -> 0 limit)
-        x = np.where(g > 0, lo, np.where(g < 0, hi, x_t))
-        return _finish(loss, geom, x_t, x.astype(float), lam, "closed-form", 0.0)
-    if isinstance(dom, Ball):
-        ng = float(np.linalg.norm(g))
-        x = x_t.copy() if ng == 0.0 else dom.center - (dom.radius / ng) * g
-        return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
-    raise SolverError(f"no linear minimizer for domain {dom.kind!r}")
+    else:
+        x = geom.domain._linear_argmin(loss.g, x_t)
+    return _finish(loss, geom, x_t, x, lam, "closed-form", 0.0)
 
 
 def _linear_entropy(loss, geom, x_t, lam) -> ProxResult:
@@ -208,17 +183,13 @@ def _linear_entropy_lanes(loss, geom, X, lams):
     differently.
     """
     dom = geom.domain
-    if not isinstance(dom, ClippedSimplex):
-        raise SolverError("entropy prox needs a clipped-simplex domain")
     g = loss.g
     step = (lams > 0.0) & (lams < math.inf)
     n_step = np.count_nonzero(step)
     if n_step == len(lams):
         X_next, penalty = _entropy_step(g, X, lams, dom)
     else:
-        argmin = np.full(dom.d, dom.floor)
-        argmin[int(np.argmin(g))] = 1.0 - dom.floor * (dom.d - 1)
-        X_next = np.where((lams == 0.0)[:, None], argmin, X)
+        X_next = np.where((lams == 0.0)[:, None], dom._linear_argmin(g, None), X)
         penalty = np.zeros(len(lams))
         if n_step:
             X_next[step], penalty[step] = _entropy_step(g, X[step], lams[step], dom)
@@ -272,34 +243,18 @@ def _quadratic_euclidean(loss, geom, x_t, lam) -> ProxResult:
     return _closed_form_step(loss, geom, x_t, x, lam)
 
 
-# -- absolute ---------------------------------------------------------------
+# -- absolute and hinge -----------------------------------------------------
 
 
-def _absolute_euclidean(loss, geom, x_t, lam) -> ProxResult:
-    a = loss.a
-    na2 = float(a @ a)
-    if na2 == 0.0:
+def _kinked_euclidean(loss, geom, x_t, lam) -> ProxResult:
+    """Absolute and hinge losses fall along minus their subgradient g = +-a at
+    the rate ||a||^2 until they reach zero: step by 1/lam, capped there."""
+    na2 = float(loss.a @ loss.a)
+    excess = loss._value(x_t)
+    if na2 == 0.0 or excess == 0.0:
         return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
-    r = loss._residual(x_t)
-    if r == 0.0:
-        return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
-    step = abs(r) / na2 if lam == 0.0 else min(1.0 / lam, abs(r) / na2)
-    x = x_t - np.sign(r) * step * a
-    return _closed_form_step(loss, geom, x_t, x, lam)
-
-
-# -- hinge ------------------------------------------------------------------
-
-
-def _hinge_euclidean(loss, geom, x_t, lam) -> ProxResult:
-    a, y = loss.a, loss.y
-    na2 = float(a @ a)
-    gap = loss._value(x_t)
-    if na2 == 0.0 or gap == 0.0:
-        return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
-    step = gap / na2 if lam == 0.0 else min(1.0 / lam, gap / na2)
-    x = x_t + step * y * a
-    return _closed_form_step(loss, geom, x_t, x, lam)
+    step = excess / na2 if lam == 0.0 else min(1.0 / lam, excess / na2)
+    return _closed_form_step(loss, geom, x_t, x_t - step * loss._subgradient(x_t), lam)
 
 
 # -- composite quadratic + L1 ----------------------------------------------

@@ -172,7 +172,7 @@ def _build_diomd(spec, geom, env, T):
             raise ConfigError("config field 'algorithm.bound_style': must be one of "
                               + ", ".join(styles))
         resolved["bound_style"] = spec["bound_style"]
-    if isinstance(geom.domain, ClippedSimplex):
+    if geom.mirror == "entropy":
         resolved["alpha"] = geom.domain.alpha
         resolved["loss_sup"] = _loss_sup(env, spec)
     return learner, resolved

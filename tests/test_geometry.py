@@ -358,3 +358,133 @@ def test_row_membership_matches_the_point_rule(dom):
     expected = [dom._contains(x) for x in X]
     assert dom._contains_rows(X).tolist() == expected
     assert all(expected[:40]) and not all(expected)
+
+
+# ---------------------------------------------------------------------------
+# the domain methods against the chains they replaced
+# ---------------------------------------------------------------------------
+
+
+def _former_center(domain):
+    # learners.domain_center
+    if isinstance(domain, Interval):
+        return np.array([0.5 * (domain.lo + domain.hi)])
+    if isinstance(domain, Box):
+        return 0.5 * (domain.lo + domain.hi)
+    if isinstance(domain, ClippedSimplex):
+        return np.full(domain.d, 1.0 / domain.d)
+    return domain.center.copy()
+
+
+def _former_project(p, dom):
+    # Geometry.project
+    if isinstance(dom, (Interval, Box)):
+        return dom.clip(p)
+    if isinstance(dom, Ball):
+        r = p - dom.center
+        nr = float(np.linalg.norm(r))
+        if nr <= dom.radius:
+            return p.copy()
+        return dom.center + (dom.radius / nr) * r
+    return _kl_project_clipped_simplex(p[None, :], dom)[0]
+
+
+def _former_linear_argmin(g, x_t, dom):
+    # prox._linear_euclidean at lam = 0, and the entropy lanes' lam = 0 argmin
+    if isinstance(dom, (Interval, Box)):
+        if isinstance(dom, Interval):
+            lo = np.array([dom.lo])
+            hi = np.array([dom.hi])
+        else:
+            lo, hi = dom.lo, dom.hi
+        return np.where(g > 0, lo, np.where(g < 0, hi, x_t)).astype(float)
+    if isinstance(dom, Ball):
+        ng = float(np.linalg.norm(g))
+        return x_t.copy() if ng == 0.0 else dom.center - (dom.radius / ng) * g
+    argmin = np.full(dom.d, dom.floor)
+    argmin[int(np.argmin(g))] = 1.0 - dom.floor * (dom.d - 1)
+    return argmin
+
+
+def _former_sups(dg, dom):
+    # losses._linear_sups, and losses._pair_sup's ball branch row by row
+    if isinstance(dom, ClippedSimplex):
+        return np.max(dg, axis=1), np.max(-dg, axis=1)
+    if isinstance(dom, Ball):
+        mids = [float(g @ dom.center) for g in dg]
+        rads = [dom.radius * float(np.linalg.norm(g)) for g in dg]
+        return (np.array([m + r for m, r in zip(mids, rads)]),
+                np.array([-m + r for m, r in zip(mids, rads)]))
+    lo, hi = np.atleast_1d(dom.lo), np.atleast_1d(dom.hi)
+    return (np.sum(np.maximum(dg * lo, dg * hi), axis=1),
+            np.sum(np.maximum(-dg * lo, -dg * hi), axis=1))
+
+
+def _former_grid(domain, grid_points):
+    # losses._domain_grid
+    if isinstance(domain, Box) and domain.dim <= 2:
+        if domain.dim == 1:
+            return np.linspace(domain.lo[0], domain.hi[0], grid_points)[:, None]
+        side = max(2, int(np.sqrt(grid_points)))
+        xs = np.linspace(domain.lo[0], domain.hi[0], side)
+        ys = np.linspace(domain.lo[1], domain.hi[1], side)
+        gx, gy = np.meshgrid(xs, ys)
+        return np.column_stack([gx.ravel(), gy.ravel()])
+    if isinstance(domain, ClippedSimplex) and domain.d == 2:
+        s = np.linspace(domain.floor, 1.0 - domain.floor, grid_points)
+        return np.column_stack([s, 1.0 - s])
+    if isinstance(domain, ClippedSimplex) and domain.d == 3:
+        side = max(2, int(np.sqrt(grid_points)))
+        s1 = np.linspace(domain.floor, 1.0 - 2 * domain.floor, side)
+        s2 = np.linspace(domain.floor, 1.0 - 2 * domain.floor, side)
+        g1, g2 = np.meshgrid(s1, s2)
+        g3 = 1.0 - g1 - g2
+        keep = g3 >= domain.floor
+        return np.column_stack([g1[keep], g2[keep], g3[keep]])
+    rng = np.random.Generator(np.random.PCG64(0))
+    return domain.sample(rng, grid_points)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+DOMAINS = [
+    Interval(-0.5, 2.0), Interval(0, 1), Box([-1.0], [0.5]), Box([-1.0, 0.0], [0.5, 3.0]),
+    Box(np.linspace(-1.0, 0.0, 4), np.linspace(0.5, 3.0, 4)),
+    ClippedSimplex(2, 0.1), ClippedSimplex(3, 0.3), ClippedSimplex(6, 0.05),
+    Ball([0.25], 1.5), Ball([0.5, -1.0], 2.0), Ball([0.0, 1.0, -0.5, 2.0], 0.75),
+]
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.5, 1e-9]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _domain_vectors(draw):
+    """(domain, three vectors of its dimension): a point, a slope and a
+    stack of slopes, with zero, signed-zero, edge and far coordinates."""
+    dom = draw(st.sampled_from(DOMAINS))
+    vec = st.lists(_COORDS, min_size=dom.dim, max_size=dom.dim).map(np.array)
+    return dom, draw(vec), draw(vec), np.array(draw(st.lists(vec, min_size=0, max_size=6)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_domain_vectors())
+def test_domain_methods_equal_the_chains_they_replaced(case):
+    dom, p, g, G = case
+    assert _same_bits(dom.midpoint(), _former_center(dom))
+    x_t = dom.midpoint()
+    assert _same_bits(dom._linear_argmin(g, x_t), _former_linear_argmin(g, x_t, dom))
+    if isinstance(dom, ClippedSimplex):
+        p = np.abs(p) + 1e-3  # the KL projection takes positive weights
+    assert _same_bits(Geometry("entropy" if isinstance(dom, ClippedSimplex) else "euclidean",
+                               dom).project(p), _former_project(p, dom))
+    G = G.reshape(-1, dom.dim)
+    pos, neg = _former_sups(G, dom)
+    assert _same_bits(dom._support(G), pos) and _same_bits(dom._support(-G), neg)
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: f"{d.kind}{d.dim}")
+def test_domain_grid_equals_the_former_grid(dom):
+    for n in (1, 2, 17, 400):
+        assert _same_bits(dom._grid(n), _former_grid(dom, n))

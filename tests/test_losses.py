@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab.geometry import Box, ClippedSimplex, Interval
+from driftlab.geometry import Ball, Box, ClippedSimplex, Interval
 from driftlab.losses import (
     AbsoluteLoss,
     CompositeLoss,
@@ -17,6 +17,7 @@ from driftlab.losses import (
     _grid_pair_sup,
     _interval_pair_sup,
     _pieces_1d,
+    _split_at,
     _strip_matching_l1,
     batch_values,
     loss_from_dict,
@@ -288,6 +289,12 @@ def _reference_variability(losses, domain, grid_points=10_000):
                 sup_pos = float(np.sum(np.maximum(dg * lo, dg * hi)))
                 sup_neg = float(np.sum(np.maximum(-dg * lo, -dg * hi)))
             exact = True
+        elif isinstance(cur, LinearLoss) and isinstance(prev, LinearLoss) \
+                and isinstance(domain, Ball):
+            dg = cur.g - prev.g
+            mid = float(dg @ domain.center)
+            rad = domain.radius * float(np.linalg.norm(dg))
+            sup_pos, sup_neg, exact = mid + rad, -mid + rad, True
         elif isinstance(domain, Interval):
             sup_pos, sup_neg, exact = _interval_pair_sup(
                 _pieces_1d(cur, domain.lo, domain.hi), _pieces_1d(prev, domain.lo, domain.hi))
@@ -344,16 +351,18 @@ def test_one_dim_variability_equals_the_pairwise_sweep(case):
 
 @st.composite
 def _linear_sequences(draw):
-    """(losses, domain): linear losses on a clipped simplex, interval or box,
-    with repeated rounds and zero coordinates."""
-    shape = draw(st.sampled_from(["simplex", "interval", "box"]))
-    d = 1 if shape == "interval" else draw(st.integers(2, 12))
+    """(losses, domain): linear losses on a clipped simplex, interval, box or
+    ball, with repeated rounds and zero coordinates."""
+    shape = draw(st.sampled_from(["simplex", "interval", "box", "ball"]))
+    d = 1 if shape == "interval" else draw(st.integers(1 if shape == "ball" else 2, 12))
     if shape == "simplex":
         dom = ClippedSimplex(d, 0.1)
     elif shape == "interval":
         dom = Interval(-0.5, 2.0)
-    else:
+    elif shape == "box":
         dom = Box(np.linspace(-1.0, 0.0, d), np.linspace(0.5, 3.0, d))
+    else:
+        dom = Ball(np.linspace(-0.5, 1.0, d), draw(st.sampled_from([0.3, 1.0, 2.5])))
     losses = []
     for _ in range(draw(st.integers(1, 10))):
         if losses and draw(st.booleans()):
@@ -367,6 +376,69 @@ def _linear_sequences(draw):
 @given(_linear_sequences())
 def test_linear_variability_equals_the_pairwise_sweep(case):
     _same_variability(*case)
+
+
+def _former_pieces(loss, lo, hi):
+    # losses._pieces_1d's absolute and hinge branches
+    a, y = float(loss.a[0]), loss.y
+    if isinstance(loss, AbsoluteLoss):
+        if a == 0.0:
+            return [lo, hi], [(0.0, 0.0, abs(y))]
+        breaks, coeffs = _split_at([lo, hi], [None], y / a)
+        out = []
+        for i in range(len(coeffs)):
+            mid = 0.5 * (breaks[i] + breaks[i + 1])
+            s = 1.0 if a * mid - y >= 0 else -1.0
+            out.append((0.0, s * a, -s * y))
+        return breaks, out
+    if a == 0.0:
+        return [lo, hi], [(0.0, 0.0, 1.0)]
+    breaks, coeffs = _split_at([lo, hi], [None], 1.0 / (y * a))
+    out = []
+    for i in range(len(coeffs)):
+        mid = 0.5 * (breaks[i] + breaks[i + 1])
+        if 1.0 - y * a * mid > 0:
+            out.append((0.0, -y * a, 1.0))
+        else:
+            out.append((0.0, 0.0, 0.0))
+    return breaks, out
+
+
+def _hexed(form):
+    breaks, coeffs = form
+    return [float(b).hex() for b in breaks], [tuple(float(c).hex() for c in cs) for cs in coeffs]
+
+
+@st.composite
+def _kinked_on_an_interval(draw):
+    """(loss, lo, hi): a 1-d absolute or hinge loss whose kink lies on an
+    edge, next to one, inside or outside, with slopes a = +-0.0."""
+    lo = draw(st.sampled_from([-1.0, 0.0, -2.5, 0.25]))
+    hi = lo + draw(st.sampled_from([1.0, 2.0, 0.3]))
+    a = draw(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.7, -1.3, 1e-9]) | st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        y = draw(st.sampled_from([1.0, -1.0]))
+        return HingeLoss([a], y), lo, hi
+    kink = draw(st.sampled_from([lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
+                                 0.5 * (lo + hi), lo - 1.0, hi + 1.0]))
+    y = draw(st.sampled_from([0.0, -0.0, a * kink]) | st.floats(-3.0, 3.0))
+    return AbsoluteLoss([a], y), lo, hi
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_kinked_on_an_interval())
+def test_larger_line_form_equals_the_former_branches(case):
+    loss, lo, hi = case
+    assert _hexed(_pieces_1d(loss, lo, hi)) == _hexed(_former_pieces(loss, lo, hi))
+
+
+def test_hinge_kinks_on_the_edges_equal_the_former_branch():
+    # kinks 1 / (y a) exactly on, and one float inside, each edge
+    for lo, hi in ((-1.0, 1.0), (0.25, 4.0), (-2.5, -0.5)):
+        for edge in (lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)):
+            for y in (1.0, -1.0):
+                loss = HingeLoss([1.0 / (y * edge)], y)
+                assert _hexed(_pieces_1d(loss, lo, hi)) == _hexed(_former_pieces(loss, lo, hi))
 
 
 def test_loss_table_values_equal_each_loss_bit_for_bit():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from _oracles import prox_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.geometry import (
     Ball,
@@ -22,6 +24,9 @@ from driftlab.losses import (
 )
 from driftlab.prox import (
     SolverError,
+    _closed_form_step,
+    _finish,
+    _kinked_euclidean,
     compute_delta,
     implicit_update,
     implicit_update_lanes,
@@ -295,3 +300,64 @@ def test_anchor_outside_domain_rejected():
 def test_negative_lam_rejected():
     with pytest.raises(SolverError):
         implicit_update(QuadraticLoss([1.0], 0.0), INTERVAL, [0.0], -0.5)
+
+
+# ---------------------------------------------------------------------------
+# the shared absolute and hinge route against the routes it replaced
+# ---------------------------------------------------------------------------
+
+
+def _former_absolute(loss, geom, x_t, lam):
+    a = loss.a
+    na2 = float(a @ a)
+    if na2 == 0.0:
+        return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
+    r = loss._residual(x_t)
+    if r == 0.0:
+        return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
+    step = abs(r) / na2 if lam == 0.0 else min(1.0 / lam, abs(r) / na2)
+    x = x_t - np.sign(r) * step * a
+    return _closed_form_step(loss, geom, x_t, x, lam)
+
+
+def _former_hinge(loss, geom, x_t, lam):
+    a, y = loss.a, loss.y
+    na2 = float(a @ a)
+    gap = loss._value(x_t)
+    if na2 == 0.0 or gap == 0.0:
+        return _finish(loss, geom, x_t, x_t.copy(), lam, "closed-form", 0.0)
+    step = gap / na2 if lam == 0.0 else min(1.0 / lam, gap / na2)
+    x = x_t + step * y * a
+    return _closed_form_step(loss, geom, x_t, x, lam)
+
+
+KINKED_GEOMETRIES = [INTERVAL, euclidean_geometry(Interval(0.0, 0.3)),
+                     euclidean_geometry(Box([-40.0, -40.0], [40.0, 40.0])),
+                     euclidean_geometry(Ball([0.5, -0.5, 1.0], 60.0))]
+
+
+@st.composite
+def _kinked_steps(draw):
+    """(loss, geom, x_t, lam): an absolute or hinge step from a point of the
+    domain (its midpoint, near it or on an edge), at zero, small and large
+    weights, with zero slopes and anchors on the kink."""
+    geom = draw(st.sampled_from(KINKED_GEOMETRIES))
+    d = geom.domain.dim
+    x_t = geom.project(geom.domain.midpoint() + draw(st.sampled_from([0.0, 0.1, -0.25, 5.0])))
+    coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)
+    a = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    lam = draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, 1e6]))
+    if draw(st.booleans()):
+        return HingeLoss(a, draw(st.sampled_from([1.0, -1.0]))), geom, x_t, lam
+    y = draw(st.sampled_from([float(a @ x_t), 0.0, -0.0]) | st.floats(-3.0, 3.0))
+    return AbsoluteLoss(a, y), geom, x_t, lam
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_kinked_steps())
+def test_kinked_route_equals_the_former_routes(case):
+    loss, geom, x_t, lam = case
+    former = _former_hinge if isinstance(loss, HingeLoss) else _former_absolute
+    new, old = _kinked_euclidean(loss, geom, x_t, lam), former(loss, geom, x_t, lam)
+    assert new.x_next.tobytes() == old.x_next.tobytes()
+    assert (new.delta.hex(), new.solver) == (old.delta.hex(), old.solver)
