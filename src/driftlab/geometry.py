@@ -335,8 +335,8 @@ class Ball(Domain):
 
     def _support(self, G):
         # one dot and one norm per row: a matrix product rounds differently
-        return (np.array([float(g @ self.center) for g in G], dtype=float)
-                + self.radius * np.array([float(np.linalg.norm(g)) for g in G], dtype=float))
+        return np.array([float(g @ self.center) + self.radius * float(np.linalg.norm(g))
+                         for g in G], dtype=float)
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"

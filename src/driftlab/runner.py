@@ -18,8 +18,9 @@ import numpy as np
 
 from .bounds import RunRecord, bound_styles, evaluate_bounds
 from .combiners import ABProd, AdaptMLProd, LossRange, RangeError, Scaffold
-from .envs import GENERATOR_NAME, make_environment
-from .geometry import ClippedSimplex, Geometry, _simplex_rows, domain_from_dict, entropy_geometry
+from .envs import _ENV_KINDS, GENERATOR_NAME, make_environment
+from .geometry import (ENTROPY, EUCLIDEAN, ClippedSimplex, Geometry, _simplex_rows,
+                       domain_from_dict, entropy_geometry)
 from .learners import (AdaptiveSchedule, ConfigError, DoublingSchedule, DynamicIOMD,
                        GreedySchedule, OGD, fixed_schedule)
 from .losses import LossTable, loss_from_dict, step_lengths
@@ -69,6 +70,7 @@ _KINDS = {
     "label": ("a string", lambda v: type(v) is str),
 }
 _NUMERIC = ("number", "positive", "non-negative", "at least 1", "increasing pair")
+_DIOMD_HEADER = _CONTRACT["diomd"][2]  # the kinds config checks of diomd's parameters
 # one encoder for every trace line, as json.dumps(rec, sort_keys=True) writes it
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -89,21 +91,29 @@ def build_environment(cell: dict):
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config field 'environment.params': must be a mapping")
-    return make_environment(spec["kind"], T=cell["T"], seed=cell["seed"], **params)
+    _fit("environment.kind", spec["kind"], tuple(sorted(_ENV_KINDS)))
+    for key, value in params.items():  # every environment parameter is a number
+        _fit(f"environment.params.{key}", value, "number")
+    return _parsed(ConfigError, "config field 'environment.params'", lambda: make_environment(
+        spec["kind"], T=cell["T"], seed=cell["seed"], **params))
 
 
 def build_geometry(cell: dict, env) -> Geometry:
+    # the default domain comes from the environment's parameters
+    default = _parsed(ConfigError, "config field 'environment.params'", env.default_geometry)
     spec = cell.get("geometry")
     if spec is None:
-        return env.default_geometry()
+        return default
     if not isinstance(spec, dict):
         raise ConfigError("config field 'geometry': must be a mapping")
-    default = env.default_geometry()
-    mirror = spec.get("mirror", default.mirror)
+    mirror = _fit("geometry.mirror", spec.get("mirror", default.mirror), (EUCLIDEAN, ENTROPY))
     domain = default.domain
     if "domain" in spec:
         domain = _parsed(ConfigError, "config field 'geometry.domain'",
                          domain_from_dict, spec["domain"])
+        if domain.dim != default.domain.dim:
+            raise ConfigError(f"config field 'geometry.domain': a {domain.dim}-d domain for "
+                              f"the environment's {default.domain.dim}-d losses")
     return _parsed(ConfigError, "config field 'geometry'", Geometry, mirror, domain)
 
 
@@ -111,58 +121,78 @@ def _parsed(error, field: str, build, *args):
     """``build(*args)``, with malformed input reported as an ``error`` naming ``field``."""
     try:
         return build(*args)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise error(f"{field}: {reason}") from None
 
 
-def _number(key: str, value) -> float:
-    """``float(value)``, with malformed input a ConfigError naming ``algorithm.key``."""
-    return _parsed(ConfigError, f"config field 'algorithm.{key}'", float, value)
+def _fit(field: str, value, kind):
+    """``value`` of config field ``field``, once it fits ``kind`` by the rule
+    that ``verify`` applies to a header parameter of that kind."""
+    try:
+        _column([{field: value}], ["config"], field, kind)
+    except TraceError as exc:
+        raise ConfigError(str(exc)) from None
+    return value
+
+
+def _number(key: str, value, kind: str) -> float:
+    """``float(value)`` of config field ``algorithm.key``, of ``kind``."""
+    return _fit(f"algorithm.{key}",
+                _parsed(ConfigError, f"config field 'algorithm.{key}'", float, value), kind)
 
 
 def _loss_range(spec: dict) -> LossRange:
     """The spec's ``loss_range`` pair [lo, hi], by default [0, 1]."""
-    def build(pair):
-        lo, hi = pair
-        return LossRange(float(lo), float(hi))
-    return _parsed(ConfigError, "config field 'algorithm.loss_range'", build,
-                   spec.get("loss_range", (0.0, 1.0)))
+    lo, hi = _fit("algorithm.loss_range", spec.get("loss_range", (0.0, 1.0)),
+                  _PROD["loss_range"])
+    return LossRange(float(lo), float(hi))
 
 
 def _loss_sup(env, spec: dict) -> float:
     if "loss_sup" in spec:
-        return _number("loss_sup", spec["loss_sup"])
+        return _number("loss_sup", spec["loss_sup"], _DIOMD_HEADER["loss_sup"])
     return float(env.loss_sup()) if hasattr(env, "loss_sup") else 1.0
 
 
 def _expert_dim(env, spec: dict) -> int:
-    if "d" in spec:
-        return _parsed(ConfigError, "config field 'algorithm.d'", int, spec["d"])
-    if hasattr(env, "d"):
-        return int(env.d)
-    raise ConfigError("config field 'algorithm.d': needed outside expert environments")
+    if "d" not in spec:
+        if hasattr(env, "d"):
+            return int(env.d)
+        raise ConfigError("config field 'algorithm.d': needed outside expert environments")
+    d = _fit("algorithm.d", spec["d"], "count")
+    dim = env.default_geometry().domain.dim
+    if d != dim or d < 2:
+        raise ConfigError(f"config field 'algorithm.d': the environment has {dim}-d losses "
+                          "and experts need d >= 2")
+    return d
+
+
+def _fixed(spec: dict, scale, T: int):
+    """(shape, scale, fixed schedule) of the spec; each fault names its field."""
+    shape = spec.get("shape", "inv_sqrt")
+    scale = _number("scale", scale, "positive")
+    return shape, scale, _parsed(ConfigError, "config field 'algorithm.shape'",
+                                 fixed_schedule, shape, scale, T)
 
 
 def _build_diomd(spec, geom, env, T):
     sched_kind = spec.get("schedule", "adaptive")
     if sched_kind == "fixed":
-        shape = spec.get("shape", "inv_sqrt")
-        scale = spec.get("scale")
-        if scale is None:
+        if spec.get("scale") is None:
             raise ConfigError("config field 'algorithm.scale': required for fixed schedules")
-        scale = _number("scale", scale)
-        learner = DynamicIOMD(geom, fixed_schedule(shape, scale, T), x0=spec.get("x0"))
+        shape, scale, schedule = _fixed(spec, spec["scale"], T)
+        learner = DynamicIOMD(geom, schedule, x0=spec.get("x0"))
         return learner, {"name": "diomd", "schedule_kind": "fixed",
                          "shape": shape, "scale": scale}
     if sched_kind != "adaptive":
         raise ConfigError(
             f"config field 'algorithm.schedule': unknown kind {sched_kind!r}")
-    tau = _number("tau", spec.get("tau", 0.0))
+    tau = _number("tau", spec.get("tau", 0.0), _DIOMD_HEADER["tau"])
     beta_sq = spec.get("beta_sq")
     if beta_sq is None:
         beta_sq = geom.diameter_sq + geom.gamma * tau
-    beta_sq = _number("beta_sq", beta_sq)
+    beta_sq = _number("beta_sq", beta_sq, _DIOMD_HEADER["beta_sq"])
     learner = DynamicIOMD(geom, AdaptiveSchedule(beta_sq, tau), x0=spec.get("x0"))
     resolved = {"name": "diomd", "schedule_kind": "adaptive",
                 "beta_sq": beta_sq, "tau": tau}
@@ -183,7 +213,8 @@ def _build_scaffold(spec, geom, env, T):
     base_spec = spec.get("base")
     if base_spec is None:
         d = _expert_dim(env, spec)
-        base_beta = _number("base_beta_sq", spec.get("base_beta_sq", math.log(max(2, T))))
+        base_beta = _number("base_beta_sq", spec.get("base_beta_sq", math.log(max(2, T))),
+                            _DIOMD_HEADER["beta_sq"])
         # the bases play on the run's clipped simplex, so the mixture stays in it
         base_geom = geom if geom.mirror == "entropy" else entropy_geometry(
             ClippedSimplex(d, min(0.5, d / T)))
@@ -195,20 +226,20 @@ def _build_scaffold(spec, geom, env, T):
                          "beta_sq": base_beta, "tau": 0.0, "alpha": base_geom.domain.alpha}
     else:
         def factory(interval):
-            return _build_algorithm(base_spec, geom, env, T)[0]
+            return _build_algorithm(base_spec, geom, env, T, "algorithm.base")[0]
 
-        resolved_base = _build_algorithm(base_spec, geom, env, T)[1]
+        resolved_base = _build_algorithm(base_spec, geom, env, T, "algorithm.base")[1]
     learner = Scaffold(factory, T, loss_range)
     resolved = {"name": "scaffold", "loss_range": [loss_range.lo, loss_range.hi],
                 "base": resolved_base}
     return learner, resolved
 
 
-def _build_algorithm(spec, geom, env, T):
+def _build_algorithm(spec, geom, env, T, field="algorithm"):
     if isinstance(spec, str):
         spec = {"name": spec}
     if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("config field 'algorithm': need a mapping with a 'name'")
+        raise ConfigError(f"config field {field!r}: need a mapping with a 'name'")
     name = spec["name"]
     if name == "greedy":
         return DynamicIOMD(geom, GreedySchedule(), x0=spec.get("x0")), {"name": "greedy"}
@@ -218,17 +249,15 @@ def _build_algorithm(spec, geom, env, T):
         learner = DynamicIOMD(geom, DoublingSchedule(), x0=spec.get("x0"))
         return learner, {"name": "diomd-doubling"}
     if name == "ogd":
-        shape = spec.get("shape", "inv_sqrt")
-        scale = _number("scale", spec.get("scale", 1.0))
-        etas = fixed_schedule(shape, scale, T).etas
-        return OGD(geom, etas, x0=spec.get("x0")), \
+        shape, scale, schedule = _fixed(spec, spec.get("scale", 1.0), T)
+        return OGD(geom, schedule.etas, x0=spec.get("x0")), \
             {"name": "ogd", "shape": shape, "scale": scale}
     if name == "abprod":
         loss_range = _loss_range(spec)
         cand, cand_resolved = _build_algorithm(
-            spec.get("candidate", {"name": "scaffold"}), geom, env, T)
+            spec.get("candidate", {"name": "scaffold"}), geom, env, T, "algorithm.candidate")
         bench, bench_resolved = _build_algorithm(
-            spec.get("benchmark", {"name": "greedy"}), geom, env, T)
+            spec.get("benchmark", {"name": "greedy"}), geom, env, T, "algorithm.benchmark")
         learner = ABProd(cand, bench, loss_range)
         return learner, {"name": "abprod",
                          "loss_range": [loss_range.lo, loss_range.hi],
@@ -242,7 +271,7 @@ def _build_algorithm(spec, geom, env, T):
     if name == "scaffold":
         return _build_scaffold(spec, geom, env, T)
     raise ConfigError(
-        f"config field 'algorithm.name': unknown algorithm {name!r}; "
+        f"config field '{field}.name': unknown algorithm {name!r}; "
         f"choose from {sorted(ALGORITHMS)}")
 
 
@@ -346,7 +375,12 @@ def _points(records: list, key: str, dim, wheres: list) -> np.ndarray:
         pass
     where = next(w for w, p in zip(wheres, raw) if not _is_point(p, shape))
     what = "a finite number" if dim is None else f"a list of {dim} finite numbers"
-    raise TraceError(f"{where}: trace field {key!r} must be {what}")
+    raise TraceError(f"{_field(where, key)} must be {what}")
+
+
+def _field(where: str, key: str) -> str:
+    """How an error names ``key`` at ``where``: a trace field, or the config's."""
+    return f"config field {key!r}:" if where == "config" else f"{where}: trace field {key!r}"
 
 
 def _is_point(p, shape: tuple) -> bool:
@@ -393,7 +427,7 @@ def _column(records: list, wheres: list, key: str, kind):
         col = [_require(rec, key, where) for rec, where in zip(records, wheres)]
         bad = [i for i, v in enumerate(col) if not test(v)]
     if len(bad):
-        raise TraceError(f"{wheres[bad[0]]}: trace field {key!r} must be {what}")
+        raise TraceError(f"{_field(wheres[bad[0]], key)} must be {what}")
     return col
 
 
@@ -450,6 +484,9 @@ def trace_to_report(records: list) -> dict:
     off_dim = np.flatnonzero(losses.dims() != dim)
     if off_dim.size:
         raise TraceError(f"{wheres[off_dim[0]]}: trace field 'loss' must have dimension {dim}")
+    if mirror == ENTROPY and losses.kind != "linear":  # the only entropic prox route
+        i = next(i for i, spec in enumerate(specs) if spec.get("kind") != "linear")
+        raise TraceError(f"{wheres[i]}: trace field 'loss' must be linear on the entropy mirror")
     header_kinds, row_kinds, final_kinds = _contract(
         algorithm, params, mirror, losses.kind == "linear")
     for key, kind in header_kinds.items():
@@ -564,11 +601,11 @@ def expand_config(config: dict, seed_override=None) -> list:
             raise ConfigError(f"config field {key!r}: required")
     if not isinstance(config["environment"], dict):
         raise ConfigError("config field 'environment': must be a mapping")
-    algs = config.get("algorithms")
-    if algs is None:
-        algs = [config.get("algorithm")]
+    algs, key = config.get("algorithms"), "algorithms"
+    if algs is None and "algorithm" in config:
+        algs, key = [config["algorithm"]], "algorithm"
     if not isinstance(algs, list) or not algs or any(a is None for a in algs):
-        raise ConfigError("config field 'algorithms': need at least one algorithm spec")
+        raise ConfigError(f"config field {key!r}: need at least one algorithm spec")
     if seed_override is not None:
         seeds = list(seed_override) if isinstance(seed_override, (list, tuple)) else [seed_override]
     else:

@@ -520,10 +520,65 @@ def _run_config(tmp_path, config):
     pytest.param(lambda p: _run_config(p, {**EXPERTS, "algorithm": {
                      "name": "diomd", "bound_style": "bogus"}}),
                  "config field 'algorithm.bound_style'", id="unknown-bound-style"),
+    # each of these failed at the parent without naming the field, or with a traceback
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
+                     "domain": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]}}}),
+                 "config field 'geometry.domain'", id="box-for-scalar-losses"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
+                     "mirror": "entropy", "domain": {"kind": "clipped-simplex", "d": 2,
+                                                     "alpha": 0.1}}}),
+                 "config field 'geometry.domain'", id="simplex-for-scalar-losses"),
+    *(pytest.param(lambda p, base=base: _run_config(p, {**base, "algorithm": {
+                       "name": "diomd", "tau": -1.0}}),
+                   "config field 'algorithm.tau': must be non-negative",
+                   id=f"negative-tau-{name}") for name, base in (("quad", BASIC),
+                                                                ("experts", EXPERTS))),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "diomd", "tau": float("nan")}}),
+                 "config field 'algorithm.tau': must be a finite number", id="nan-tau"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "diomd", "tau": float("inf")}}),
+                 "config field 'algorithm.tau': must be a finite number", id="infinite-tau"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "diomd", "beta_sq": 0}}),
+                 "config field 'algorithm.beta_sq': must be positive", id="zero-beta-sq"),
+    pytest.param(lambda p: _run_config(p, {**EXPERTS, "algorithm": {
+                     "name": "scaffold", "base_beta_sq": 0}}),
+                 "config field 'algorithm.base_beta_sq': must be positive",
+                 id="zero-base-beta-sq"),
+    pytest.param(lambda p: _run_config(p, {**EXPERTS, "algorithm": {
+                     "name": "diomd", "loss_sup": -1}}),
+                 "config field 'algorithm.loss_sup': must be non-negative",
+                 id="negative-loss-sup"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "diomd", "schedule": "fixed", "scale": -1}}),
+                 "config field 'algorithm.scale': must be positive", id="negative-scale"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "ogd", "shape": "cubic"}}),
+                 "config field 'algorithm.shape'", id="unknown-shape"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "adapt-ml-prod", "d": 1}}),
+                 "config field 'algorithm.d'", id="one-expert"),
+    pytest.param(lambda p: _run_config(p, {**EXPERTS, "algorithm": {
+                     "name": "adapt-ml-prod", "d": 4}}),
+                 "config field 'algorithm.d'", id="expert-count-off-the-losses"),
+    pytest.param(lambda p: _run_config(p, {**ABPROD, "algorithm": {
+                     **ABPROD["algorithm"], "loss_range": [0.0, float("inf")]}}),
+                 "config field 'algorithm.loss_range': must be a list of 2 finite numbers",
+                 id="infinite-loss-range"),
 ])
 def test_malformed_traces_and_configs_exit_one_naming_the_field(tmp_path, capsys, argv, field):
     assert main(argv(tmp_path)) == 1
     assert field in _single_error_line(capsys.readouterr().err)
+
+
+def _quadratic_losses(records):
+    """Give every round a 5-d quadratic loss and recompute what depends on it."""
+    for row in records[1:-1]:
+        a = np.array(row["loss"]["g"])
+        row["loss"] = {"kind": "quadratic", "a": a.tolist(), "y": 0.5}
+        row["value"] = 0.5 * (float(a @ np.array(row["x"])) - 0.5) ** 2
+    records[-1]["value_sum"] = sum(row["value"] for row in records[1:-1])
 
 
 def _relabel(records, name):
@@ -635,6 +690,9 @@ def _relabel(records, name):
                  lambda r: r[5]["loss"]["g"].__setitem__(0, 5.0),
                  "line 6: trace field 'loss': loss value 5.0 escapes declared range [0.0, 1.0]",
                  id="mlprod-loss-escapes-range"),
+    pytest.param(EXPERTS, lambda r: _quadratic_losses(r),
+                 "line 2: trace field 'loss' must be linear on the entropy mirror",
+                 id="quadratic-losses-on-the-simplex"),
 ])
 def test_cli_verify_rejects_traces_that_do_not_fit_their_header(
         tmp_path, capsys, config, mutate, message):

@@ -3,6 +3,8 @@ row key and final-record key, the writer (``run_cell``) writes what it
 declares, and the reader (``trace_to_report``) rejects each field that does
 not fit its kind with one error line.  The fault cases are generated from
 the table, so a key added to it is covered here without editing this file.
+Config faults are generated the same way from a table of the config fields
+the builders read: each run exits 0 or with one error line naming the field.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from driftlab.cli import main
 from driftlab.learners import ConfigError
@@ -129,4 +132,97 @@ def test_every_declared_field_rejects_its_faults(cell, tmp_path, capsys):
                 f"driftlab: error: {path}: {where}: ") and repr(key) in err[0]
         if not ok:
             wrong.append((section, key, fault, code, err))
+    assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# config faults, generated from a table of the fields the builders read
+# ---------------------------------------------------------------------------
+
+QUAD = {"environment": {"kind": "drifting-quadratic", "params": {"tau": 1.0, "lo": -1.0,
+                                                                  "hi": 1.0}}, "T": 8}
+EXPERT = {"environment": {"kind": "shifting-experts", "params": {"d": 4, "shifts": 2}},
+          "T": 8}
+LOWER = {"environment": {"kind": "lower-bound", "params": {"sigma": 0.5}}, "T": 8}
+DIOMD = {"name": "diomd"}
+INTERVAL = {"domain": {"kind": "interval", "lo": -1.0, "hi": 1.0}}
+BALL = {"domain": {"kind": "ball", "center": [0.0], "radius": 1.0}}
+SIMPLEX = {"domain": {"kind": "clipped-simplex", "d": 4, "alpha": 0.1}}
+# (field, environment, algorithm, geometry): a config that runs, with the field set
+CONFIG_FIELDS = [
+    ("T", QUAD, DIOMD, None), ("seeds", QUAD, DIOMD, None),
+    ("environment.kind", QUAD, DIOMD, None), ("environment.params", QUAD, DIOMD, None),
+    ("environment.params.tau", QUAD, DIOMD, None),
+    ("environment.params.lo", QUAD, DIOMD, None), ("environment.params.hi", QUAD, DIOMD, None),
+    ("environment.params.sigma", LOWER, DIOMD, None),
+    ("environment.params.d", EXPERT, DIOMD, None),
+    ("environment.params.shifts", EXPERT, DIOMD, None),
+    ("geometry", QUAD, DIOMD, {"mirror": "euclidean"}),
+    ("geometry.mirror", QUAD, DIOMD, {"mirror": "euclidean"}),
+    ("geometry.domain", QUAD, DIOMD, INTERVAL),
+    ("geometry.domain.lo", QUAD, DIOMD, INTERVAL), ("geometry.domain.hi", QUAD, DIOMD, INTERVAL),
+    ("geometry.domain.center", QUAD, DIOMD, BALL), ("geometry.domain.radius", QUAD, DIOMD, BALL),
+    ("geometry.domain.d", EXPERT, DIOMD, SIMPLEX),
+    ("geometry.domain.alpha", EXPERT, DIOMD, SIMPLEX),
+    ("algorithm", QUAD, DIOMD, None), ("algorithm.name", QUAD, DIOMD, None),
+    ("algorithm.schedule", QUAD, {"name": "diomd", "schedule": "adaptive"}, None),
+    ("algorithm.tau", QUAD, {"name": "diomd", "tau": 1.0}, None),
+    ("algorithm.tau", EXPERT, {"name": "diomd", "tau": 1.0}, None),
+    ("algorithm.beta_sq", QUAD, {"name": "diomd", "beta_sq": 2.0}, None),
+    ("algorithm.loss_sup", EXPERT, {"name": "diomd", "loss_sup": 1.0}, None),
+    ("algorithm.bound_style", QUAD, {"name": "diomd", "bound_style": "drift"}, None),
+    *(("algorithm.x0", QUAD, {"name": name, "x0": [0.0]}, None)
+      for name in ("diomd", "greedy", "diomd-doubling", "ogd")),
+    ("algorithm.scale", QUAD, {"name": "diomd", "schedule": "fixed", "scale": 1.0}, None),
+    ("algorithm.shape", QUAD, {"name": "diomd", "schedule": "fixed", "scale": 1.0,
+                               "shape": "inv_t"}, None),
+    ("algorithm.scale", QUAD, {"name": "ogd", "scale": 1.0}, None),
+    ("algorithm.shape", QUAD, {"name": "ogd", "shape": "inv_t"}, None),
+    ("algorithm.loss_range", QUAD, {"name": "abprod", "loss_range": [0.0, 1.0],
+                                    "candidate": DIOMD}, None),
+    ("algorithm.candidate", QUAD, {"name": "abprod", "candidate": DIOMD}, None),
+    ("algorithm.benchmark", QUAD, {"name": "abprod", "candidate": DIOMD,
+                                   "benchmark": {"name": "greedy"}}, None),
+    ("algorithm.loss_range", EXPERT, {"name": "adapt-ml-prod", "loss_range": [0.0, 1.0]}, None),
+    ("algorithm.d", EXPERT, {"name": "adapt-ml-prod", "d": 4}, None),
+    ("algorithm.d", EXPERT, {"name": "scaffold", "d": 4}, None),
+    ("algorithm.loss_range", EXPERT, {"name": "scaffold", "loss_range": [0.0, 1.0]}, None),
+    ("algorithm.base_beta_sq", EXPERT, {"name": "scaffold", "base_beta_sq": 1.0}, None),
+    ("algorithm.base", EXPERT, {"name": "scaffold", "base": DIOMD}, None),
+]
+CONFIG_FAULTS = {"null": None, "text": "abc", "nan": float("nan"), "inf": float("inf"),
+                 "-inf": float("-inf"), "zero": 0, "negative": -1}
+# environments and geometry parse the keys inside these two mappings, and
+# their errors name the mapping
+PARSED_INSIDE = ("environment.params.", "geometry.domain.")
+
+
+def _set(config: dict, dotted: str, value):
+    *path, last = dotted.split(".")
+    node = config
+    for key in path:
+        node = node[key]
+    node[last] = value
+
+
+@pytest.mark.parametrize("field, env, algorithm, geometry", CONFIG_FIELDS, ids=[
+    f"{field}-{env['environment']['kind']}-{algorithm['name']}"
+    for field, env, algorithm, _ in CONFIG_FIELDS])
+def test_every_config_field_rejects_its_faults(field, env, algorithm, geometry,
+                                               tmp_path, capsys):
+    named = next((p[:-1] for p in PARSED_INSIDE if field.startswith(p)), field)
+    path = tmp_path / "config.yaml"
+    wrong = []
+    for fault, value in CONFIG_FAULTS.items():
+        config = copy.deepcopy({**env, "algorithm": algorithm, "seeds": [0],
+                                **({"geometry": geometry} if geometry else {})})
+        _set(config, field, value)
+        path.write_text(yaml.safe_dump(config))
+        code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err.strip().splitlines()
+        ok = (code == 0 and not err) or code == 1 and len(err) == 1 and err[0].startswith(
+            "driftlab: error: config field ") and (f"'{named}'" in err[0]
+                                                   or f"'{named}." in err[0])
+        if not ok:
+            wrong.append((fault, code, err))
     assert wrong == []
