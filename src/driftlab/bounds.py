@@ -182,23 +182,6 @@ def _premise_row(name, ok, lhs, rhs, note=""):
                       status="checked" if ok else "inapplicable", note=note)
 
 
-def evaluate_bounds(rec: RunRecord, tol: float = DEFAULT_TOL) -> list[BoundCheck]:
-    alg = rec.algorithm
-    if alg == "greedy":
-        return _greedy_rows(rec, tol)
-    if alg == "diomd":
-        if rec.params.get("schedule_kind") == "fixed":
-            return _fixed_rows(rec, tol)
-        return _adaptive_rows(rec, tol)
-    if alg == "diomd-doubling":
-        return _doubling_rows(rec, tol)
-    if alg == "abprod":
-        return _abprod_rows(rec, tol)
-    if alg == "adapt-ml-prod":
-        return _mlprod_rows(rec, tol)
-    return []
-
-
 def _greedy_rows(rec, tol):
     # the bound compares against comparators the learner could have played
     inside = all(rec.geom.domain._contains(u) for u in rec.comparators)
@@ -357,6 +340,12 @@ def _doubling_rows(rec, tol):
     return rows
 
 
+def _diomd_rows(rec, tol):
+    if rec.params.get("schedule_kind") == "fixed":
+        return _fixed_rows(rec, tol)
+    return _adaptive_rows(rec, tol)
+
+
 def _abprod_rows(rec, tol):
     ex = rec.extras
     p = np.asarray(ex["p_a"])
@@ -408,3 +397,13 @@ def _mlprod_rows(rec, tol):
         rows.append(_row(f"mlprod-expert-{i}", lhat_sum - float(col[i]), rhs, tol,
                          note="excess over this expert within its prod budget"))
     return rows
+
+
+# the rows of each algorithm that has any; scaffold and ogd have none yet
+_ROWS = {"greedy": _greedy_rows, "diomd": _diomd_rows, "diomd-doubling": _doubling_rows,
+         "abprod": _abprod_rows, "adapt-ml-prod": _mlprod_rows}
+
+
+def evaluate_bounds(rec: RunRecord, tol: float = DEFAULT_TOL) -> list[BoundCheck]:
+    """The bound rows of ``rec``'s algorithm; none for a name without rows."""
+    return _ROWS[rec.algorithm](rec, tol) if rec.algorithm in _ROWS else []

@@ -176,7 +176,7 @@ def main(argv=None) -> int:
             return _verify_command(args)
         if args.command == "list-algorithms":
             for name in sorted(ALGORITHMS):
-                print(f"{name:>16}  {ALGORITHMS[name]}")
+                print(f"{name:>16}  {ALGORITHMS[name][0]}")
             return 0
     except (ConfigError, TraceError) as exc:
         print(f"driftlab: error: {exc}", file=sys.stderr)

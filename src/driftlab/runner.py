@@ -28,34 +28,9 @@ from .losses import LossTable, loss_from_dict, step_lengths
 SCHEMA_VERSION = 1
 TRACE_KIND = "driftlab-trace"
 
-ALGORITHMS = {
-    "greedy": "follow the leader of the previous round's loss",
-    "diomd": "implicit mirror descent, fixed or self-tuning weights",
-    "diomd-doubling": "self-tuning implicit mirror descent with path doubling restarts",
-    "ogd": "projected online gradient descent baseline",
-    "abprod": "two-learner Prod combiner (candidate + benchmark)",
-    "adapt-ml-prod": "per-expert Prod over a loss vector",
-    "scaffold": "strongly adaptive mixture over dyadic intervals",
-}
-
-# The trace contract: for each algorithm, the kind (see _KINDS) of its row keys
-# besides t, loss, x, u and value, of its final-record keys besides x_final and
-# value_sum, and of the config.algorithm parameters its bound rows read, which
-# are checked where written.  _contract adds what depends on the run.
 _LEARNER_ROW = {"delta": "number", "gnorm_dual": "number", "lam": "number", "solver": "label"}
 _PROD = {"loss_range": "increasing pair"}
-_CONTRACT = {  # algorithm: (row keys, final-record keys, header parameters)
-    "greedy": (_LEARNER_ROW, {}, {}),
-    "diomd": (_LEARNER_ROW, {},
-              {"beta_sq": "positive", "tau": "non-negative", "loss_sup": "non-negative"}),
-    "diomd-doubling": ({**_LEARNER_ROW, "epoch": "count", "restart": "flag"},
-                       {"epochs": "count", "lam_final": "number"}, {}),
-    "ogd": ({**_LEARNER_ROW, "delta": "nullable", "lam": "nullable"}, {}, {}),
-    "abprod": ({"eta": "number", "k_acc": "at least 1", "loss_a": "number",
-                "loss_b": "number", "p_a": "number", "r": "number"}, {}, _PROD),
-    "adapt-ml-prod": ({"k_acc": "at least 1", "lhat": "number"}, {}, _PROD),
-    "scaffold": ({"active": "count", "k_acc": "at least 1"}, {}, _PROD),
-}
+_DIOMD_HEADER = {"beta_sq": "positive", "tau": "non-negative", "loss_sup": "non-negative"}
 # kind: (what a value must be, its test).  Numeric kinds are read as finite
 # floats (a pair: two) before their test; a nullable key may be absent or null,
 # read as NaN.  Other kinds keep their JSON values; a tuple lists the labels.
@@ -70,7 +45,6 @@ _KINDS = {
     "label": ("a string", lambda v: type(v) is str),
 }
 _NUMERIC = ("number", "positive", "non-negative", "at least 1", "increasing pair")
-_DIOMD_HEADER = _CONTRACT["diomd"][2]  # the kinds config checks of diomd's parameters
 # one encoder for every trace line, as json.dumps(rec, sort_keys=True) writes it
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -136,103 +110,154 @@ def _fit(field: str, value, kind):
     return value
 
 
-def _number(key: str, value, kind: str) -> float:
-    """``float(value)`` of config field ``algorithm.key``, of ``kind``."""
-    return _fit(f"algorithm.{key}",
-                _parsed(ConfigError, f"config field 'algorithm.{key}'", float, value), kind)
+def _number(field: str, value, kind: str) -> float:
+    """``float(value)`` of config field ``field``, of ``kind``."""
+    return _fit(field, _parsed(ConfigError, f"config field {field!r}", float, value), kind)
 
 
-def _loss_range(spec: dict) -> LossRange:
+def _loss_range(spec: dict, field: str) -> LossRange:
     """The spec's ``loss_range`` pair [lo, hi], by default [0, 1]."""
-    lo, hi = _fit("algorithm.loss_range", spec.get("loss_range", (0.0, 1.0)),
+    lo, hi = _fit(f"{field}.loss_range", spec.get("loss_range", (0.0, 1.0)),
                   _PROD["loss_range"])
     return LossRange(float(lo), float(hi))
 
 
-def _loss_sup(env, spec: dict) -> float:
+def _loss_sup(env, spec: dict, field: str) -> float:
     if "loss_sup" in spec:
-        return _number("loss_sup", spec["loss_sup"], _DIOMD_HEADER["loss_sup"])
+        return _number(f"{field}.loss_sup", spec["loss_sup"], _DIOMD_HEADER["loss_sup"])
     return float(env.loss_sup()) if hasattr(env, "loss_sup") else 1.0
 
 
-def _expert_dim(env, spec: dict) -> int:
+def _expert_dim(env, spec: dict, field: str) -> int:
     if "d" not in spec:
         if hasattr(env, "d"):
             return int(env.d)
-        raise ConfigError("config field 'algorithm.d': needed outside expert environments")
-    d = _fit("algorithm.d", spec["d"], "count")
+        raise ConfigError(f"config field '{field}.d': needed outside expert environments")
+    d = _fit(f"{field}.d", spec["d"], "count")
     dim = env.default_geometry().domain.dim
     if d != dim or d < 2:
-        raise ConfigError(f"config field 'algorithm.d': the environment has {dim}-d losses "
+        raise ConfigError(f"config field '{field}.d': the environment has {dim}-d losses "
                           "and experts need d >= 2")
     return d
 
 
-def _fixed(spec: dict, scale, T: int):
-    """(shape, scale, fixed schedule) of the spec; each fault names its field."""
+def _fixed(spec: dict, scale, T: int, field: str):
+    """(resolved shape and scale, fixed schedule) of the spec."""
     shape = spec.get("shape", "inv_sqrt")
-    scale = _number("scale", scale, "positive")
-    return shape, scale, _parsed(ConfigError, "config field 'algorithm.shape'",
-                                 fixed_schedule, shape, scale, T)
+    scale = _number(f"{field}.scale", scale, "positive")
+    return {"shape": shape, "scale": scale}, _parsed(
+        ConfigError, f"config field '{field}.shape'", fixed_schedule, shape, scale, T)
 
 
-def _build_diomd(spec, geom, env, T):
+def _build_schedule_only(schedule):
+    """The builder of implicit mirror descent under a parameterless schedule."""
+    def build(spec, geom, env, T, field):
+        return DynamicIOMD(geom, schedule(), x0=spec.get("x0")), {}
+    return build
+
+
+def _build_diomd(spec, geom, env, T, field):
     sched_kind = spec.get("schedule", "adaptive")
     if sched_kind == "fixed":
         if spec.get("scale") is None:
-            raise ConfigError("config field 'algorithm.scale': required for fixed schedules")
-        shape, scale, schedule = _fixed(spec, spec["scale"], T)
-        learner = DynamicIOMD(geom, schedule, x0=spec.get("x0"))
-        return learner, {"name": "diomd", "schedule_kind": "fixed",
-                         "shape": shape, "scale": scale}
+            raise ConfigError(f"config field '{field}.scale': required for fixed schedules")
+        params, schedule = _fixed(spec, spec["scale"], T, field)
+        return DynamicIOMD(geom, schedule, x0=spec.get("x0")), {"schedule_kind": "fixed",
+                                                                **params}
     if sched_kind != "adaptive":
-        raise ConfigError(
-            f"config field 'algorithm.schedule': unknown kind {sched_kind!r}")
-    tau = _number("tau", spec.get("tau", 0.0), _DIOMD_HEADER["tau"])
+        raise ConfigError(f"config field '{field}.schedule': unknown kind {sched_kind!r}")
+    tau = _number(f"{field}.tau", spec.get("tau", 0.0), _DIOMD_HEADER["tau"])
     beta_sq = spec.get("beta_sq")
     if beta_sq is None:
         beta_sq = geom.diameter_sq + geom.gamma * tau
-    beta_sq = _number("beta_sq", beta_sq, _DIOMD_HEADER["beta_sq"])
+    beta_sq = _number(f"{field}.beta_sq", beta_sq, _DIOMD_HEADER["beta_sq"])
     learner = DynamicIOMD(geom, AdaptiveSchedule(beta_sq, tau), x0=spec.get("x0"))
-    resolved = {"name": "diomd", "schedule_kind": "adaptive",
-                "beta_sq": beta_sq, "tau": tau}
+    params = {"schedule_kind": "adaptive", "beta_sq": beta_sq, "tau": tau}
     if "bound_style" in spec:
         styles = bound_styles(geom.mirror)
         if spec["bound_style"] not in styles:
-            raise ConfigError("config field 'algorithm.bound_style': must be one of "
+            raise ConfigError(f"config field '{field}.bound_style': must be one of "
                               + ", ".join(styles))
-        resolved["bound_style"] = spec["bound_style"]
+        params["bound_style"] = spec["bound_style"]
     if geom.mirror == "entropy":
-        resolved["alpha"] = geom.domain.alpha
-        resolved["loss_sup"] = _loss_sup(env, spec)
-    return learner, resolved
+        params["alpha"] = geom.domain.alpha
+        params["loss_sup"] = _loss_sup(env, spec, field)
+    return learner, params
 
 
-def _build_scaffold(spec, geom, env, T):
-    loss_range = _loss_range(spec)
+def _build_ogd(spec, geom, env, T, field):
+    params, schedule = _fixed(spec, spec.get("scale", 1.0), T, field)
+    return OGD(geom, schedule.etas, x0=spec.get("x0")), params
+
+
+def _build_abprod(spec, geom, env, T, field):
+    loss_range = _loss_range(spec, field)
+    cand, cand_params = _build_algorithm(
+        spec.get("candidate", {"name": "scaffold"}), geom, env, T, f"{field}.candidate")
+    bench, bench_params = _build_algorithm(
+        spec.get("benchmark", {"name": "greedy"}), geom, env, T, f"{field}.benchmark")
+    return ABProd(cand, bench, loss_range), {"loss_range": [loss_range.lo, loss_range.hi],
+                                             "candidate": cand_params, "benchmark": bench_params}
+
+
+def _build_mlprod(spec, geom, env, T, field):
+    loss_range = _loss_range(spec, field)
+    d = _expert_dim(env, spec, field)
+    return AdaptMLProd(d, loss_range, geom=geom), {"d": d, "loss_range": [loss_range.lo,
+                                                                          loss_range.hi]}
+
+
+def _build_scaffold(spec, geom, env, T, field):
+    loss_range = _loss_range(spec, field)
     base_spec = spec.get("base")
     if base_spec is None:
-        d = _expert_dim(env, spec)
-        base_beta = _number("base_beta_sq", spec.get("base_beta_sq", math.log(max(2, T))),
+        d = _expert_dim(env, spec, field)
+        base_beta = _number(f"{field}.base_beta_sq",
+                            spec.get("base_beta_sq", math.log(max(2, T))),
                             _DIOMD_HEADER["beta_sq"])
         # the bases play on the run's clipped simplex, so the mixture stays in it
         base_geom = geom if geom.mirror == "entropy" else entropy_geometry(
             ClippedSimplex(d, min(0.5, d / T)))
 
-        def factory(interval):
+        def factory(interval):  # built directly: a run spawns thousands of bases
             return DynamicIOMD(base_geom, AdaptiveSchedule(base_beta))
 
-        resolved_base = {"name": "diomd", "schedule_kind": "adaptive",
-                         "beta_sq": base_beta, "tau": 0.0, "alpha": base_geom.domain.alpha}
+        base = {"name": "diomd", "schedule_kind": "adaptive", "beta_sq": base_beta,
+                "tau": 0.0, "alpha": base_geom.domain.alpha}
     else:
         def factory(interval):
-            return _build_algorithm(base_spec, geom, env, T, "algorithm.base")[0]
+            return _build_algorithm(base_spec, geom, env, T, f"{field}.base")[0]
 
-        resolved_base = _build_algorithm(base_spec, geom, env, T, "algorithm.base")[1]
-    learner = Scaffold(factory, T, loss_range)
-    resolved = {"name": "scaffold", "loss_range": [loss_range.lo, loss_range.hi],
-                "base": resolved_base}
-    return learner, resolved
+        base = _build_algorithm(base_spec, geom, env, T, f"{field}.base")[1]
+    return Scaffold(factory, T, loss_range), {"loss_range": [loss_range.lo, loss_range.hi],
+                                              "base": base}
+
+
+# The algorithm table.  A builder takes (spec, geometry, environment, T, the
+# spec's config path) and returns the learner and its resolved parameters, which
+# the header writes.  The contract is the kind (see _KINDS) of the row keys
+# besides t, loss, x, u and value, of the final-record keys besides x_final and
+# value_sum, and of the config.algorithm parameters the bound rows read, checked
+# where written; _contract adds what depends on the run.
+ALGORITHMS = {  # name: (description, builder, row keys, final-record keys, header parameters)
+    "greedy": ("follow the leader of the previous round's loss",
+               _build_schedule_only(GreedySchedule), _LEARNER_ROW, {}, {}),
+    "diomd": ("implicit mirror descent, fixed or self-tuning weights",
+              _build_diomd, _LEARNER_ROW, {}, _DIOMD_HEADER),
+    "diomd-doubling": ("self-tuning implicit mirror descent with path doubling restarts",
+                       _build_schedule_only(DoublingSchedule),
+                       {**_LEARNER_ROW, "epoch": "count", "restart": "flag"},
+                       {"epochs": "count", "lam_final": "number"}, {}),
+    "ogd": ("projected online gradient descent baseline", _build_ogd,
+            {**_LEARNER_ROW, "delta": "nullable", "lam": "nullable"}, {}, {}),
+    "abprod": ("two-learner Prod combiner (candidate + benchmark)", _build_abprod,
+               {"eta": "number", "k_acc": "at least 1", "loss_a": "number",
+                "loss_b": "number", "p_a": "number", "r": "number"}, {}, _PROD),
+    "adapt-ml-prod": ("per-expert Prod over a loss vector", _build_mlprod,
+                      {"k_acc": "at least 1", "lhat": "number"}, {}, _PROD),
+    "scaffold": ("strongly adaptive mixture over dyadic intervals", _build_scaffold,
+                 {"active": "count", "k_acc": "at least 1"}, {}, _PROD),
+}
 
 
 def _build_algorithm(spec, geom, env, T, field="algorithm"):
@@ -241,42 +266,11 @@ def _build_algorithm(spec, geom, env, T, field="algorithm"):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"config field {field!r}: need a mapping with a 'name'")
     name = spec["name"]
-    if name == "greedy":
-        return DynamicIOMD(geom, GreedySchedule(), x0=spec.get("x0")), {"name": "greedy"}
-    if name == "diomd":
-        return _build_diomd(spec, geom, env, T)
-    if name == "diomd-doubling":
-        learner = DynamicIOMD(geom, DoublingSchedule(), x0=spec.get("x0"))
-        return learner, {"name": "diomd-doubling"}
-    if name == "ogd":
-        shape, scale, schedule = _fixed(spec, spec.get("scale", 1.0), T)
-        return OGD(geom, schedule.etas, x0=spec.get("x0")), \
-            {"name": "ogd", "shape": shape, "scale": scale}
-    if name == "abprod":
-        loss_range = _loss_range(spec)
-        cand, cand_resolved = _build_algorithm(
-            spec.get("candidate", {"name": "scaffold"}), geom, env, T, "algorithm.candidate")
-        bench, bench_resolved = _build_algorithm(
-            spec.get("benchmark", {"name": "greedy"}), geom, env, T, "algorithm.benchmark")
-        learner = ABProd(cand, bench, loss_range)
-        return learner, {"name": "abprod",
-                         "loss_range": [loss_range.lo, loss_range.hi],
-                         "candidate": cand_resolved, "benchmark": bench_resolved}
-    if name == "adapt-ml-prod":
-        loss_range = _loss_range(spec)
-        d = _expert_dim(env, spec)
-        learner = AdaptMLProd(d, loss_range, geom=geom)
-        return learner, {"name": "adapt-ml-prod", "d": d,
-                         "loss_range": [loss_range.lo, loss_range.hi]}
-    if name == "scaffold":
-        return _build_scaffold(spec, geom, env, T)
-    raise ConfigError(
-        f"config field '{field}.name': unknown algorithm {name!r}; "
-        f"choose from {sorted(ALGORITHMS)}")
-
-
-def build_learner(cell: dict, geom: Geometry, env):
-    return _build_algorithm(cell.get("algorithm", {}), geom, env, cell["T"])
+    if type(name) is not str or name not in ALGORITHMS:
+        raise ConfigError(f"config field '{field}.name': unknown algorithm {name!r}; "
+                          f"choose from {sorted(ALGORITHMS)}")
+    learner, params = ALGORITHMS[name][1](spec, geom, env, T, field)
+    return learner, {"name": name, **params}
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +293,7 @@ def run_cell(cell: dict) -> CellResult:
         raise ConfigError("config field 'seed': must be an integer")
     env = build_environment(cell)
     geom = build_geometry(cell, env)
-    learner, resolved = build_learner(cell, geom, env)
+    learner, resolved = _build_algorithm(cell.get("algorithm", {}), geom, env, T)
     name = cell.get("name") or f"{env.kind}-{resolved['name']}-s{cell['seed']}"
     header = {
         "schema_version": SCHEMA_VERSION,
@@ -395,7 +389,7 @@ def _contract(algorithm: str, params: dict, mirror: str, linear: bool = False):
     """(header, row, final-record) kinds that a trace of ``algorithm`` must fit;
     a learner key the algorithm does not declare, such as abprod's copied
     delta or the eg2 that doubling omits on restart rows, is nullable."""
-    rows, final, header = _CONTRACT[algorithm]
+    rows, final, header = ALGORITHMS[algorithm][2:]
     rows = {"t": "count", "value": "number",
             **dict.fromkeys(("delta", "gnorm_dual", "lam", "eg2"), "nullable"), **rows}
     final = {"value_sum": "number", **final}
@@ -460,7 +454,7 @@ def trace_to_report(records: list) -> dict:
         raise TraceError(f"trace has {len(rows)} rounds, config says T={T!r}")
 
     algorithm = _header_field(config, "algorithm.name")
-    if type(algorithm) is not str or algorithm not in _CONTRACT:
+    if type(algorithm) is not str or algorithm not in ALGORITHMS:
         raise TraceError(f"line 1: header field 'config.algorithm.name': "
                          f"unknown algorithm {algorithm!r}")
     params = config["algorithm"]

@@ -369,10 +369,15 @@ def test_cli_accepts_json_configs(tmp_path):
 
 def test_cli_list_algorithms(capsys):
     assert main(["list-algorithms"]) == 0
-    out = capsys.readouterr().out
-    for name in ("greedy", "diomd", "diomd-doubling", "ogd",
-                 "abprod", "adapt-ml-prod", "scaffold"):
-        assert name in out
+    assert capsys.readouterr().out.splitlines() == [
+        "          abprod  two-learner Prod combiner (candidate + benchmark)",
+        "   adapt-ml-prod  per-expert Prod over a loss vector",
+        "           diomd  implicit mirror descent, fixed or self-tuning weights",
+        "  diomd-doubling  self-tuning implicit mirror descent with path doubling restarts",
+        "          greedy  follow the leader of the previous round's loss",
+        "             ogd  projected online gradient descent baseline",
+        "        scaffold  strongly adaptive mixture over dyadic intervals",
+    ]
 
 
 def test_cli_hard_errors_exit_one(tmp_path, capsys):

@@ -40,8 +40,10 @@ def _contract_of(records: list) -> tuple:
                      config["geometry"]["mirror"], linear)
 
 
-@pytest.mark.parametrize("spec", [*ALGORITHMS, {"name": "diomd", "schedule": "fixed",
-                                                "scale": 1.0}], ids=str)
+FIXED_DIOMD = {"name": "diomd", "schedule": "fixed", "scale": 1.0}
+
+
+@pytest.mark.parametrize("spec", [*ALGORITHMS, FIXED_DIOMD], ids=str)
 def test_writer_matches_reader(spec):
     ran = 0
     for env in ENVIRONMENTS.values():
@@ -189,6 +191,13 @@ CONFIG_FIELDS = [
     ("algorithm.loss_range", EXPERT, {"name": "scaffold", "loss_range": [0.0, 1.0]}, None),
     ("algorithm.base_beta_sq", EXPERT, {"name": "scaffold", "base_beta_sq": 1.0}, None),
     ("algorithm.base", EXPERT, {"name": "scaffold", "base": DIOMD}, None),
+    # a field of a nested spec is named by its whole path
+    ("algorithm.candidate.tau", QUAD, {"name": "abprod", "candidate": {"name": "diomd",
+                                                                       "tau": 1.0}}, None),
+    ("algorithm.benchmark.scale", QUAD, {"name": "abprod", "candidate": DIOMD,
+                                         "benchmark": {"name": "ogd", "scale": 1.0}}, None),
+    ("algorithm.base.beta_sq", EXPERT, {"name": "scaffold", "base": {"name": "diomd",
+                                                                     "beta_sq": 1.0}}, None),
 ]
 CONFIG_FAULTS = {"null": None, "text": "abc", "nan": float("nan"), "inf": float("inf"),
                  "-inf": float("-inf"), "zero": 0, "negative": -1}
