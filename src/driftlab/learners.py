@@ -25,16 +25,17 @@ class ConfigError(ValueError):
     pass
 
 
-def start_point(geom: Geometry, x0=None) -> np.ndarray:
-    """The first play: ``x0`` checked against the domain, or its midpoint."""
+def start_point(geom: Geometry, x0=None, field: str = "algorithm.x0") -> np.ndarray:
+    """The first play: ``x0`` checked against the domain, or its midpoint;
+    a fault names config field ``field``."""
     if x0 is None:
         return geom.domain.midpoint()
     try:
         x = _as_vector(x0)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'algorithm.x0': {exc}") from None
+        raise ConfigError(f"config field {field!r}: {exc}") from None
     if not geom.domain._contains(x):
-        raise ConfigError(f"config field 'algorithm.x0': {x.tolist()} is not a point "
+        raise ConfigError(f"config field {field!r}: {x.tolist()} is not a point "
                           f"of the {geom.domain.kind} domain")
     return x
 

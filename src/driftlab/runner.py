@@ -22,7 +22,7 @@ from .envs import _ENV_KINDS, GENERATOR_NAME, make_environment
 from .geometry import (ENTROPY, EUCLIDEAN, ClippedSimplex, Geometry, _simplex_rows,
                        domain_from_dict, entropy_geometry)
 from .learners import (AdaptiveSchedule, ConfigError, DoublingSchedule, DynamicIOMD,
-                       GreedySchedule, OGD, fixed_schedule)
+                       GreedySchedule, OGD, fixed_schedule, start_point)
 from .losses import LossTable, loss_from_dict, step_lengths
 
 SCHEMA_VERSION = 1
@@ -149,30 +149,44 @@ def _fixed(spec: dict, scale, T: int, field: str):
         ConfigError, f"config field '{field}.shape'", fixed_schedule, shape, scale, T)
 
 
+def _start(spec: dict, geom, field: str) -> dict:
+    """The spec's checked ``x0`` as a learner keyword and a resolved parameter;
+    none, so the learner starts at the midpoint, when the spec has none."""
+    x0 = spec.get("x0")
+    return {} if x0 is None else {"x0": start_point(geom, x0, f"{field}.x0").tolist()}
+
+
 def _build_schedule_only(schedule):
     """The builder of implicit mirror descent under a parameterless schedule."""
     def build(spec, geom, env, T, field):
-        return DynamicIOMD(geom, schedule(), x0=spec.get("x0")), {}
+        start = _start(spec, geom, field)
+        return DynamicIOMD(geom, schedule(), **start), start
     return build
 
 
 def _build_diomd(spec, geom, env, T, field):
-    sched_kind = spec.get("schedule", "adaptive")
+    # a header writes the schedule as schedule_kind, which a config may repeat
+    key = "schedule" if "schedule" in spec else "schedule_kind"
+    sched_kind = spec.get(key, "adaptive")
+    if "schedule_kind" in spec and spec["schedule_kind"] != sched_kind:
+        raise ConfigError(f"config field '{field}.schedule': {sched_kind!r} differs from "
+                          f"schedule_kind {spec['schedule_kind']!r}")
+    start = _start(spec, geom, field)
     if sched_kind == "fixed":
         if spec.get("scale") is None:
             raise ConfigError(f"config field '{field}.scale': required for fixed schedules")
         params, schedule = _fixed(spec, spec["scale"], T, field)
-        return DynamicIOMD(geom, schedule, x0=spec.get("x0")), {"schedule_kind": "fixed",
-                                                                **params}
+        return DynamicIOMD(geom, schedule, **start), {"schedule_kind": "fixed", **params,
+                                                      **start}
     if sched_kind != "adaptive":
-        raise ConfigError(f"config field '{field}.schedule': unknown kind {sched_kind!r}")
+        raise ConfigError(f"config field '{field}.{key}': unknown kind {sched_kind!r}")
     tau = _number(f"{field}.tau", spec.get("tau", 0.0), _DIOMD_HEADER["tau"])
     beta_sq = spec.get("beta_sq")
     if beta_sq is None:
         beta_sq = geom.diameter_sq + geom.gamma * tau
     beta_sq = _number(f"{field}.beta_sq", beta_sq, _DIOMD_HEADER["beta_sq"])
-    learner = DynamicIOMD(geom, AdaptiveSchedule(beta_sq, tau), x0=spec.get("x0"))
-    params = {"schedule_kind": "adaptive", "beta_sq": beta_sq, "tau": tau}
+    learner = DynamicIOMD(geom, AdaptiveSchedule(beta_sq, tau), **start)
+    params = {"schedule_kind": "adaptive", "beta_sq": beta_sq, "tau": tau, **start}
     if "bound_style" in spec:
         styles = bound_styles(geom.mirror)
         if spec["bound_style"] not in styles:
@@ -187,7 +201,8 @@ def _build_diomd(spec, geom, env, T, field):
 
 def _build_ogd(spec, geom, env, T, field):
     params, schedule = _fixed(spec, spec.get("scale", 1.0), T, field)
-    return OGD(geom, schedule.etas, x0=spec.get("x0")), params
+    start = _start(spec, geom, field)
+    return OGD(geom, schedule.etas, **start), {**params, **start}
 
 
 def _build_abprod(spec, geom, env, T, field):
@@ -222,8 +237,10 @@ def _build_scaffold(spec, geom, env, T, field):
         def factory(interval):  # built directly: a run spawns thousands of bases
             return DynamicIOMD(base_geom, AdaptiveSchedule(base_beta))
 
+        # what the diomd builder resolves for this base, so a header rebuilds it
         base = {"name": "diomd", "schedule_kind": "adaptive", "beta_sq": base_beta,
-                "tau": 0.0, "alpha": base_geom.domain.alpha}
+                "tau": 0.0, "alpha": base_geom.domain.alpha,
+                "loss_sup": _loss_sup(env, {}, field)}
     else:
         def factory(interval):
             return _build_algorithm(base_spec, geom, env, T, f"{field}.base")[0]
@@ -235,10 +252,11 @@ def _build_scaffold(spec, geom, env, T, field):
 
 # The algorithm table.  A builder takes (spec, geometry, environment, T, the
 # spec's config path) and returns the learner and its resolved parameters, which
-# the header writes.  The contract is the kind (see _KINDS) of the row keys
-# besides t, loss, x, u and value, of the final-record keys besides x_final and
-# value_sum, and of the config.algorithm parameters the bound rows read, checked
-# where written; _contract adds what depends on the run.
+# the header writes and which build the same run again.  The contract is the
+# kind (see _KINDS) of the row keys besides t, loss, x, u and value, of the
+# final-record keys besides x_final and value_sum, and of the config.algorithm
+# parameters the bound rows read, checked where written; _contract adds what
+# depends on the run.
 ALGORITHMS = {  # name: (description, builder, row keys, final-record keys, header parameters)
     "greedy": ("follow the leader of the previous round's loss",
                _build_schedule_only(GreedySchedule), _LEARNER_ROW, {}, {}),

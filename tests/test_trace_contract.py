@@ -70,6 +70,45 @@ def _tiny_cells() -> list:
             for cell in expand_config(config)]
 
 
+def _cell_of(header: dict) -> dict:
+    """The cell a trace header describes: its config, with T and seed moved
+    out of config.environment and the other keys there as the parameters."""
+    config = copy.deepcopy(header["config"])
+    params = config.pop("environment")
+    kind, T, seed = (params.pop(key) for key in ("kind", "T", "seed"))
+    assert (T, seed) == (config["T"], config["seed"])
+    return {**config, "name": header["cell"], "environment": {"kind": kind, "params": params}}
+
+
+def _rebuilds_from_its_header(cell: dict):
+    """Run ``cell``, then the cell its trace header describes: both write the
+    same trace bytes and the same report."""
+    ran = run_cell(cell)
+    again = run_cell(_cell_of(json.loads(ran.trace_lines[0])))
+    assert again.trace_lines == ran.trace_lines
+    assert again.report == ran.report
+
+
+@pytest.mark.parametrize("cell", _tiny_cells(), ids=lambda c: c["name"])
+def test_every_tiny_cell_rebuilds_from_its_header(cell):
+    _rebuilds_from_its_header(cell)
+
+
+@pytest.mark.parametrize("spec", [*ALGORITHMS, FIXED_DIOMD, {
+    "name": "abprod", "candidate": {"name": "diomd", "x0": [0.5]},
+    "benchmark": {"name": "ogd", "x0": [-0.5]}}], ids=str)
+def test_every_algorithm_rebuilds_from_its_header(spec):
+    ran = 0
+    for env in ENVIRONMENTS.values():
+        cell = expand_config({"environment": env, "T": 20, "algorithm": spec})[0]
+        try:
+            _rebuilds_from_its_header(cell)
+        except ConfigError:  # the algorithm does not run on this environment
+            continue
+        ran += 1
+    assert ran, spec
+
+
 # a value of the right JSON type that each kind still rejects
 OUT_OF_KIND = {"positive": 0.0, "non-negative": -1.0, "at least 1": 0.5,
                "increasing pair": [1.0, 0.0], "count": 0.5, "flag": 0.5, "label": 5}
@@ -198,6 +237,8 @@ CONFIG_FIELDS = [
                                          "benchmark": {"name": "ogd", "scale": 1.0}}, None),
     ("algorithm.base.beta_sq", EXPERT, {"name": "scaffold", "base": {"name": "diomd",
                                                                      "beta_sq": 1.0}}, None),
+    ("algorithm.candidate.x0", QUAD, {"name": "abprod", "candidate": {"name": "diomd",
+                                                                      "x0": [0.0]}}, None),
 ]
 CONFIG_FAULTS = {"null": None, "text": "abc", "nan": float("nan"), "inf": float("inf"),
                  "-inf": float("-inf"), "zero": 0, "negative": -1}
