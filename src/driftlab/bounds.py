@@ -154,7 +154,7 @@ def check_recursion_bound(a_seq, b_seq, c: float, d: float, deltas) -> Recursion
     # every step at once; np.where picks what Python's min and max would
     prev = dl[:-1]
     cap = d * b
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alt = c * a * a / (2.0 * prev)
     cap = np.where((prev > 0) & (alt < cap), alt, cap)
     grow = np.abs(prev) + cap

@@ -224,9 +224,9 @@ class ClippedSimplex(Domain):
 
     def __post_init__(self):
         if self.d < 2:
-            raise GeometryError("clipped simplex needs d >= 2")
+            raise _keyed("d", "clipped simplex needs d >= 2")
         if not (0.0 < self.alpha < 1.0):
-            raise GeometryError("alpha must lie in (0, 1)")
+            raise _keyed("alpha", "alpha must lie in (0, 1)")
 
     @property
     def dim(self) -> int:
@@ -290,7 +290,7 @@ class Ball(Domain):
     def __init__(self, center, radius: float):
         center = _as_vector(center)
         if not (np.isfinite(radius) and radius > 0):
-            raise GeometryError("ball radius must be positive and finite")
+            raise _keyed("radius", "ball radius must be positive and finite")
         self.center = center
         self.radius = float(radius)
         self.center.setflags(write=False)
@@ -357,17 +357,37 @@ def _simplex_rows(X: np.ndarray, floor: float, tol: float = MEMBERSHIP_TOL) -> n
     return (X >= floor - tol).all(axis=1) & (np.abs(X.sum(axis=1) - 1.0) <= tol)
 
 
+def _keyed(key: str, message: str) -> GeometryError:
+    """A fault in the value of one key of a domain's mapping, named by ``.key``."""
+    error = GeometryError(message)
+    error.key = key
+    return error
+
+
+def _read(spec: dict, key: str, read=float):
+    """``read(spec[key])``, which must be finite; a fault names ``key``."""
+    try:
+        value = read(spec[key])
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise _keyed(key, "required" if isinstance(exc, KeyError) else str(exc)) from None
+    if not np.isfinite(value).all():
+        raise _keyed(key, "must be finite")
+    return value
+
+
 def domain_from_dict(spec: dict) -> Domain:
+    """The domain of a ``to_dict`` mapping.  A fault in one key's value names
+    that key in the error's ``key``; a fault between keys names none."""
     kind = spec.get("kind")
     if kind == "interval":
-        return Interval(float(spec["lo"]), float(spec["hi"]))
+        return Interval(_read(spec, "lo"), _read(spec, "hi"))
     if kind == "box":
-        return Box(spec["lo"], spec["hi"])
+        return Box(_read(spec, "lo", _as_vector), _read(spec, "hi", _as_vector))
     if kind == "clipped-simplex":
-        return ClippedSimplex(int(spec["d"]), float(spec["alpha"]))
+        return ClippedSimplex(_read(spec, "d", int), _read(spec, "alpha"))
     if kind == "ball":
-        return Ball(spec["center"], float(spec["radius"]))
-    raise GeometryError(f"unknown domain kind {kind!r}")
+        return Ball(_read(spec, "center", _as_vector), _read(spec, "radius"))
+    raise _keyed("kind", f"unknown domain kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

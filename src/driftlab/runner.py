@@ -92,11 +92,15 @@ def build_geometry(cell: dict, env) -> Geometry:
 
 
 def _parsed(error, field: str, build, *args):
-    """``build(*args)``, with malformed input reported as an ``error`` naming ``field``."""
+    """``build(*args)``, with malformed input reported as an ``error`` naming
+    ``field`` (which ends in a quoted path), or the key inside it that the
+    fault names (see ``geometry.domain_from_dict``)."""
     try:
         return build(*args)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        if hasattr(exc, "key"):
+            field = f"{field[:-1]}.{exc.key}'"
         raise error(f"{field}: {reason}") from None
 
 

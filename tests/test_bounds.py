@@ -153,6 +153,7 @@ def test_recursion_fuzz_admissible_sequences_all_pass():
         assert rc.holds
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # as in the checked code
 def _reference_recursion(a, b, c, d, deltas):
     """The former step-by-step loop of ``check_recursion_bound``."""
     a, b, dl = (np.asarray(v, dtype=float) for v in (a, b, deltas))

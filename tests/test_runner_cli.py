@@ -571,6 +571,25 @@ def _run_config(tmp_path, config):
                      **ABPROD["algorithm"], "loss_range": [0.0, float("inf")]}}),
                  "config field 'algorithm.loss_range': must be a list of 2 finite numbers",
                  id="infinite-loss-range"),
+    # a fault in one key of geometry.domain names that key (each of these four
+    # named only the mapping at the parent), and a fault between keys the mapping
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
+                     "domain": {"kind": "interval", "lo": None, "hi": 1.0}}}),
+                 "config field 'geometry.domain.lo': float() argument", id="null-interval-lo"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
+                     "domain": {"kind": "ball", "center": [float("nan")], "radius": 1.0}}}),
+                 "config field 'geometry.domain.center': point has NaN",
+                 id="nan-ball-center"),
+    pytest.param(lambda p: _run_config(p, {**EXPERTS, "geometry": {
+                     "mirror": "entropy",
+                     "domain": {"kind": "clipped-simplex", "d": "abc", "alpha": 0.1}}}),
+                 "config field 'geometry.domain.d': invalid literal", id="text-simplex-d"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
+                     "domain": {"kind": "interval", "hi": 1.0}}}),
+                 "config field 'geometry.domain.lo': required", id="interval-without-lo"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
+                     "domain": {"kind": "interval", "lo": 1.0, "hi": 0.0}}}),
+                 "config field 'geometry.domain': bad interval", id="inverted-interval"),
 ])
 def test_malformed_traces_and_configs_exit_one_naming_the_field(tmp_path, capsys, argv, field):
     assert main(argv(tmp_path)) == 1

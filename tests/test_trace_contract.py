@@ -242,8 +242,9 @@ CONFIG_FIELDS = [
 ]
 CONFIG_FAULTS = {"null": None, "text": "abc", "nan": float("nan"), "inf": float("inf"),
                  "-inf": float("-inf"), "zero": 0, "negative": -1}
-# environments and geometry parse the keys inside these two mappings, and
-# their errors name the mapping
+# environments and geometry parse the keys inside these two mappings: an
+# environment's errors name the mapping, and a domain's name the key, or the
+# mapping for a fault between keys
 PARSED_INSIDE = ("environment.params.", "geometry.domain.")
 
 
