@@ -24,6 +24,7 @@ from .runner import (
     TraceError,
     expand_config,
     expand_sweep,
+    families,
     report_json,
     run_cell,
     strict_failures,
@@ -52,7 +53,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed-override", default=None, metavar="SEEDS",
                        help="comma-separated seed list replacing the config's seeds")
         p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker processes; parallelism is across cells only")
+                       help="worker processes; each family of seeds runs as at most N chunks")
 
     p_run = sub.add_parser("run", help="execute one config grid")
     p_run.add_argument("config", help="YAML or JSON experiment config")
@@ -95,10 +96,18 @@ def _parse_seeds(text: str) -> list:
 
 
 def _execute(cells, threads: int):
+    """Every cell's result, in order.  Each family runs as one ``run_cell``
+    call, or over worker processes as at most ``threads`` contiguous chunks."""
+    jobs = []
+    for family in families(cells):
+        n = min(threads, len(family))
+        jobs += [family[j * len(family) // n:(j + 1) * len(family) // n] for j in range(n)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(cell) for cell in cells]
+            done = list(pool.map(run_cell, jobs))
+    else:
+        done = [run_cell(job) for job in jobs]
+    return [result for results in done for result in results]
 
 
 def _write_outputs(results, out_dir: Path):

@@ -13,13 +13,18 @@ import numpy as np
 
 from .geometry import ClippedSimplex, Geometry, Interval, entropy_geometry, euclidean_geometry
 from .learners import ConfigError
-from .losses import LinearLoss, Loss, QuadraticLoss
+from .losses import LinearLoss, Loss, LossTable, QuadraticLoss
 
 GENERATOR_NAME = "pcg64"
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _quadratic_table(a: np.ndarray, targets: np.ndarray) -> LossTable:
+    """The table of the losses 0.5 * (<a, x> - y)^2, one per target y."""
+    return LossTable({"quadratic"}, np.tile(a, (len(targets), 1)), targets.astype(float))
 
 
 class Environment:
@@ -44,6 +49,10 @@ class Environment:
 
     def losses(self) -> list[Loss]:
         return [self.loss(t) for t in range(1, self.T + 1)]
+
+    def loss_table(self) -> LossTable:
+        """Every round's loss as one table: row t - 1 is ``loss(t)``."""
+        return LossTable.from_losses(self.losses())
 
     def comparators(self) -> np.ndarray:
         return np.array([self.comparator(t) for t in range(1, self.T + 1)])
@@ -81,6 +90,9 @@ class LowerBoundEnv(Environment):
         self._check_round(t)
         return QuadraticLoss(self._a, float(self.eps[t - 1]))
 
+    def loss_table(self):
+        return _quadratic_table(self._a, self.eps)
+
     def comparator(self, t):
         self._check_round(t)
         return np.array([self.eps[t - 1]])
@@ -102,10 +114,12 @@ class AlternatingExpertsEnv(Environment):
 
     kind = "alternating-experts"
 
-    def __init__(self, T: int, seed: int = 0):
+    def __init__(self, T: int, seed: int = 0, d: int = 2):
         super().__init__(T, seed)
         if T < 2:
             raise ConfigError("need T >= 2")
+        if d != 2:  # params() writes d, so a header rebuilds its run
+            raise ConfigError("alternating experts need d = 2")
         self.d = 2
         self._g_even = np.array([1.0, 0.0])
         self._g_odd = np.array([0.0, 1.0])
@@ -235,6 +249,9 @@ class DriftingQuadraticEnv(Environment):
         self._check_round(t)
         return QuadraticLoss(self._a, float(self.minimizers[t - 1]))
 
+    def loss_table(self):
+        return _quadratic_table(self._a, self.minimizers)
+
     def comparator(self, t):
         self._check_round(t)
         return np.array([self.minimizers[t - 1]])
@@ -264,6 +281,9 @@ class FixedLossEnv(Environment):
     def loss(self, t):
         self._check_round(t)
         return self._loss
+
+    def loss_table(self):
+        return _quadratic_table(self._loss.a, np.full(self.T, self.y))
 
     def comparator(self, t):
         self._check_round(t)

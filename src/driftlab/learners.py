@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Geometry, _as_vector
-from .losses import LinearLoss, Loss
-from .prox import implicit_update, implicit_update_lanes
+from .geometry import EUCLIDEAN, Geometry, Interval, _as_vector
+from .losses import LinearLoss, Loss, LossTable
+from .prox import SolverError, implicit_update, implicit_update_lanes
 
 
 class ConfigError(ValueError):
@@ -279,13 +279,127 @@ def update_many(learners: list, loss: Loss) -> None:
             learner.update(loss)
         return
     lams = np.array([l.lam for l in learners])
-    X, _, deltas = implicit_update_lanes(loss, geom, np.stack([l.x for l in learners]), lams)
-    delta_sums = np.array([l.delta_sum for l in learners]) + deltas
+    out = implicit_update_lanes(loss, geom, np.stack([l.x for l in learners]), lams)
+    delta_sums = np.array([l.delta_sum for l in learners]) + out.deltas
     ratios = delta_sums / [l.beta_sq for l in learners]
     # max(lam, ratio) as the one-lane update takes it: lam unless ratio is larger
     lams = np.where(ratios > lams, ratios, lams)
-    for learner, x, delta_sum, lam in zip(learners, X, delta_sums.tolist(), lams.tolist()):
+    for learner, x, delta_sum, lam in zip(learners, out.x_next, delta_sums.tolist(),
+                                          lams.tolist()):
         learner.x = x
         learner.delta_sum = delta_sum
         learner.lam = lam
         learner.t += 1
+
+
+def _same_schedule(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    return np.array_equal(a.etas, b.etas) if isinstance(a, FixedSchedule) else a == b
+
+
+class IOMDLanes:
+    """Fresh ``DynamicIOMD`` learners of one schedule on one interval, stepped
+    as lanes of one batch against their own losses: lane i plays and writes,
+    bit for bit, what learner i stepped on its own would.  ``tables[i]``
+    holds lane i's loss of every round, 1-d quadratics; any other loss
+    raises ``SolverError``.  The rounds are kept as columns of (T, k)
+    arrays, and ``rows(i)`` writes lane i's.
+
+    The weights follow ``DynamicIOMD``: ``lam`` holds each lane's weight of
+    the next round for the self-tuning schedules and that of the last round
+    otherwise.  A doubling restart is a per-lane ``np.where``: a restarting
+    lane keeps its anchor and its prox step, solved with the batch, is
+    dropped.
+    """
+
+    @staticmethod
+    def fit(learners: list) -> bool:
+        """Whether ``learners`` can step as lanes of one batch."""
+        first = learners[0]
+        return first.geom.mirror == EUCLIDEAN and isinstance(first.geom.domain, Interval) and all(
+            type(l) is DynamicIOMD and l.t == 1 and l.geom.mirror == EUCLIDEAN
+            and l.geom.domain == first.geom.domain and _same_schedule(l.schedule, first.schedule)
+            for l in learners)
+
+    def __init__(self, learners: list, tables: list):
+        if not all(t.kind == "quadratic" and t.A is not None and t.A.shape[1] == 1
+                   for t in tables):
+            raise SolverError("interval lanes step 1-d quadratic losses only")
+        first, k = learners[0], len(learners)
+        self.geom, self.schedule = first.geom, first.schedule
+        self._A = np.stack([t.A[:, 0] for t in tables], axis=1)
+        self._Y = np.stack([t.Y for t in tables], axis=1)
+        self.x = np.stack([l.x for l in learners])
+        self.t = 1
+        self.lam = np.zeros(k)
+        self.delta_sum = np.zeros(k)
+        self.beta_sq = first.beta_sq
+        self.doubling = first.doubling
+        T = len(self._Y)
+        self._cols = {key: np.empty((T, k)) for key in ("x", "value", "gnorm_dual", "delta", "lam")}
+        self._cols["solver"] = np.empty((T, k), dtype=object)
+        if self.doubling:
+            self.epoch = np.zeros(k, dtype=int)
+            self.path_in_epoch = np.zeros(k)
+            self.Q, self.beta_sq = (np.full(k, v) for v in self.schedule.budget(self.geom, 0))
+            self._cols["restart"] = np.empty((T, k), dtype=bool)
+            self._cols["epoch"] = np.empty((T, k), dtype=int)
+
+    def update(self, path_increments: np.ndarray) -> None:
+        """One round: lane i pays its loss and moves ``path_increments[i]``
+        along its comparator path."""
+        row = self.t - 1
+        if self.doubling:
+            if (path_increments < 0).any():
+                raise ConfigError("doubling learner needs nonnegative path increments")
+            path = self.path_in_epoch + path_increments
+            restart = path > self.Q
+        if self.beta_sq is None:
+            self.lam = np.full(len(self.x), self.schedule.lam(self.t))
+        lams = self.lam
+        losses = LossTable({"quadratic"}, self._A[row][:, None], self._Y[row])
+        res = implicit_update_lanes(losses, self.geom, self.x, lams)
+        x_next, deltas, solvers = res.x_next, res.deltas, res.solvers
+        if self.beta_sq is not None:
+            # max(lam, ratio) as the one-lane update takes it: lam unless ratio is larger
+            delta_sum = self.delta_sum + deltas
+            ratio = delta_sum / self.beta_sq
+            self.lam, self.delta_sum = np.where(ratio > lams, ratio, lams), delta_sum
+        if self.doubling:
+            if restart.any():
+                self.epoch = self.epoch + restart
+                for i in np.flatnonzero(restart):
+                    self.Q[i], self.beta_sq[i] = self.schedule.budget(self.geom,
+                                                                      int(self.epoch[i]))
+                solvers = ["restart" if r else s for r, s in zip(restart.tolist(), solvers)]
+                lams, deltas = np.where(restart, 0.0, lams), np.where(restart, 0.0, deltas)
+                self.lam = np.where(restart, 0.0, self.lam)
+                self.delta_sum = np.where(restart, 0.0, self.delta_sum)
+                path = np.where(restart, 0.0, path)
+                x_next = np.where(restart[:, None], self.x, x_next)
+            self.path_in_epoch = path
+            self._cols["restart"][row], self._cols["epoch"][row] = restart, self.epoch
+        cols = self._cols
+        cols["x"][row] = self.x[:, 0]
+        cols["value"][row], cols["gnorm_dual"][row] = res.values, res.gnorms
+        cols["delta"][row], cols["lam"][row], cols["solver"][row] = deltas, lams, solvers
+        self.x = x_next
+        self.t += 1
+
+    def rows(self, i: int) -> list:
+        """Lane i's rounds so far as the trace writes them: its loss, its play
+        and the row ``DynamicIOMD.update`` returns."""
+        n = self.t - 1
+        cols = {key: col[:n, i] for key, col in self._cols.items()}
+        plays = cols.pop("x")[:, None].tolist()
+        keys = list(cols)
+        specs = LossTable({"quadratic"}, self._A[:n, i, None], self._Y[:n, i]).to_dicts()
+        return [{"loss": spec, "x": x, **dict(zip(keys, values))} for spec, x, values in zip(
+            specs, plays, zip(*(col.tolist() for col in cols.values())))]
+
+    def final(self, i: int) -> dict:
+        """Lane i's last play, weight and epoch, as the trace's final record
+        reads them from a learner."""
+        return {"x_final": self.x[i].tolist(), "lam_final": float(self.lam[i]),
+                "epochs": int(self.epoch[i]) if self.doubling else None}

@@ -265,6 +265,15 @@ class LossTable:
     def __len__(self):
         return len(self._M) if self._items is None else len(self._items)
 
+    def to_dicts(self) -> list:
+        """Each row's spec, as its loss's ``to_dict`` writes it."""
+        if self._M is None:
+            return [l.to_dict() for l in self._items]
+        if self.kind == "linear":
+            return [{"kind": "linear", "g": g} for g in self._M.tolist()]
+        return [{"kind": self.kind, "a": a, "y": y}
+                for a, y in zip(self._M.tolist(), self.Y.tolist())]
+
     def __getitem__(self, i) -> Loss:
         if self._items is not None:
             return self._items[i]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .losses import (
     HingeLoss,
     LinearLoss,
     Loss,
+    LossTable,
     QuadraticLoss,
 )
 
@@ -153,22 +155,54 @@ def _linear_entropy(loss, geom, x_t, lam) -> ProxResult:
                       value=values[0])
 
 
-def implicit_update_lanes(loss: LinearLoss, geom: Geometry, X: np.ndarray,
-                          lams: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """``implicit_update`` of one linear loss on the entropy simplex from the
-    anchors X (k, d) at once, lane i with weight lams[i].
+class ProxLanes(NamedTuple):
+    """``implicit_update`` of k lanes: each lane's next point (row of
+    ``x_next``), its anchor's loss value, its progress certificate, its
+    solver label and the dual norm of the loss subgradient at its anchor."""
 
-    Returns the next points (k, d), the anchors' loss values and the
-    progress certificates, each lane equal bit for bit to the one-lane
-    update, and raises the error that update raises for the same fault.
+    x_next: np.ndarray
+    values: np.ndarray
+    deltas: np.ndarray
+    solvers: list
+    gnorms: np.ndarray
+
+
+def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray) -> ProxLanes:
+    """``implicit_update`` from the anchors X (k, d) at once, lane i with
+    weight lams[i] and loss ``loss``, or ``loss[i]`` when ``loss`` is a
+    ``LossTable`` of one row per lane.
+
+    One linear loss on the entropy simplex and quadratic losses on an
+    interval step as one batch; any other input steps lane by lane.  Each
+    lane equals the one-lane update bit for bit.  A fault in an anchor, a
+    weight or an output also steps lane by lane, so the error raised is the
+    one the first faulty lane raises on its own.
     """
-    if not np.isfinite(X).all():
-        raise GeometryError("point has NaN or infinite coordinates")
-    if X.shape[1] != geom.domain.d or not geom.domain._contains_rows(X).all():
-        raise SolverError("prox anchor x_t lies outside the domain")
-    if not (lams >= 0.0).all():
-        raise SolverError(f"lam must be nonnegative, got {lams[~(lams >= 0.0)][0]}")
-    return _linear_entropy_lanes(loss, geom, X, lams)
+    route = _lanes_route(loss, geom, X)
+    if (route is not None and np.isfinite(X).all() and geom.domain._contains_rows(X).all()
+            and (lams >= 0.0).all()):
+        try:
+            return route(loss, geom, X, lams)
+        except (GeometryError, SolverError):
+            pass  # a faulty output: the lanes step one by one below
+    losses = [loss[i] for i in range(len(X))] if isinstance(loss, LossTable) else [loss] * len(X)
+    results = [implicit_update(l, geom, x, lam) for l, x, lam in zip(losses, X, lams.tolist())]
+    return ProxLanes(np.array([r.x_next for r in results]), np.array([r.value for r in results]),
+                     np.array([r.delta for r in results]), [r.solver for r in results],
+                     np.array([geom.dual_norm(l._subgradient(x)) for l, x in zip(losses, X)]))
+
+
+def _lanes_route(loss, geom, X):
+    """The batched route of these lanes, or None to step them one by one."""
+    if X.ndim != 2 or X.shape[1] != geom.domain.dim:
+        return None
+    if geom.mirror == "entropy" and isinstance(loss, LinearLoss):
+        return _entropy_lanes
+    if (geom.mirror == "euclidean" and isinstance(geom.domain, Interval)
+            and isinstance(loss, LossTable) and loss.A is not None and loss.kind == "quadratic"
+            and loss.A.shape == (len(X), 1)):
+        return _quadratic_interval_lanes
+    return None
 
 
 def _linear_entropy_lanes(loss, geom, X, lams):
@@ -202,6 +236,17 @@ def _linear_entropy_lanes(loss, geom, X, lams):
         raise SolverError(f"closed-form: progress certificate delta={low[0]:.3e} "
                           f"below floor {DELTA_FLOOR:.0e}")
     return X_next, values, deltas
+
+
+def _entropy_lanes(loss, geom, X, lams) -> ProxLanes:
+    X_next, values, deltas = _linear_entropy_lanes(loss, geom, X, lams)
+    return ProxLanes(X_next, np.array(values), np.array(deltas), _labels(lams),
+                     np.full(len(X), geom.dual_norm(loss.g)))
+
+
+def _labels(lams: np.ndarray) -> list:
+    """Each lane's solver label: a closed form, or the anchor kept at lam = inf."""
+    return ["closed-form" if lam < math.inf else "identity" for lam in lams.tolist()]
 
 
 def _entropy_step(g, X, lams, dom):
@@ -241,6 +286,30 @@ def _quadratic_euclidean(loss, geom, x_t, lam) -> ProxResult:
     r = loss._residual(x_t)
     x = x_t - (r / (lam + na2)) * a
     return _closed_form_step(loss, geom, x_t, x, lam)
+
+
+def _quadratic_interval_lanes(table, geom, X, lams) -> ProxLanes:
+    """``_quadratic_euclidean`` on an interval, lane i from anchor X[i] under
+    loss table[i], lam = inf keeping the anchor as ``implicit_update`` does.
+    Each lane's residual is computed once; every float is the one the
+    one-lane route computes, since a 1-d dot product is an exact product
+    (``+ 0.0`` gives its sign of zero) and every other step is elementwise."""
+    a, y, x = table.A[:, 0], table.Y, X[:, 0]
+    with np.errstate(all="ignore"):  # a faulty lane steps again on its own, warnings and all
+        r = (a * x + 0.0) - y
+        na2 = a * a
+        still = (na2 == 0.0) | (lams == math.inf)
+        step = r / np.where(still, 1.0, lams + na2)
+        x_next = np.where(still, x, geom.domain.clip(x - step * a))
+        d = x_next - x
+        b = 0.5 * (d * d)
+        r_next = a * x_next - y
+        values = 0.5 * r * r
+        deltas = values - 0.5 * r_next * r_next - np.where(b > 0.0, lams, 0.0) * b
+        g = r * a
+    if not (np.isfinite(x_next).all() and (deltas >= DELTA_FLOOR).all()):
+        raise SolverError("closed-form: a lane's prox output is faulty")
+    return ProxLanes(x_next[:, None], values, deltas, _labels(lams), np.sqrt(g * g))
 
 
 # -- absolute and hinge -----------------------------------------------------

@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .envs import _ENV_KINDS, GENERATOR_NAME, make_environment
 from .geometry import (ENTROPY, EUCLIDEAN, ClippedSimplex, Geometry, _simplex_rows,
                        domain_from_dict, entropy_geometry)
 from .learners import (AdaptiveSchedule, ConfigError, DoublingSchedule, DynamicIOMD,
-                       GreedySchedule, OGD, fixed_schedule, start_point)
+                       GreedySchedule, IOMDLanes, OGD, fixed_schedule, start_point)
 from .losses import LossTable, loss_from_dict, step_lengths
 
 SCHEMA_VERSION = 1
@@ -307,7 +308,17 @@ class CellResult:
     report: dict
 
 
-def run_cell(cell: dict) -> CellResult:
+class _Run(NamedTuple):
+    """One cell, built: its name, environment, geometry, learner and header."""
+
+    name: str
+    env: object
+    geom: Geometry
+    learner: object
+    header: dict
+
+
+def _build(cell: dict) -> _Run:
     T = cell.get("T")
     if not isinstance(T, int) or T < 1:
         raise ConfigError("config field 'T': must be a positive integer")
@@ -330,30 +341,93 @@ def run_cell(cell: dict) -> CellResult:
             "seed": cell["seed"],
         },
     }
-    records = [header]
-    us = env.comparators()
-    incs = [0.0, *step_lengths(us, geom.primal_norm).tolist()]
-    value_sum = 0.0
-    for t, (u, inc) in enumerate(zip(us, incs), start=1):
-        loss = env.loss(t)
-        x = learner.play()
+    return _Run(name, env, geom, learner, header)
+
+
+class _OneLane:
+    """Any learner as a family of one, stepped as ``IOMDLanes`` are: its
+    rounds are kept as the rows it writes."""
+
+    def __init__(self, learner, env):
+        self.learner, self.env = learner, env
+        self._rows = []
+
+    def update(self, path_increments: np.ndarray) -> None:
+        loss = self.env.loss(len(self._rows) + 1)
+        x = np.asarray(self.learner.play(), dtype=float).tolist()
+        row = self.learner.update(loss, float(path_increments[0]))
+        self._rows.append({"loss": loss.to_dict(), "x": x, **row})
+
+    def rows(self, i: int) -> list:
+        return self._rows
+
+    def final(self, i: int) -> dict:
+        return {"x_final": np.asarray(self.learner.play(), dtype=float).tolist(),
+                "lam_final": getattr(self.learner, "lam", None),
+                "epochs": getattr(self.learner, "epoch", None)}
+
+
+def families(cells: list) -> list:
+    """The cells as families, in order: runs of neighbouring cells that
+    differ only in ``seed`` and ``name``, as ``expand_config`` writes each
+    spec's seeds next to each other."""
+    out, rest = [], None
+    for cell in cells:
+        key = {k: v for k, v in cell.items() if k not in ("seed", "name")}
+        if out and key == rest:
+            out[-1].append(cell)
+        else:
+            out.append([cell])
+            rest = key
+    return out
+
+
+def run_cell(cells: list) -> list:
+    """The ``CellResult`` of each cell of one family (see ``families``), in
+    order.  ``DynamicIOMD`` learners of one schedule on an interval step as
+    lanes of one batch (``learners.IOMDLanes``); any other family runs one
+    cell at a time.  If any lane raises, the family reruns one cell at a
+    time, so the error is the one the first failing cell raises on its own."""
+    try:
+        runs = [_build(cell) for cell in cells]
+        learners = [run.learner for run in runs]
+        if IOMDLanes.fit(learners):
+            return _play(runs, IOMDLanes(learners, [run.env.loss_table() for run in runs]))
+    except Exception:
+        runs = map(_build, cells)  # lazily, so the cells build and run in order
+    return [_play([run], _OneLane(run.learner, run.env))[0] for run in runs]
+
+
+def _play(runs: list, lanes) -> list:
+    """The round loop: ``lanes`` steps every run of the family each round;
+    then each run's trace and report are built, one run at a time."""
+    comparators = [run.env.comparators() for run in runs]
+    increments = np.array([[0.0, *step_lengths(us, run.geom.primal_norm)]
+                           for us, run in zip(comparators, runs)]).T
+    for t, path_increments in enumerate(increments, start=1):
         try:
-            row = learner.update(loss, inc)
+            lanes.update(path_increments)
         except RangeError as exc:
             raise ConfigError(f"config field 'algorithm.loss_range': round {t}: {exc}") from None
+    return [_result(run, us, lanes.rows(i), lanes.final(i))
+            for i, (run, us) in enumerate(zip(runs, comparators))]
+
+
+def _result(run: _Run, comparators: np.ndarray, rows: list, final: dict) -> CellResult:
+    records = [run.header]
+    value_sum = 0.0
+    for t, (row, u) in enumerate(zip(rows, comparators.tolist()), start=1):
         value_sum += row["value"]
-        rec = {"t": t, "loss": loss.to_dict(),
-               "x": np.asarray(x, dtype=float).tolist(), "u": u.tolist()}
-        rec.update(row)
-        records.append(rec)
-    state = {"value_sum": value_sum, "lam_final": getattr(learner, "lam", None),
-             "epochs": getattr(learner, "epoch", None)}
-    final_keys = _contract(resolved["name"], resolved, geom.mirror)[2]
-    records.append({"final": True, "x_final": np.asarray(learner.play(), dtype=float).tolist(),
+        row["t"], row["u"] = t, u  # each row becomes its record, not a copy
+        records.append(row)
+    state = {"value_sum": value_sum, **final}
+    resolved = run.header["config"]["algorithm"]
+    final_keys = _contract(resolved["name"], resolved, run.geom.mirror)[2]
+    records.append({"final": True, "x_final": final["x_final"],
                     **{key: state[key] for key in final_keys}})
     # the report reads the records themselves; verify parses the same lines
     lines = [_TRACE_ENCODER.encode(rec) for rec in records]
-    return CellResult(name, lines, trace_to_report(records))
+    return CellResult(run.name, lines, trace_to_report(records))
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_greedy_row_inapplicable_when_comparators_leave_the_domain():
             "geometry": {"mirror": "euclidean",
                          "domain": {"kind": "box", "lo": [-0.4], "hi": [0.4]}},
             "algorithm": {"name": "greedy"}, "T": 3, "seed": 3}
-    res = run_cell(cell)
+    res = run_cell([cell])[0]
     us = [json.loads(line)["u"][0] for line in res.trace_lines[1:-1]]
     assert any(abs(u) > 0.4 for u in us)
     [row] = res.report["bounds"]

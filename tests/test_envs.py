@@ -38,6 +38,14 @@ def test_same_seed_replays_bit_for_bit(kind):
     assert a.params() == b.params()
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_loss_table_rows_are_the_round_losses(kind):
+    env = make_environment(kind, T=64, seed=9, **KINDS[kind])
+    table = env.loss_table()
+    assert table.kind == env.loss(1).kind and len(table) == 64
+    assert table.to_dicts() == [l.to_dict() for l in env.losses()]
+
+
 @pytest.mark.parametrize("kind", ["lower-bound", "shifting-experts",
                                   "drifting-quadratic", "fixed-loss"])
 def test_different_seeds_differ(kind):
@@ -131,6 +139,10 @@ def test_alternating_variability_and_switch_count_are_linear():
 def test_alternating_needs_two_rounds():
     with pytest.raises(ConfigError):
         AlternatingExpertsEnv(T=1)
+    # d is a parameter so that the header, which writes it, rebuilds the run
+    assert AlternatingExpertsEnv(T=10, d=2).params()["d"] == 2
+    with pytest.raises(ConfigError, match="d = 2"):
+        AlternatingExpertsEnv(T=10, d=3)
     env = AlternatingExpertsEnv(T=100)
     assert env.loss_sup() == 1.0
     assert isinstance(env.default_geometry().domain, ClippedSimplex)

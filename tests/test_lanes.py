@@ -1,0 +1,191 @@
+"""Seed lanes: a family of cells that differ only in seed steps as one batch.
+
+``prox.implicit_update_lanes`` steps k anchors at once; lane i must equal
+``implicit_update`` on row i bit for bit, and a fault must raise what the
+first faulty lane raises on its own.  ``runner.run_cell`` steps a family of
+``DynamicIOMD`` cells on an interval as ``learners.IOMDLanes``; each seed's
+trace and report must equal what the seed writes as a family of one, and
+what its learner writes stepped on its own.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_trace_contract import ENVIRONMENTS, FIXED_DIOMD
+
+from driftlab import learners, runner
+from driftlab.geometry import GeometryError, Interval, euclidean_geometry
+from driftlab.learners import ConfigError
+from driftlab.losses import LossTable
+from driftlab.prox import (SolverError, _quadratic_interval_lanes, implicit_update,
+                           implicit_update_lanes)
+from driftlab.runner import ALGORITHMS, expand_config, families, run_cell
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+# a lane: (a, y, anchor, lam); the anchor is a share of the way from lo to
+# hi, or 0.0 or -0.0 where the interval holds zero (else lo)
+_A = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
+_Y = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+_AT = st.one_of(st.sampled_from([0.0, 1.0, 0.5, "zero", "-zero"]), st.floats(0.0, 1.0))
+_LAM = st.one_of(st.sampled_from([0.0, math.inf, 1e-300]), st.floats(0.0, 1e4))
+_LANE = st.tuples(_A, _Y, _AT, _LAM)
+_DOMAIN = st.sampled_from([(-1.0, 1.0), (0.0, 2.0), (-0.4, 0.4), (-5.0, -1.0)])
+# faults of one lane: each a change to (x, lam) that implicit_update rejects
+_FAULTS = {"outside": lambda x, lam, hi: (hi + 1.0, lam),
+           "nan-anchor": lambda x, lam, hi: (math.nan, lam),
+           "inf-anchor": lambda x, lam, hi: (-math.inf, lam),
+           "negative-lam": lambda x, lam, hi: (x, -0.5),
+           "nan-lam": lambda x, lam, hi: (x, math.nan)}
+
+
+def _lanes(lanes, dom):
+    lo, hi = dom
+    A = np.array([[a] for a, _, _, _ in lanes])
+    Y = np.array([y for _, y, _, _ in lanes])
+    zero = {"zero": 0.0, "-zero": -0.0} if lo <= 0.0 <= hi else {"zero": lo, "-zero": lo}
+    X = np.array([[zero[at] if at in zero else lo + at * (hi - lo)] for _, _, at, _ in lanes])
+    lams = np.array([lam for _, _, _, lam in lanes])
+    return LossTable({"quadratic"}, A, Y), X, lams
+
+
+def _assert_lanes_equal_one_lane(out, table, geom, X, lams):
+    for i, (x, lam) in enumerate(zip(X, lams.tolist())):
+        loss = table[i]
+        one = implicit_update(loss, geom, x, lam)
+        assert _bits(out.x_next[i]) == _bits(one.x_next), i
+        assert _bits(out.values[i]) == _bits(one.value), i
+        assert _bits(out.deltas[i]) == _bits(one.delta), i
+        assert out.solvers[i] == one.solver, i
+        assert _bits(out.gnorms[i]) == _bits(geom.dual_norm(loss.subgradient(x))), i
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lanes=st.lists(_LANE, min_size=1, max_size=6), dom=_DOMAIN)
+# lam = 0, a = 0, a clipped step, scores of -0.0 against y = 0, mixed weights
+@example(lanes=[(1.0, 0.5, 0.5, 0.0), (0.0, 0.3, 0.2, 2.0), (-0.0, -0.1, 0.9, 0.0),
+                (1.0, 3.5, 0.5, 0.01), (-1.0, 0.0, "zero", 1.0), (1.0, 0.0, "-zero", 0.5),
+                (1.0, -0.0, "-zero", 0.0), (2.0, 1.0, 0.1, math.inf)], dom=(-1.0, 1.0))
+def test_quadratic_interval_lanes_equal_the_one_lane_update_bit_for_bit(lanes, dom):
+    table, X, lams = _lanes(lanes, dom)
+    geom = euclidean_geometry(Interval(*dom))
+    # the batched route itself, and the public call that takes it
+    _assert_lanes_equal_one_lane(_quadratic_interval_lanes(table, geom, X, lams),
+                                 table, geom, X, lams)
+    _assert_lanes_equal_one_lane(implicit_update_lanes(table, geom, X, lams),
+                                 table, geom, X, lams)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(lanes=st.lists(st.tuples(_LANE, st.sampled_from([None, *_FAULTS])), min_size=1,
+                      max_size=5).filter(lambda ls: any(f for _, f in ls)), dom=_DOMAIN)
+def test_quadratic_interval_lanes_raise_what_the_first_faulty_lane_raises(lanes, dom):
+    table, X, lams = _lanes([lane for lane, _ in lanes], dom)
+    for i, (_, fault) in enumerate(lanes):
+        if fault:
+            X[i, 0], lams[i] = _FAULTS[fault](X[i, 0], lams[i], dom[1])
+    geom = euclidean_geometry(Interval(*dom))
+    first = next(i for i, (_, fault) in enumerate(lanes) if fault)
+    for i in range(first):  # the lanes before it step cleanly on their own
+        implicit_update(table[i], geom, X[i], float(lams[i]))
+    with pytest.raises((GeometryError, SolverError)) as one:
+        implicit_update(table[first], geom, X[first], float(lams[first]))
+    with pytest.raises(type(one.value)) as batch:
+        implicit_update_lanes(table, geom, X, lams)
+    assert str(batch.value) == str(one.value)
+
+
+def _specs() -> list:
+    return [*ALGORITHMS, FIXED_DIOMD, {"name": "diomd", "x0": [0.5]},
+            {"name": "diomd-doubling", "x0": [-0.25]}]
+
+
+def _family(env: dict, spec) -> list:
+    return expand_config({"environment": env, "T": 24, "seeds": [3, 0, 11, 4, 7],
+                          "algorithm": spec})
+
+
+@pytest.mark.parametrize("spec", _specs(), ids=str)
+@pytest.mark.parametrize("env", ENVIRONMENTS.values(), ids=list(ENVIRONMENTS))
+def test_each_seed_of_a_family_writes_what_it_writes_alone(env, spec, monkeypatch):
+    cells = _family(env, spec)
+    try:
+        alone = [run_cell([cell])[0] for cell in cells]
+    except ConfigError:  # the algorithm does not run on this environment
+        return
+    assert families(cells) == [cells]
+    together = run_cell(cells)
+    # and what each learner writes stepped on its own, outside the lanes
+    monkeypatch.setattr(learners.IOMDLanes, "fit", staticmethod(lambda learners: False))
+    own = [run_cell([cell])[0] for cell in cells]
+    for a, b, c in zip(together, alone, own):
+        assert a.name == b.name == c.name
+        assert a.trace_lines == b.trace_lines == c.trace_lines, a.name
+        assert a.report == b.report == c.report, a.name
+
+
+def test_interval_diomd_families_step_as_lanes(monkeypatch):
+    steps = []
+    batch = learners.implicit_update_lanes
+    monkeypatch.setattr(learners, "implicit_update_lanes",
+                        lambda loss, *args: steps.append(len(loss)) or batch(loss, *args))
+    for spec in ("greedy", FIXED_DIOMD, "diomd", "diomd-doubling"):
+        steps.clear()
+        run_cell(_family(ENVIRONMENTS["drifting-quadratic"], spec))
+        assert steps == [5] * 24, spec
+    steps.clear()
+    run_cell(_family(ENVIRONMENTS["drifting-quadratic"], "ogd"))
+    run_cell(_family(ENVIRONMENTS["shifting-experts"], "diomd"))
+    assert steps == []
+
+
+def test_a_family_whose_lanes_raise_reruns_one_cell_at_a_time(monkeypatch):
+    cells = _family(ENVIRONMENTS["drifting-quadratic"], "diomd-doubling")
+    alone = [run_cell([cell])[0] for cell in cells]
+    batch = learners.implicit_update_lanes
+
+    def fail_at_round_9(loss, geom, X, lams):
+        if len(loss) > 1 and fail_at_round_9.calls == 8:
+            raise SolverError("injected")
+        fail_at_round_9.calls += len(loss) > 1
+        return batch(loss, geom, X, lams)
+
+    fail_at_round_9.calls = 0
+    monkeypatch.setattr(learners, "implicit_update_lanes", fail_at_round_9)
+    again = run_cell(cells)
+    assert fail_at_round_9.calls == 8
+    assert [r.trace_lines for r in again] == [r.trace_lines for r in alone]
+    assert [r.report for r in again] == [r.report for r in alone]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({1: -1, 3: "4"}, "config field 'environment.params': expected non-negative integer"),
+    ({1: "4", 3: -1}, "config field 'seed': must be an integer"),
+])
+def test_a_family_raises_the_error_of_its_first_failing_cell(bad, message):
+    cells = _family(ENVIRONMENTS["fixed-loss"], "diomd")
+    for i, seed in bad.items():
+        cells[i] = {**cells[i], "seed": seed}
+    assert families(cells) == [cells]
+    with pytest.raises(ConfigError) as exc:
+        run_cell(cells)
+    assert str(exc.value) == message
+
+
+def test_families_group_neighbouring_cells_that_differ_only_in_seed():
+    config = {"environment": ENVIRONMENTS["drifting-quadratic"], "T": 10, "seeds": [0, 1],
+              "algorithms": ["greedy", "ogd", "greedy"],
+              "sweep": {"environment.params.tau": [0.5, 4.0]}}
+    cells = runner.expand_sweep(config)
+    groups = families(cells)
+    assert [len(f) for f in groups] == [2] * 6
+    assert [cell for f in groups for cell in f] == cells
+    assert all(len({c["name"] for c in f}) == 2 for f in groups)

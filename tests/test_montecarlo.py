@@ -23,7 +23,7 @@ def _live_values(alg_spec, sigma, T, seed):
         "T": T,
         "seeds": [seed],
     }
-    res = run_cell(expand_config(config)[0])
+    res = run_cell(expand_config(config)[:1])[0]
     vals = []
     for line in res.trace_lines[1:]:
         rec = json.loads(line)
@@ -43,7 +43,7 @@ def test_noise_paths_match_live_environment():
             "T": T,
             "seeds": [seed],
         }
-        res = run_cell(expand_config(config)[0])
+        res = run_cell(expand_config(config)[:1])[0]
         ys = [json.loads(line)["loss"]["y"] for line in res.trace_lines[1:-1]]
         np.testing.assert_array_equal(eps[:, col], ys)
 

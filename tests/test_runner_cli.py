@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import driftlab
+from driftlab import cli
 from driftlab.cli import main
 from driftlab.learners import ConfigError
 from driftlab.runner import (
@@ -57,7 +58,7 @@ def _cell(config=BASIC):
 
 
 def test_trace_shape_and_header():
-    res = run_cell(_cell())
+    res = run_cell([_cell()])[0]
     records = [json.loads(line) for line in res.trace_lines]
     header, rows, final = records[0], records[1:-1], records[-1]
     assert header["schema_version"] == 1
@@ -76,7 +77,7 @@ def test_trace_shape_and_header():
 
 
 def test_report_metrics_are_consistent():
-    rep = run_cell(_cell()).report
+    rep = run_cell([_cell()])[0].report
     m = rep["metrics"]
     assert m["rounds"] == 40
     assert m["regret"] == pytest.approx(m["value_sum"] - m["comparator_sum"], abs=1e-9)
@@ -97,13 +98,13 @@ def test_report_sweeps_the_drift_once(monkeypatch):
                 calls.append(1)
                 return _original(*args, **kwargs)
             monkeypatch.setattr(mod, "temporal_variability", counted)
-    res = run_cell(_cell())
+    res = run_cell([_cell()])[0]
     assert len(calls) == 1
     assert res.report["bounds_summary"]["checked"] > 0
 
 
 def test_verify_reproduces_the_report_byte_for_byte(tmp_path):
-    res = run_cell(_cell())
+    res = run_cell([_cell()])[0]
     trace = tmp_path / "cell.trace.jsonl"
     trace.write_text("\n".join(res.trace_lines) + "\n")
     replayed = verify_trace(trace)
@@ -111,7 +112,7 @@ def test_verify_reproduces_the_report_byte_for_byte(tmp_path):
 
 
 def test_corrupted_delta_is_flagged_at_its_round():
-    res = run_cell(_cell())
+    res = run_cell([_cell()])[0]
     records = [json.loads(line) for line in res.trace_lines]
     records[17]["delta"] = -0.5  # round 17 lives on line 18
     rep = trace_to_report(records)
@@ -121,7 +122,7 @@ def test_corrupted_delta_is_flagged_at_its_round():
 
 
 def test_corrupted_value_breaks_integrity_and_the_running_sum():
-    res = run_cell(_cell())
+    res = run_cell([_cell()])[0]
     records = [json.loads(line) for line in res.trace_lines]
     records[5]["value"] += 0.25
     rep = trace_to_report(records)
@@ -131,7 +132,7 @@ def test_corrupted_value_breaks_integrity_and_the_running_sum():
 
 
 def test_trace_validation_errors_name_the_line():
-    res = run_cell(_cell())
+    res = run_cell([_cell()])[0]
     records = [json.loads(line) for line in res.trace_lines]
     with pytest.raises(TraceError, match="truncated"):
         trace_to_report(records[:-1] + [{"t": 41}])
@@ -322,18 +323,50 @@ def test_cli_grid_output_is_order_independent(tmp_path):
 
 
 def test_cli_threads_do_not_change_bytes(tmp_path):
+    # lane families (greedy, fixed, adaptive, doubling) and one-cell families
+    # (ogd, abprod), each of five seeds, split into 1, 2 or 3 chunks
     config = {
-        "environment": {"kind": "fixed-loss"},
-        "T": 16,
-        "seeds": [0, 1, 2],
-        "algorithm": "greedy",
+        "environment": {"kind": "drifting-quadratic", "params": {"tau": 8.0}},
+        "T": 40,
+        "seeds": [0, 1, 2, 3, 4],
+        "algorithms": ["greedy", {"name": "diomd", "schedule": "fixed", "scale": 1.0},
+                       "diomd", "diomd-doubling", "ogd",
+                       {"name": "abprod", "candidate": {"name": "diomd"}}],
     }
     cfg = _write_config(tmp_path, config)
-    out_1, out_2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(["run", cfg, "--output-dir", str(out_1), "--threads", "1"]) == 0
-    assert main(["run", cfg, "--output-dir", str(out_2), "--threads", "2"]) == 0
-    for path in sorted(out_1.iterdir()):
-        assert path.read_bytes() == (out_2 / path.name).read_bytes()
+    outs = [tmp_path / f"t{n}" for n in (1, 2, 3)]
+    for n, out in zip((1, 2, 3), outs):
+        assert main(["run", cfg, "--output-dir", str(out), "--threads", str(n)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert len(names) == 2 * 30 + 1
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (out, name)
+    # the doubling lanes restart, and not all at the same rounds
+    restarts = {tuple(json.loads(line)["t"] for line in lines[1:-1]
+                      if json.loads(line)["restart"])
+                for lines in (path.read_text().splitlines()
+                              for path in outs[0].glob("*-diomd-doubling-*.trace.jsonl"))}
+    assert len(restarts) > 1 and all(restarts)
+
+
+def test_cli_reaches_every_cell_through_one_argument_run_cell(tmp_path, monkeypatch):
+    # the benchmark's set-up probe swaps run_cell for a one-argument raiser
+    # and counts a process that never calls it as failed
+    class FirstCell(Exception):
+        pass
+
+    def stop(cells):
+        raise FirstCell(cells)
+
+    monkeypatch.setattr(cli, "run_cell", stop)
+    cfg = _write_config(tmp_path, {**BASIC, "seeds": [0, 1, 2]})
+    out = tmp_path / "out"
+    with pytest.raises(FirstCell) as exc:
+        main(["run", cfg, "--output-dir", str(out)])
+    assert [cell["seed"] for cell in exc.value.args[0]] == [0, 1, 2]
+    assert not out.exists()
 
 
 def test_cli_seed_override(tmp_path):
@@ -475,7 +508,7 @@ OGD = {**BASIC, "algorithm": {"name": "ogd"}}
 
 
 def _verify_mutated_trace(tmp_path, mutate, config=BASIC):
-    records = [json.loads(line) for line in run_cell(_cell(config)).trace_lines]
+    records = [json.loads(line) for line in run_cell([_cell(config)])[0].trace_lines]
     mutate(records)
     bad = tmp_path / "bad.trace.jsonl"
     bad.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
@@ -748,7 +781,7 @@ def test_cli_verify_flags_plays_outside_the_domain(tmp_path, capsys):
 def test_mlprod_trees_play_on_the_probability_simplex():
     # their weights fall below the clipped floor, and that is no violation
     for spec in ("adapt-ml-prod", {"name": "abprod", "candidate": "adapt-ml-prod"}):
-        res = run_cell(_cell({**EXPERTS, "algorithm": spec}))
+        res = run_cell([_cell({**EXPERTS, "algorithm": spec})])[0]
         assert res.report["integrity"]["ok"], spec
     records = [json.loads(line) for line in res.trace_lines]  # the abprod cell
     records[4]["x"] = [0.5, 0.5, 0.5, -0.5, 0.0]  # sums to 1, leaves the simplex
@@ -758,15 +791,15 @@ def test_mlprod_trees_play_on_the_probability_simplex():
 
 
 def test_scaffold_bases_play_on_the_configured_simplex():
-    res = run_cell(_cell({**EXPERTS, "algorithm": "scaffold", "geometry": {
-        "domain": {"kind": "clipped-simplex", "d": 5, "alpha": 0.5}}}))
+    res = run_cell([_cell({**EXPERTS, "algorithm": "scaffold", "geometry": {
+        "domain": {"kind": "clipped-simplex", "d": 5, "alpha": 0.5}}})])[0]
     header = json.loads(res.trace_lines[0])
     assert header["config"]["algorithm"]["base"]["alpha"] == 0.5
     assert res.report["integrity"]["ok"]
 
 
 def test_expert_rows_read_alpha_from_the_domain():
-    res = run_cell(_cell(EXPERTS))
+    res = run_cell([_cell(EXPERTS)])[0]
     records = [json.loads(line) for line in res.trace_lines]
     records[0]["config"]["algorithm"]["alpha"] = 0.9
     assert trace_to_report(records)["bounds"] == res.report["bounds"]
@@ -775,7 +808,7 @@ def test_expert_rows_read_alpha_from_the_domain():
 def test_report_builds_a_constant_number_of_loss_objects(monkeypatch):
     import driftlab.losses as losses_mod
 
-    res = run_cell(_cell({**LOWER_BOUND, "T": 1536}))
+    res = run_cell([_cell({**LOWER_BOUND, "T": 1536})])[0]
     records = [json.loads(line) for line in res.trace_lines]
     built = []
 
@@ -793,7 +826,7 @@ def test_report_builds_a_constant_number_of_loss_objects(monkeypatch):
 
 
 def test_cli_verify_error_names_the_bad_trace_file(tmp_path, capsys, monkeypatch):
-    records = [json.loads(line) for line in run_cell(_cell()).trace_lines]
+    records = [json.loads(line) for line in run_cell([_cell()])[0].trace_lines]
     (tmp_path / "good.jsonl").write_text(
         "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
     records[0]["config"].pop("T")
@@ -806,7 +839,7 @@ def test_cli_verify_error_names_the_bad_trace_file(tmp_path, capsys, monkeypatch
 
 
 def test_cli_verify_rejects_a_nan_play_with_one_error_line(tmp_path, capsys):
-    res = run_cell(_cell())
+    res = run_cell([_cell()])[0]
     records = [json.loads(line) for line in res.trace_lines]
     records[5]["x"] = [float("nan")]  # round 5 lives on line 6
     bad = tmp_path / "nan.trace.jsonl"
@@ -817,7 +850,7 @@ def test_cli_verify_rejects_a_nan_play_with_one_error_line(tmp_path, capsys):
 
 
 def test_bad_trace_points_name_the_line_and_field():
-    res = run_cell(_cell())
+    res = run_cell([_cell()])[0]
     records = [json.loads(line) for line in res.trace_lines]
     cases = [
         (9, "x", [float("inf")], "line 10: trace field 'x'"),

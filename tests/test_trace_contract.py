@@ -26,11 +26,14 @@ BASE_KEYS = {"t", "loss", "x", "u", "value"}
 ENVIRONMENTS = {
     "drifting-quadratic": {"kind": "drifting-quadratic", "params": {"tau": 2.0}},
     "shifting-experts": {"kind": "shifting-experts", "params": {"d": 4, "shifts": 3}},
+    "lower-bound": {"kind": "lower-bound", "params": {"sigma": 0.3}},
+    "alternating-experts": {"kind": "alternating-experts"},
+    "fixed-loss": {"kind": "fixed-loss"},
 }
 
 
 def _records(config: dict) -> list:
-    return [json.loads(line) for line in run_cell(expand_config(config)[0]).trace_lines]
+    return [json.loads(line) for line in run_cell(expand_config(config)[:1])[0].trace_lines]
 
 
 def _contract_of(records: list) -> tuple:
@@ -83,8 +86,8 @@ def _cell_of(header: dict) -> dict:
 def _rebuilds_from_its_header(cell: dict):
     """Run ``cell``, then the cell its trace header describes: both write the
     same trace bytes and the same report."""
-    ran = run_cell(cell)
-    again = run_cell(_cell_of(json.loads(ran.trace_lines[0])))
+    ran = run_cell([cell])[0]
+    again = run_cell([_cell_of(json.loads(ran.trace_lines[0]))])[0]
     assert again.trace_lines == ran.trace_lines
     assert again.report == ran.report
 
