@@ -22,11 +22,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _quadratic_table(a: np.ndarray, targets: np.ndarray) -> LossTable:
-    """The table of the losses 0.5 * (<a, x> - y)^2, one per target y."""
-    return LossTable({"quadratic"}, np.tile(a, (len(targets), 1)), targets.astype(float))
-
-
 class Environment:
     """Base: a horizon of losses plus a comparator sequence."""
 
@@ -55,6 +50,8 @@ class Environment:
         return LossTable.from_losses(self.losses())
 
     def comparators(self) -> np.ndarray:
+        """Every round's comparator as one (T, dim) array: row t - 1 is
+        ``comparator(t)``."""
         return np.array([self.comparator(t) for t in range(1, self.T + 1)])
 
     def params(self) -> dict:
@@ -65,7 +62,31 @@ class Environment:
             raise ConfigError(f"round {t} outside 1..{self.T}")
 
 
-class LowerBoundEnv(Environment):
+class ScalarQuadraticEnv(Environment):
+    """Base of the scalar square losses on an interval [lo, hi]: round t's
+    loss is 0.5 * (a x - y_t)^2, and by default its comparator is the target
+    y_t.  A subclass sets ``lo``, ``hi``, ``_a`` (shape (1,)) and the
+    targets ``_y`` (T,)."""
+
+    def loss(self, t):
+        self._check_round(t)
+        return QuadraticLoss(self._a, float(self._y[t - 1]))
+
+    def loss_table(self):
+        return LossTable({"quadratic"}, np.tile(self._a, (self.T, 1)), self._y.astype(float))
+
+    def comparator(self, t):
+        self._check_round(t)
+        return np.array([self._y[t - 1]])
+
+    def comparators(self):
+        return self._y[:, None].copy()
+
+    def default_geometry(self):
+        return euclidean_geometry(Interval(self.lo, self.hi))
+
+
+class LowerBoundEnv(ScalarQuadraticEnv):
     """Square-loss targets jumping uniformly between -sigma and +sigma.
 
     The per-round minimizer is the target itself, so the comparator sequence
@@ -82,23 +103,10 @@ class LowerBoundEnv(Environment):
         if sigma * math.sqrt(T) <= 1.0:
             raise ConfigError("need sigma * sqrt(T) > 1 for a meaningful floor")
         self.sigma = float(sigma)
+        self.lo, self.hi = -1.0, 1.0
         rng = _rng(seed)
-        self.eps = sigma * (2.0 * rng.integers(0, 2, size=T) - 1.0)
+        self.eps = self._y = sigma * (2.0 * rng.integers(0, 2, size=T) - 1.0)
         self._a = np.array([1.0])
-
-    def loss(self, t):
-        self._check_round(t)
-        return QuadraticLoss(self._a, float(self.eps[t - 1]))
-
-    def loss_table(self):
-        return _quadratic_table(self._a, self.eps)
-
-    def comparator(self, t):
-        self._check_round(t)
-        return np.array([self.eps[t - 1]])
-
-    def default_geometry(self):
-        return euclidean_geometry(Interval(-1.0, 1.0))
 
     def params(self):
         return {"kind": self.kind, "T": self.T, "seed": self.seed, "sigma": self.sigma}
@@ -208,7 +216,7 @@ class ShiftingExpertsEnv(Environment):
                 "d": self.d, "shifts": self.shifts}
 
 
-class DriftingQuadraticEnv(Environment):
+class DriftingQuadraticEnv(ScalarQuadraticEnv):
     """Scalar square loss whose minimizer walks with a capped total path.
 
     The walk spends a path budget tau: seeded step sizes are consumed until
@@ -242,29 +250,15 @@ class DriftingQuadraticEnv(Environment):
             if nxt < self.lo or nxt > self.hi:
                 nxt = m[t - 1] - step
             m[t] = nxt
-        self.minimizers = m
+        self.minimizers = self._y = m
         self._a = np.array([1.0])
-
-    def loss(self, t):
-        self._check_round(t)
-        return QuadraticLoss(self._a, float(self.minimizers[t - 1]))
-
-    def loss_table(self):
-        return _quadratic_table(self._a, self.minimizers)
-
-    def comparator(self, t):
-        self._check_round(t)
-        return np.array([self.minimizers[t - 1]])
-
-    def default_geometry(self):
-        return euclidean_geometry(Interval(self.lo, self.hi))
 
     def params(self):
         return {"kind": self.kind, "T": self.T, "seed": self.seed, "tau": self.tau,
                 "lo": self.lo, "hi": self.hi}
 
 
-class FixedLossEnv(Environment):
+class FixedLossEnv(ScalarQuadraticEnv):
     """One seeded scalar square loss repeated every round (zero drift)."""
 
     kind = "fixed-loss"
@@ -276,21 +270,19 @@ class FixedLossEnv(Environment):
         self.a = float(rng.uniform(0.6, 1.6))
         self.y = float(rng.uniform(-0.8, 0.8))
         self._loss = QuadraticLoss(np.array([self.a]), self.y)
+        self._a, self._y = self._loss.a, np.full(T, self.y)
         self._u = np.array([min(self.hi, max(self.lo, self.y / self.a))])
 
-    def loss(self, t):
+    def loss(self, t):  # one object every round: variability builds one form per loss
         self._check_round(t)
         return self._loss
-
-    def loss_table(self):
-        return _quadratic_table(self._loss.a, np.full(self.T, self.y))
 
     def comparator(self, t):
         self._check_round(t)
         return self._u.copy()
 
-    def default_geometry(self):
-        return euclidean_geometry(Interval(self.lo, self.hi))
+    def comparators(self):
+        return np.tile(self._u, (self.T, 1))
 
     def params(self):
         return {"kind": self.kind, "T": self.T, "seed": self.seed,

@@ -292,53 +292,65 @@ def update_many(learners: list, loss: Loss) -> None:
         learner.t += 1
 
 
-def _same_schedule(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    return np.array_equal(a.etas, b.etas) if isinstance(a, FixedSchedule) else a == b
+def _same_steps(a, b) -> bool:
+    """Whether learners ``a`` and ``b`` of one type step by one rule: one
+    schedule, or the same step sizes (OGD's, or a fixed schedule's)."""
+    if type(a) is DynamicIOMD:
+        a, b = a.schedule, b.schedule
+        if not (type(a) is type(b) is FixedSchedule):
+            return a == b
+    return np.array_equal(a.etas, b.etas)
 
 
-class IOMDLanes:
-    """Fresh ``DynamicIOMD`` learners of one schedule on one interval, stepped
-    as lanes of one batch against their own losses: lane i plays and writes,
-    bit for bit, what learner i stepped on its own would.  ``tables[i]``
-    holds lane i's loss of every round, 1-d quadratics; any other loss
-    raises ``SolverError``.  The rounds are kept as columns of (T, k)
-    arrays, and ``rows(i)`` writes lane i's.
+class IntervalLanes:
+    """Fresh ``DynamicIOMD`` or ``OGD`` learners of one step rule on one
+    interval, stepped as lanes of one batch against their own losses: lane i
+    plays and writes, bit for bit, what learner i stepped on its own would.
+    ``tables[i]`` holds lane i's loss of every round, 1-d quadratics; any
+    other loss raises ``SolverError``.  The rounds are kept as columns of
+    (T, k) arrays, and ``rows(i)`` writes lane i's.
 
-    The weights follow ``DynamicIOMD``: ``lam`` holds each lane's weight of
-    the next round for the self-tuning schedules and that of the last round
-    otherwise.  A doubling restart is a per-lane ``np.where``: a restarting
-    lane keeps its anchor and its prox step, solved with the batch, is
-    dropped.
+    ``DynamicIOMD`` lanes take one batched prox step per round and follow
+    its weights: ``lam`` holds each lane's weight of the next round for the
+    self-tuning schedules and that of the last round otherwise.  A doubling
+    restart is a per-lane ``np.where``: a restarting lane keeps its anchor
+    and its prox step, solved with the batch, is dropped.  ``OGD`` lanes take
+    its gradient step and write no delta or weight.
     """
 
     @staticmethod
     def fit(learners: list) -> bool:
         """Whether ``learners`` can step as lanes of one batch."""
         first = learners[0]
-        return first.geom.mirror == EUCLIDEAN and isinstance(first.geom.domain, Interval) and all(
-            type(l) is DynamicIOMD and l.t == 1 and l.geom.mirror == EUCLIDEAN
-            and l.geom.domain == first.geom.domain and _same_schedule(l.schedule, first.schedule)
-            for l in learners)
+        return (type(first) in (DynamicIOMD, OGD) and isinstance(first.geom.domain, Interval)
+                and all(type(l) is type(first) and l.t == 1 and l.geom.mirror == EUCLIDEAN
+                        and l.geom.domain == first.geom.domain and _same_steps(l, first)
+                        for l in learners))
 
     def __init__(self, learners: list, tables: list):
         if not all(t.kind == "quadratic" and t.A is not None and t.A.shape[1] == 1
                    for t in tables):
             raise SolverError("interval lanes step 1-d quadratic losses only")
         first, k = learners[0], len(learners)
-        self.geom, self.schedule = first.geom, first.schedule
+        self.geom = first.geom
         self._A = np.stack([t.A[:, 0] for t in tables], axis=1)
         self._Y = np.stack([t.Y for t in tables], axis=1)
         self.x = np.stack([l.x for l in learners])
         self.t = 1
+        T = len(self._Y)
+        self._cols = {key: np.empty((T, k)) for key in ("x", "value", "gnorm_dual")}
+        self._solvers = []  # each round's labels, one per lane
+        self.ogd = type(first) is OGD
+        self.doubling = not self.ogd and first.doubling
+        if self.ogd:
+            self.etas = first.etas
+            self._gradient_labels = ["gradient-step"] * k
+            return
+        self.schedule = first.schedule
         self.lam = np.zeros(k)
         self.delta_sum = np.zeros(k)
         self.beta_sq = first.beta_sq
-        self.doubling = first.doubling
-        T = len(self._Y)
-        self._cols = {key: np.empty((T, k)) for key in ("x", "value", "gnorm_dual", "delta", "lam")}
-        self._cols["solver"] = np.empty((T, k), dtype=object)
+        self._cols.update((key, np.empty((T, k))) for key in ("delta", "lam"))
         if self.doubling:
             self.epoch = np.zeros(k, dtype=int)
             self.path_in_epoch = np.zeros(k)
@@ -350,6 +362,28 @@ class IOMDLanes:
         """One round: lane i pays its loss and moves ``path_increments[i]``
         along its comparator path."""
         row = self.t - 1
+        step = self._gradient_step if self.ogd else self._prox_step
+        x_next, out, solvers = step(row, path_increments)
+        self._cols["x"][row] = self.x[:, 0]
+        for key, values in out.items():
+            self._cols[key][row] = values
+        self._solvers.append(solvers)
+        self.x, self.t = x_next, self.t + 1
+
+    def _gradient_step(self, row: int, path_increments: np.ndarray):
+        """``OGD.update`` of every lane: x' = clip(x - eta_t * g), g = r * a."""
+        a, y, x = self._A[row], self._Y[row], self.x[:, 0]
+        with np.errstate(all="ignore"):  # a faulty lane steps again on its own
+            r = (a * x + 0.0) - y  # + 0.0: the sign of zero of float(a @ x)
+            g = r * a
+            step = x - self.etas[row] * g
+        if not np.isfinite(step).all():
+            raise SolverError("gradient step: a lane's step is not finite")
+        out = {"value": 0.5 * r * r, "gnorm_dual": np.sqrt(g * g)}
+        return self.geom.domain.clip(step)[:, None], out, self._gradient_labels
+
+    def _prox_step(self, row: int, path_increments: np.ndarray):
+        """``DynamicIOMD.update`` of every lane: one batched prox step."""
         if self.doubling:
             if (path_increments < 0).any():
                 raise ConfigError("doubling learner needs nonnegative path increments")
@@ -366,6 +400,7 @@ class IOMDLanes:
             delta_sum = self.delta_sum + deltas
             ratio = delta_sum / self.beta_sq
             self.lam, self.delta_sum = np.where(ratio > lams, ratio, lams), delta_sum
+        out = {}
         if self.doubling:
             if restart.any():
                 self.epoch = self.epoch + restart
@@ -379,27 +414,31 @@ class IOMDLanes:
                 path = np.where(restart, 0.0, path)
                 x_next = np.where(restart[:, None], self.x, x_next)
             self.path_in_epoch = path
-            self._cols["restart"][row], self._cols["epoch"][row] = restart, self.epoch
-        cols = self._cols
-        cols["x"][row] = self.x[:, 0]
-        cols["value"][row], cols["gnorm_dual"][row] = res.values, res.gnorms
-        cols["delta"][row], cols["lam"][row], cols["solver"][row] = deltas, lams, solvers
-        self.x = x_next
-        self.t += 1
+            out = {"restart": restart, "epoch": self.epoch}
+        out.update(value=res.values, gnorm_dual=res.gnorms, delta=deltas, lam=lams)
+        return x_next, out, solvers
+
+    def column(self, key: str) -> np.ndarray:
+        """Every lane's ``key`` of the rounds so far, one column per lane."""
+        return self._cols[key][:self.t - 1]
 
     def rows(self, i: int) -> list:
         """Lane i's rounds so far as the trace writes them: its loss, its play
-        and the row ``DynamicIOMD.update`` returns."""
+        and the row its learner's ``update`` returns."""
         n = self.t - 1
-        cols = {key: col[:n, i] for key, col in self._cols.items()}
-        plays = cols.pop("x")[:, None].tolist()
+        cols = {key: col[:n, i].tolist() for key, col in self._cols.items()}
+        plays = [[x] for x in cols.pop("x")]
+        cols["solver"] = [labels[i] for labels in self._solvers]
+        if self.ogd:
+            cols["delta"] = cols["lam"] = [None] * n
         keys = list(cols)
         specs = LossTable({"quadratic"}, self._A[:n, i, None], self._Y[:n, i]).to_dicts()
-        return [{"loss": spec, "x": x, **dict(zip(keys, values))} for spec, x, values in zip(
-            specs, plays, zip(*(col.tolist() for col in cols.values())))]
+        return [{"loss": spec, "x": x, **dict(zip(keys, values))}
+                for spec, x, values in zip(specs, plays, zip(*cols.values()))]
 
     def final(self, i: int) -> dict:
         """Lane i's last play, weight and epoch, as the trace's final record
         reads them from a learner."""
-        return {"x_final": self.x[i].tolist(), "lam_final": float(self.lam[i]),
+        return {"x_final": self.x[i].tolist(),
+                "lam_final": None if self.ogd else float(self.lam[i]),
                 "epochs": int(self.epoch[i]) if self.doubling else None}

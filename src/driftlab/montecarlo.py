@@ -1,28 +1,32 @@
-"""Batched noise-floor sweeps: many seeds of the jumping-target environment.
+"""Lower-bound sweeps: many seeds of the jumping-target environment.
 
 Runs the square-loss environment with targets jumping between -sigma and
-+sigma for every single-iterate learner, vectorized across seeds (one lane
-per seed).  Each lane reproduces the production learner arithmetic operation
-for operation, so lane t of a batch equals a live run on that seed bit for
-bit; the test suite pins this equivalence.  Intended for wide sweeps where
-per-seed live runs would be needlessly slow.
++sigma for every single-iterate learner.  A (sigma, learner) family is what
+``driftlab run`` steps for those seeds: each seed's learner comes from the
+runner's builder, and the family steps as lanes of one batch
+(``learners.IntervalLanes``) through the runner's round loop, so each seed's
+values are those of its live run bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .learners import ConfigError, fixed_schedule
+from .envs import LowerBoundEnv
+from .learners import ConfigError, IntervalLanes
+from .runner import _build_algorithm, play_rounds
 
-LEARNERS = ("greedy", "diomd-adaptive", "diomd-fixed", "diomd-doubling", "ogd")
-
-_LO, _HI = -1.0, 1.0
-_D_SQ = 2.0  # half the squared width of [-1, 1]
-_GAMMA = 2.0
-_SQRT2 = math.sqrt(2.0)
+# name: algorithm spec
+_SPECS = {
+    "greedy": {"name": "greedy"},
+    "diomd-adaptive": {"name": "diomd", "schedule": "adaptive", "tau": 0.0},
+    "diomd-fixed": {"name": "diomd", "schedule": "fixed", "shape": "inv_sqrt", "scale": 1.0},
+    "diomd-doubling": {"name": "diomd-doubling"},
+    "ogd": {"name": "ogd"},
+}
+LEARNERS = tuple(_SPECS)
 
 
 @dataclass
@@ -37,113 +41,25 @@ class SweepResult:
 
 
 def noise_paths(sigma: float, T: int, seeds) -> np.ndarray:
-    """Per-seed target paths, one column per seed, matching the live env."""
-    if not (0 < sigma <= 1.0):
-        raise ConfigError("sigma must lie in (0, 1]")
-    if sigma * math.sqrt(T) <= 1.0:
-        raise ConfigError("need sigma * sqrt(T) > 1 for a meaningful floor")
-    cols = []
-    for seed in seeds:
-        rng = np.random.Generator(np.random.PCG64(int(seed)))
-        cols.append(sigma * (2.0 * rng.integers(0, 2, size=T) - 1.0))
-    return np.stack(cols, axis=1)
-
-
-def _values_and_next(x, eps_t, lam):
-    """One implicit step of the unit quadratic on [-1, 1], batched.
-
-    Mirrors the closed-form route: x' = clip(x - r / (lam + 1)), with the
-    progress certificate delta = v(x) - v(x') - lam * B(x', x).
-    """
-    r = x - eps_t
-    v = 0.5 * r * r
-    x_next = np.clip(x - r / (lam + 1.0), _LO, _HI)
-    r2 = x_next - eps_t
-    v2 = 0.5 * r2 * r2
-    d = x_next - x
-    b = 0.5 * (d * d)
-    penalty = np.where((lam > 0.0) & (b > 0.0), lam * b, 0.0)
-    delta = v - v2 - penalty
-    return v, x_next, delta
+    """Per-seed target paths, one column per seed: the environments' own."""
+    return np.stack([LowerBoundEnv(T, seed, sigma).eps for seed in seeds], axis=1)
 
 
 def run_family(learner: str, sigma: float, T: int, seeds,
                keep_values: bool = False) -> SweepResult:
-    eps = noise_paths(sigma, T, seeds)
-    n = eps.shape[1]
-    x = np.zeros(n)
-    values = np.empty((T, n)) if keep_values else None
-    total = np.zeros(n)
-
-    if learner == "greedy":
-        for t in range(T):
-            r = x - eps[t]
-            v = 0.5 * r * r
-            x = np.clip(x - r / 1.0, _LO, _HI)
-            total += v
-            if keep_values:
-                values[t] = v
-    elif learner == "diomd-adaptive":
-        beta_sq = _D_SQ  # path budget tau = 0
-        lam = np.zeros(n)
-        delta_sum = np.zeros(n)
-        for t in range(T):
-            v, x, delta = _values_and_next(x, eps[t], lam)
-            delta_sum = delta_sum + delta
-            lam = np.maximum(lam, delta_sum / beta_sq)
-            total += v
-            if keep_values:
-                values[t] = v
-    elif learner == "diomd-fixed":
-        etas = fixed_schedule("inv_sqrt", 1.0, T).etas
-        for t in range(T):
-            lam = 1.0 / float(etas[t])
-            v, x, _ = _values_and_next(x, eps[t], lam)
-            total += v
-            if keep_values:
-                values[t] = v
-    elif learner == "diomd-doubling":
-        diameter = math.sqrt(_D_SQ)
-        epoch = np.zeros(n)
-        q = np.full(n, _SQRT2 * diameter)
-        beta = _D_SQ + _GAMMA * q
-        lam = np.zeros(n)
-        delta_sum = np.zeros(n)
-        path = np.zeros(n)
-        prev_eps = None
-        for t in range(T):
-            inc = 0.0 if prev_eps is None else np.abs(eps[t] - prev_eps)
-            prev_eps = eps[t]
-            path = path + inc
-            restart = path > q
-            v, x_step, delta = _values_and_next(x, eps[t], lam)
-            epoch = np.where(restart, epoch + 1.0, epoch)
-            q = np.where(restart, _SQRT2 * diameter * 2.0 ** epoch, q)
-            beta_step = beta
-            beta = np.where(restart, _D_SQ + _GAMMA * q, beta)
-            delta_sum = np.where(restart, 0.0, delta_sum + delta)
-            lam = np.where(restart, 0.0, np.maximum(lam, delta_sum / beta_step))
-            path = np.where(restart, 0.0, path)
-            x = np.where(restart, x, x_step)
-            total += v
-            if keep_values:
-                values[t] = v
-    elif learner == "ogd":
-        etas = fixed_schedule("inv_sqrt", 1.0, T).etas
-        for t in range(T):
-            r = x - eps[t]
-            v = 0.5 * r * r
-            x = np.clip(x - etas[t] * r, _LO, _HI)
-            total += v
-            if keep_values:
-                values[t] = v
-    else:
+    """One (sigma, learner) family, a lane per seed; ``values`` only if kept."""
+    if learner not in _SPECS:
         raise ConfigError(f"unknown batched learner {learner!r}; choose from {LEARNERS}")
-
+    envs = [LowerBoundEnv(T, seed, sigma) for seed in seeds]
+    geom = envs[0].default_geometry()
+    lanes = IntervalLanes([_build_algorithm(_SPECS[learner], geom, env, T)[0] for env in envs],
+                          [env.loss_table() for env in envs])
+    play_rounds(lanes, [env.comparators() for env in envs], geom.primal_norm)
+    values, eps = lanes.column("value"), np.stack([env.eps for env in envs], axis=1)
     # the comparator sits on the per-round minimizer, so its loss is zero
-    vt = np.sum(np.abs(np.diff(eps, axis=0)), axis=0)
-    return SweepResult(learner, sigma, T, tuple(int(s) for s in seeds),
-                       regret=total, vt=vt, values=values)
+    return SweepResult(learner, sigma, T, tuple(env.seed for env in envs),
+                       regret=values.sum(axis=0), vt=np.sum(np.abs(np.diff(eps, axis=0)), axis=0),
+                       values=values if keep_values else None)
 
 
 def lower_bound_sweep(sigmas, T: int, seeds, learners=LEARNERS) -> dict:

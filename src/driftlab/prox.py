@@ -246,6 +246,8 @@ def _entropy_lanes(loss, geom, X, lams) -> ProxLanes:
 
 def _labels(lams: np.ndarray) -> list:
     """Each lane's solver label: a closed form, or the anchor kept at lam = inf."""
+    if (lams < math.inf).all():
+        return ["closed-form"] * len(lams)
     return ["closed-form" if lam < math.inf else "identity" for lam in lams.tolist()]
 
 

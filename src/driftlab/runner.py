@@ -23,7 +23,7 @@ from .envs import _ENV_KINDS, GENERATOR_NAME, make_environment
 from .geometry import (ENTROPY, EUCLIDEAN, ClippedSimplex, Geometry, _simplex_rows,
                        domain_from_dict, entropy_geometry)
 from .learners import (AdaptiveSchedule, ConfigError, DoublingSchedule, DynamicIOMD,
-                       GreedySchedule, IOMDLanes, OGD, fixed_schedule, start_point)
+                       GreedySchedule, IntervalLanes, OGD, fixed_schedule, start_point)
 from .losses import LossTable, loss_from_dict, step_lengths
 
 SCHEMA_VERSION = 1
@@ -345,7 +345,7 @@ def _build(cell: dict) -> _Run:
 
 
 class _OneLane:
-    """Any learner as a family of one, stepped as ``IOMDLanes`` are: its
+    """Any learner as a family of one, stepped as ``IntervalLanes`` are: its
     rounds are kept as the rows it writes."""
 
     def __init__(self, learner, env):
@@ -384,33 +384,41 @@ def families(cells: list) -> list:
 
 def run_cell(cells: list) -> list:
     """The ``CellResult`` of each cell of one family (see ``families``), in
-    order.  ``DynamicIOMD`` learners of one schedule on an interval step as
-    lanes of one batch (``learners.IOMDLanes``); any other family runs one
-    cell at a time.  If any lane raises, the family reruns one cell at a
-    time, so the error is the one the first failing cell raises on its own."""
+    order.  ``DynamicIOMD`` or ``OGD`` learners of one step rule on an
+    interval step as lanes of one batch (``learners.IntervalLanes``); any
+    other family runs one cell at a time.  If any lane raises, the family
+    reruns one cell at a time, so the error is the one the first failing
+    cell raises on its own."""
     try:
         runs = [_build(cell) for cell in cells]
         learners = [run.learner for run in runs]
-        if IOMDLanes.fit(learners):
-            return _play(runs, IOMDLanes(learners, [run.env.loss_table() for run in runs]))
+        if IntervalLanes.fit(learners):
+            return _play(runs, IntervalLanes(learners, [run.env.loss_table() for run in runs]))
     except Exception:
         runs = map(_build, cells)  # lazily, so the cells build and run in order
     return [_play([run], _OneLane(run.learner, run.env))[0] for run in runs]
 
 
 def _play(runs: list, lanes) -> list:
-    """The round loop: ``lanes`` steps every run of the family each round;
-    then each run's trace and report are built, one run at a time."""
+    """Each run of the family stepped by ``lanes``; then each run's trace
+    and report are built, one run at a time."""
     comparators = [run.env.comparators() for run in runs]
-    increments = np.array([[0.0, *step_lengths(us, run.geom.primal_norm)]
-                           for us, run in zip(comparators, runs)]).T
+    play_rounds(lanes, comparators, runs[0].geom.primal_norm)
+    return [_result(run, us, lanes.rows(i), lanes.final(i))
+            for i, (run, us) in enumerate(zip(runs, comparators))]
+
+
+def play_rounds(lanes, comparators: list, norm: str) -> None:
+    """The round loop: each round ``lanes`` steps every lane of the family,
+    lane i moving along its comparator path ``comparators[i]``, whose step
+    lengths ``norm`` measures."""
+    increments = np.column_stack([np.concatenate(([0.0], step_lengths(us, norm)))
+                                  for us in comparators])
     for t, path_increments in enumerate(increments, start=1):
         try:
             lanes.update(path_increments)
         except RangeError as exc:
             raise ConfigError(f"config field 'algorithm.loss_range': round {t}: {exc}") from None
-    return [_result(run, us, lanes.rows(i), lanes.final(i))
-            for i, (run, us) in enumerate(zip(runs, comparators))]
 
 
 def _result(run: _Run, comparators: np.ndarray, rows: list, final: dict) -> CellResult:

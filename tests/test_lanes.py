@@ -3,9 +3,10 @@
 ``prox.implicit_update_lanes`` steps k anchors at once; lane i must equal
 ``implicit_update`` on row i bit for bit, and a fault must raise what the
 first faulty lane raises on its own.  ``runner.run_cell`` steps a family of
-``DynamicIOMD`` cells on an interval as ``learners.IOMDLanes``; each seed's
-trace and report must equal what the seed writes as a family of one, and
-what its learner writes stepped on its own.
+``DynamicIOMD`` or ``OGD`` cells on an interval as
+``learners.IntervalLanes``; each seed's trace and report must equal what the
+seed writes as a family of one, and what its learner writes stepped on its
+own.
 """
 
 from __future__ import annotations
@@ -103,6 +104,33 @@ def test_quadratic_interval_lanes_raise_what_the_first_faulty_lane_raises(lanes,
     assert str(batch.value) == str(one.value)
 
 
+_ETA = st.one_of(st.sampled_from([1.0, 1e-300]), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lanes=st.lists(st.tuples(_A, _Y, _AT), min_size=1, max_size=6), dom=_DOMAIN, eta=_ETA)
+# a clipped step, y = 0 against -0.0 and 0.0 anchors, a = 0
+@example(lanes=[(1.0, 3.5, 0.5), (1.0, 0.0, "-zero"), (-1.0, -0.0, "-zero"),
+                (1.0, 0.0, "zero"), (0.0, 0.3, 0.2), (-0.0, -0.1, 0.9)],
+         dom=(-1.0, 1.0), eta=1.0)
+def test_ogd_lanes_equal_the_one_lane_update_bit_for_bit(lanes, dom, eta):
+    table, X, _ = _lanes([(a, y, at, 0.0) for a, y, at in lanes], dom)
+    geom = euclidean_geometry(Interval(*dom))
+    ogds = [learners.OGD(geom, [eta], x0=x) for x in X]
+    assert learners.IntervalLanes.fit(ogds)
+    batch = learners.IntervalLanes(ogds, [LossTable({"quadratic"}, table.A[i:i + 1],
+                                                    table.Y[i:i + 1]) for i in range(len(X))])
+    batch.update(np.zeros(len(X)))
+    for i, ogd in enumerate(ogds):
+        (lane,) = batch.rows(i)
+        one = ogd.update(table[i])
+        assert _bits(batch.x[i]) == _bits(ogd.x), i
+        assert _bits(lane["value"]) == _bits(one["value"]), i
+        assert _bits(lane["gnorm_dual"]) == _bits(one["gnorm_dual"]), i
+        assert lane["solver"] == one["solver"], i
+        assert lane["delta"] is one["delta"] is None and lane["lam"] is one["lam"] is None, i
+
+
 def _specs() -> list:
     return [*ALGORITHMS, FIXED_DIOMD, {"name": "diomd", "x0": [0.5]},
             {"name": "diomd-doubling", "x0": [-0.25]}]
@@ -124,7 +152,7 @@ def test_each_seed_of_a_family_writes_what_it_writes_alone(env, spec, monkeypatc
     assert families(cells) == [cells]
     together = run_cell(cells)
     # and what each learner writes stepped on its own, outside the lanes
-    monkeypatch.setattr(learners.IOMDLanes, "fit", staticmethod(lambda learners: False))
+    monkeypatch.setattr(learners.IntervalLanes, "fit", staticmethod(lambda learners: False))
     own = [run_cell([cell])[0] for cell in cells]
     for a, b, c in zip(together, alone, own):
         assert a.name == b.name == c.name
@@ -141,10 +169,17 @@ def test_interval_diomd_families_step_as_lanes(monkeypatch):
         steps.clear()
         run_cell(_family(ENVIRONMENTS["drifting-quadratic"], spec))
         assert steps == [5] * 24, spec
+    updates = []
+    for cls in (learners.OGD, learners.DynamicIOMD):
+        monkeypatch.setattr(cls, "update", lambda self, *args, _update=cls.update: (
+            updates.append(type(self)) or _update(self, *args)))
     steps.clear()
+    # ogd lanes take a gradient step: no prox, and no OGD.update
     run_cell(_family(ENVIRONMENTS["drifting-quadratic"], "ogd"))
+    assert steps == [] and updates == []
+    # an expert family still runs one lane at a time
     run_cell(_family(ENVIRONMENTS["shifting-experts"], "diomd"))
-    assert steps == []
+    assert steps == [] and updates == [learners.DynamicIOMD] * (5 * 24)
 
 
 def test_a_family_whose_lanes_raise_reruns_one_cell_at_a_time(monkeypatch):

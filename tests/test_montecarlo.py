@@ -70,6 +70,10 @@ def test_sweep_grid_shape_and_floor_sanity():
         assert res.regret.mean() >= 0.95 * 0.3**2 * 2000 / 2
         # per-run drift never exceeds the 2 sigma T ceiling
         assert np.all(res.vt <= 2 * 0.3 * 2000)
+    # the family the benchmark's traced run times after its passes
+    res = run_family("diomd-adaptive", 0.3, 1536, list(range(8)))
+    assert res.regret.shape == res.vt.shape == (8,)
+    assert np.isfinite(res.regret).all() and np.isfinite(res.vt).all()
 
 
 def test_input_validation():
