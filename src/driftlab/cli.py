@@ -11,12 +11,8 @@ failure under --strict.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import yaml
 
 from .learners import ConfigError
 from .runner import (
@@ -75,6 +71,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(path: str) -> dict:
+    import yaml  # here, not at the top: verify and list-algorithms read no config
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -103,6 +101,8 @@ def _execute(cells, threads: int):
         n = min(threads, len(family))
         jobs += [family[j * len(family) // n:(j + 1) * len(family) // n] for j in range(n)]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a one-process run starts no pool
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(run_cell, jobs))
     else:

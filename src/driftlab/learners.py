@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import EUCLIDEAN, Geometry, Interval, _as_vector
 from .losses import LinearLoss, Loss, LossTable
-from .prox import SolverError, implicit_update, implicit_update_lanes
+from .prox import SolverError, _quadratic_interval_lanes, implicit_update, implicit_update_lanes
 
 
 class ConfigError(ValueError):
@@ -308,7 +308,7 @@ class IntervalLanes:
     plays and writes, bit for bit, what learner i stepped on its own would.
     ``tables[i]`` holds lane i's loss of every round, 1-d quadratics; any
     other loss raises ``SolverError``.  The rounds are kept as columns of
-    (T, k) arrays, and ``rows(i)`` writes lane i's.
+    (T, k) arrays, and ``lane(i)`` reads lane i's.
 
     ``DynamicIOMD`` lanes take one batched prox step per round and follow
     its weights: ``lam`` holds each lane's weight of the next round for the
@@ -316,6 +316,11 @@ class IntervalLanes:
     restart is a per-lane ``np.where``: a restarting lane keeps its anchor
     and its prox step, solved with the batch, is dropped.  ``OGD`` lanes take
     its gradient step and write no delta or weight.
+
+    Each value is checked once, where it is made: the start points by their
+    learners, each round's next points and deltas by the step that makes
+    them.  A round trusts the anchors and weights that earlier rounds made,
+    and a lane whose step is faulty raises for the whole batch.
     """
 
     @staticmethod
@@ -392,8 +397,7 @@ class IntervalLanes:
         if self.beta_sq is None:
             self.lam = np.full(len(self.x), self.schedule.lam(self.t))
         lams = self.lam
-        losses = LossTable({"quadratic"}, self._A[row][:, None], self._Y[row])
-        res = implicit_update_lanes(losses, self.geom, self.x, lams)
+        res = _quadratic_interval_lanes(self._A[row], self._Y[row], self.geom, self.x, lams)
         x_next, deltas, solvers = res.x_next, res.deltas, res.solvers
         if self.beta_sq is not None:
             # max(lam, ratio) as the one-lane update takes it: lam unless ratio is larger
@@ -422,19 +426,18 @@ class IntervalLanes:
         """Every lane's ``key`` of the rounds so far, one column per lane."""
         return self._cols[key][:self.t - 1]
 
-    def rows(self, i: int) -> list:
-        """Lane i's rounds so far as the trace writes them: its loss, its play
-        and the row its learner's ``update`` returns."""
+    def lane(self, i: int) -> dict:
+        """Lane i's rounds so far as columns, keyed as the rows its learner's
+        ``update`` writes (a key it writes as null maps to None), with its
+        plays ``x`` (T, 1) and its losses ``loss``, a ``LossTable``."""
         n = self.t - 1
-        cols = {key: col[:n, i].tolist() for key, col in self._cols.items()}
-        plays = [[x] for x in cols.pop("x")]
+        cols = {key: col[:n, i] for key, col in self._cols.items()}
+        cols["x"] = cols["x"][:, None]
         cols["solver"] = [labels[i] for labels in self._solvers]
+        cols["loss"] = LossTable({"quadratic"}, self._A[:n, i, None], self._Y[:n, i])
         if self.ogd:
-            cols["delta"] = cols["lam"] = [None] * n
-        keys = list(cols)
-        specs = LossTable({"quadratic"}, self._A[:n, i, None], self._Y[:n, i]).to_dicts()
-        return [{"loss": spec, "x": x, **dict(zip(keys, values))}
-                for spec, x, values in zip(specs, plays, zip(*cols.values()))]
+            cols["delta"] = cols["lam"] = None
+        return cols
 
     def final(self, i: int) -> dict:
         """Lane i's last play, weight and epoch, as the trace's final record

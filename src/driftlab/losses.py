@@ -265,14 +265,12 @@ class LossTable:
     def __len__(self):
         return len(self._M) if self._items is None else len(self._items)
 
-    def to_dicts(self) -> list:
-        """Each row's spec, as its loss's ``to_dict`` writes it."""
-        if self._M is None:
-            return [l.to_dict() for l in self._items]
+    def columns(self) -> dict:
+        """The specs of a stacked table as columns, keyed as each row's loss
+        ``to_dict`` writes it: the kind and the (T, d) and (T,) arrays."""
         if self.kind == "linear":
-            return [{"kind": "linear", "g": g} for g in self._M.tolist()]
-        return [{"kind": self.kind, "a": a, "y": y}
-                for a, y in zip(self._M.tolist(), self.Y.tolist())]
+            return {"kind": "linear", "g": self._M}
+        return {"kind": self.kind, "a": self._M, "y": self.Y}
 
     def __getitem__(self, i) -> Loss:
         if self._items is not None:

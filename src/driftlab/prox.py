@@ -182,7 +182,7 @@ def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray)
     if (route is not None and np.isfinite(X).all() and geom.domain._contains_rows(X).all()
             and (lams >= 0.0).all()):
         try:
-            return route(loss, geom, X, lams)
+            return route(X, lams)
         except (GeometryError, SolverError):
             pass  # a faulty output: the lanes step one by one below
     losses = [loss[i] for i in range(len(X))] if isinstance(loss, LossTable) else [loss] * len(X)
@@ -193,15 +193,16 @@ def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray)
 
 
 def _lanes_route(loss, geom, X):
-    """The batched route of these lanes, or None to step them one by one."""
+    """The batched step of these lanes, a function of (X, lams), or None to
+    step them one by one."""
     if X.ndim != 2 or X.shape[1] != geom.domain.dim:
         return None
     if geom.mirror == "entropy" and isinstance(loss, LinearLoss):
-        return _entropy_lanes
+        return lambda X, lams: _entropy_lanes(loss, geom, X, lams)
     if (geom.mirror == "euclidean" and isinstance(geom.domain, Interval)
             and isinstance(loss, LossTable) and loss.A is not None and loss.kind == "quadratic"
             and loss.A.shape == (len(X), 1)):
-        return _quadratic_interval_lanes
+        return lambda X, lams: _quadratic_interval_lanes(loss.A[:, 0], loss.Y, geom, X, lams)
     return None
 
 
@@ -214,23 +215,28 @@ def _linear_entropy_lanes(loss, geom, X, lams):
     ``implicit_update`` does.  No lane's floats depend on another lane, so
     lane i equals the one-lane call on row i bit for bit; loss values are
     one dot product per row, because a matrix-vector product rounds
-    differently.
+    differently.  Each lane's case is read from its weight as a Python
+    float: a call has a lane or a few, and numpy masks cost more than that.
     """
-    dom = geom.domain
     g = loss.g
-    step = (lams > 0.0) & (lams < math.inf)
-    n_step = np.count_nonzero(step)
-    if n_step == len(lams):
-        X_next, penalty = _entropy_step(g, X, lams, dom)
+    lam_list = lams.tolist()
+    step = [i for i, lam in enumerate(lam_list) if 0.0 < lam < math.inf]
+    if len(step) == len(lam_list):
+        X_next, divergences = _entropy_step(g, X, lams, geom.domain)
     else:
-        X_next = np.where((lams == 0.0)[:, None], dom._linear_argmin(g, None), X)
-        penalty = np.zeros(len(lams))
-        if n_step:
-            X_next[step], penalty[step] = _entropy_step(g, X[step], lams[step], dom)
+        X_next, divergences = X.copy(), np.empty(0)
+        zero = [i for i, lam in enumerate(lam_list) if lam == 0.0]
+        if zero:
+            X_next[zero] = geom.domain._linear_argmin(g, None)
+        if step:
+            X_next[step], divergences = _entropy_step(g, X[step], lams[step], geom.domain)
+    penalty = [0.0] * len(lam_list)
+    for i, b in zip(step, divergences.tolist()):  # lam * B as ``_delta`` takes it
+        penalty[i] = lam_list[i] * b if b > 0.0 else 0.0
     if not np.isfinite(X_next).all():
         raise GeometryError("point has NaN or infinite coordinates")
     values = [float(g @ x) for x in X]
-    deltas = (np.array(values) - [float(g @ x) for x in X_next] - penalty).tolist()
+    deltas = [v - float(g @ x) - p for v, x, p in zip(values, X_next, penalty)]
     low = [delta for delta in deltas if delta < DELTA_FLOOR]
     if low:
         raise SolverError(f"closed-form: progress certificate delta={low[0]:.3e} "
@@ -253,13 +259,11 @@ def _labels(lams: np.ndarray) -> list:
 
 def _entropy_step(g, X, lams, dom):
     """Multiplicative step then KL projection, exact for linear losses; with
-    each lane's penalty lam * B(x_next, x_t), the divergence fused as in
-    ``Geometry._bregman``."""
+    each lane's divergence B(x_next, x_t), fused as in ``Geometry._bregman``."""
     z = g / lams[:, None]
-    X_next = _kl_project_clipped_simplex(X * np.exp(-(z - z.min(axis=1, keepdims=True))), dom)
+    X_next = _kl_project_clipped_simplex(X * np.exp(z.min(axis=1, keepdims=True) - z), dom)
     d = X_next - X
-    b = (X_next * np.log1p(d / X) - d).sum(axis=1)
-    return X_next, np.where(b > 0.0, lams * b, 0.0)
+    return X_next, (X_next * np.log1p(d / X) - d).sum(axis=1)
 
 
 def _closed_form_step(loss, geom, x_t, x, lam) -> ProxResult:
@@ -290,13 +294,15 @@ def _quadratic_euclidean(loss, geom, x_t, lam) -> ProxResult:
     return _closed_form_step(loss, geom, x_t, x, lam)
 
 
-def _quadratic_interval_lanes(table, geom, X, lams) -> ProxLanes:
+def _quadratic_interval_lanes(a, y, geom, X, lams) -> ProxLanes:
     """``_quadratic_euclidean`` on an interval, lane i from anchor X[i] under
-    loss table[i], lam = inf keeping the anchor as ``implicit_update`` does.
-    Each lane's residual is computed once; every float is the one the
-    one-lane route computes, since a 1-d dot product is an exact product
-    (``+ 0.0`` gives its sign of zero) and every other step is elementwise."""
-    a, y, x = table.A[:, 0], table.Y, X[:, 0]
+    the loss 0.5 * (a[i] * x - y[i])^2, lam = inf keeping the anchor as
+    ``implicit_update`` does.  Each lane's residual is computed once; every
+    float is the one the one-lane route computes, since a 1-d dot product is
+    an exact product (``+ 0.0`` gives its sign of zero) and every other step
+    is elementwise.  The anchors and weights are trusted; the outputs are
+    checked."""
+    x = X[:, 0]
     with np.errstate(all="ignore"):  # a faulty lane steps again on its own, warnings and all
         r = (a * x + 0.0) - y
         na2 = a * a

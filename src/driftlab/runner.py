@@ -48,6 +48,7 @@ _KINDS = {
 _NUMERIC = ("number", "positive", "non-negative", "at least 1", "increasing pair")
 # one encoder for every trace line, as json.dumps(rec, sort_keys=True) writes it
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True)
+_ABSENT = object()  # the value of a key a trace record lacks
 
 
 class TraceError(ValueError):
@@ -109,7 +110,7 @@ def _fit(field: str, value, kind):
     """``value`` of config field ``field``, once it fits ``kind`` by the rule
     that ``verify`` applies to a header parameter of that kind."""
     try:
-        _column([{field: value}], ["config"], field, kind)
+        _column([value], ["config"], field, kind)
     except TraceError as exc:
         raise ConfigError(str(exc)) from None
     return value
@@ -350,16 +351,13 @@ class _OneLane:
 
     def __init__(self, learner, env):
         self.learner, self.env = learner, env
-        self._rows = []
+        self.rows = []
 
     def update(self, path_increments: np.ndarray) -> None:
-        loss = self.env.loss(len(self._rows) + 1)
+        loss = self.env.loss(len(self.rows) + 1)
         x = np.asarray(self.learner.play(), dtype=float).tolist()
         row = self.learner.update(loss, float(path_increments[0]))
-        self._rows.append({"loss": loss.to_dict(), "x": x, **row})
-
-    def rows(self, i: int) -> list:
-        return self._rows
+        self.rows.append({"loss": loss.to_dict(), "x": x, **row})
 
     def final(self, i: int) -> dict:
         return {"x_final": np.asarray(self.learner.play(), dtype=float).tolist(),
@@ -385,27 +383,35 @@ def families(cells: list) -> list:
 def run_cell(cells: list) -> list:
     """The ``CellResult`` of each cell of one family (see ``families``), in
     order.  ``DynamicIOMD`` or ``OGD`` learners of one step rule on an
-    interval step as lanes of one batch (``learners.IntervalLanes``); any
-    other family runs one cell at a time.  If any lane raises, the family
-    reruns one cell at a time, so the error is the one the first failing
-    cell raises on its own."""
+    interval step as lanes of one batch (``learners.IntervalLanes``), and
+    each lane's trace and report are written from its columns; any other
+    family runs one cell at a time.  If any lane raises, the family reruns
+    one cell at a time, so the error is the one the first failing cell
+    raises on its own."""
     try:
         runs = [_build(cell) for cell in cells]
         learners = [run.learner for run in runs]
         if IntervalLanes.fit(learners):
-            return _play(runs, IntervalLanes(learners, [run.env.loss_table() for run in runs]))
+            lanes = IntervalLanes(learners, [run.env.loss_table() for run in runs])
+            comparators = _play(runs, lanes)
+            return [_lane_result(run, us, lanes.lane(i), lanes.final(i))
+                    for i, (run, us) in enumerate(zip(runs, comparators))]
     except Exception:
         runs = map(_build, cells)  # lazily, so the cells build and run in order
-    return [_play([run], _OneLane(run.learner, run.env))[0] for run in runs]
+    results = []
+    for run in runs:
+        lane = _OneLane(run.learner, run.env)
+        (us,) = _play([run], lane)
+        results.append(_result(run, us, lane.rows, lane.final(0)))
+    return results
 
 
 def _play(runs: list, lanes) -> list:
-    """Each run of the family stepped by ``lanes``; then each run's trace
-    and report are built, one run at a time."""
+    """Each run of the family stepped by ``lanes``; returns each run's
+    comparators."""
     comparators = [run.env.comparators() for run in runs]
     play_rounds(lanes, comparators, runs[0].geom.primal_norm)
-    return [_result(run, us, lanes.rows(i), lanes.final(i))
-            for i, (run, us) in enumerate(zip(runs, comparators))]
+    return comparators
 
 
 def play_rounds(lanes, comparators: list, norm: str) -> None:
@@ -421,6 +427,14 @@ def play_rounds(lanes, comparators: list, norm: str) -> None:
             raise ConfigError(f"config field 'algorithm.loss_range': round {t}: {exc}") from None
 
 
+def _final_record(run: _Run, value_sum: float, final: dict) -> dict:
+    state = {"value_sum": value_sum, **final}
+    resolved = run.header["config"]["algorithm"]
+    final_keys = _contract(resolved["name"], resolved, run.geom.mirror)[2]
+    return {"final": True, "x_final": final["x_final"],
+            **{key: state[key] for key in final_keys}}
+
+
 def _result(run: _Run, comparators: np.ndarray, rows: list, final: dict) -> CellResult:
     records = [run.header]
     value_sum = 0.0
@@ -428,14 +442,87 @@ def _result(run: _Run, comparators: np.ndarray, rows: list, final: dict) -> Cell
         value_sum += row["value"]
         row["t"], row["u"] = t, u  # each row becomes its record, not a copy
         records.append(row)
-    state = {"value_sum": value_sum, **final}
-    resolved = run.header["config"]["algorithm"]
-    final_keys = _contract(resolved["name"], resolved, run.geom.mirror)[2]
-    records.append({"final": True, "x_final": final["x_final"],
-                    **{key: state[key] for key in final_keys}})
+    records.append(_final_record(run, value_sum, final))
     # the report reads the records themselves; verify parses the same lines
     lines = [_TRACE_ENCODER.encode(rec) for rec in records]
     return CellResult(run.name, lines, trace_to_report(records))
+
+
+def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) -> CellResult:
+    """The trace and report of one lane's columns (``IntervalLanes.lane``):
+    the lines are the bytes ``_result`` writes for the same rows, and the
+    report is the one ``trace_to_report`` makes of them."""
+    n = len(comparators)
+    values = cols["value"].tolist()
+    value_sum = 0.0
+    for value in values:  # in order, as ``_result`` sums the rows
+        value_sum += value
+    final = _final_record(run, value_sum, final)
+    losses, plays = cols["loss"], cols["x"]
+    lines = _column_lines({**cols, "loss": losses.columns(), "t": np.arange(1, n + 1),
+                           "u": comparators})
+    lines = [_TRACE_ENCODER.encode(run.header), *lines, _TRACE_ENCODER.encode(final)]
+    cols = {**cols, "t": list(range(1, n + 1)), "value": values}
+
+    def column(key):  # every row's value, as the parsed lines hold it
+        col = cols.get(key, _ABSENT)
+        if isinstance(col, np.ndarray):
+            return col.tolist()
+        return col if isinstance(col, list) else [col] * n
+
+    # the lane made its plays and checked them; its environment made the comparators
+    wheres = [f"line {i + 2}" for i in range(n)]
+    comparators = _points(comparators, "u", run.geom.domain.dim, wheres)
+    report = _report(run.header, run.geom, losses, plays, comparators,
+                     np.asarray(final["x_final"], dtype=float), column, final, wheres)
+    return CellResult(run.name, lines, report)
+
+
+def _column_lines(columns: dict) -> list:
+    """The trace lines of rows given as columns, each the text
+    ``_TRACE_ENCODER`` writes for its row.  ``columns`` maps each row key to
+    every row's value (an array of numbers, flags or points, or a list of
+    labels), to a mapping of such keys, or to one value of every row.  The
+    keys go through one template, sorted; an int or a finite float is
+    written by ``repr``, which is how ``json`` writes it, and any other value
+    (a flag, a label, a float in a column that holds a non-finite one) as
+    the encoder writes it."""
+    slots = []
+    template = _template(columns, slots)
+    return [template % row for row in zip(*slots)]
+
+
+def _template(columns: dict, slots: list) -> str:
+    """The ``%`` template of one row of ``columns``, its slots' values
+    appended to ``slots`` column by column; a point has a slot for each
+    coordinate."""
+    fields = []
+    for key in sorted(columns):
+        col = columns[key]
+        if isinstance(col, dict):
+            slot = _template(col, slots)
+        elif isinstance(col, np.ndarray) and col.ndim == 2:
+            slot = "[" + ", ".join(_slot(coord, slots) for coord in col.T) + "]"
+        elif isinstance(col, (np.ndarray, list)):
+            slot = _slot(col, slots)
+        else:
+            slot = _TRACE_ENCODER.encode(col).replace("%", "%%")
+        fields.append(f"{_TRACE_ENCODER.encode(key)}: {slot}")
+    return "{" + ", ".join(fields) + "}"
+
+
+def _slot(col, slots: list) -> str:
+    """The template slot of one column of values, appended to ``slots``."""
+    if isinstance(col, list):  # labels: few distinct ones, each encoded once
+        text = {label: _TRACE_ENCODER.encode(label) for label in set(col)}
+        slots.append([text[label] for label in col])
+        return "%s"
+    values = col.tolist()
+    if col.dtype.kind == "b" or col.dtype.kind == "f" and not np.isfinite(col).all():
+        slots.append([_TRACE_ENCODER.encode(value) for value in values])
+        return "%s"
+    slots.append(values)
+    return "%r"
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +546,10 @@ def _header_field(config, dotted: str):
     return node
 
 
-def _points(records: list, key: str, dim, wheres: list) -> np.ndarray:
-    """The records' ``key`` points stacked into one (n, dim) array, checked once:
+def _points(raw: list, key: str, dim, wheres: list) -> np.ndarray:
+    """The ``key`` points ``raw`` stacked into one (n, dim) array, checked once:
     each a list of ``dim`` finite numbers (one number when ``dim`` is None); the
     first that is not is named by its place in ``wheres`` and its field."""
-    raw = [_require(rec, key, where) for rec, where in zip(records, wheres)]
     shape = () if dim is None else (dim,)
     try:
         pts = np.array(raw, dtype=float)
@@ -473,7 +559,14 @@ def _points(records: list, key: str, dim, wheres: list) -> np.ndarray:
         pass
     where = next(w for w, p in zip(wheres, raw) if not _is_point(p, shape))
     what = "a finite number" if dim is None else f"a list of {dim} finite numbers"
-    raise TraceError(f"{_field(where, key)} must be {what}")
+    raise _misfit(raw, wheres, key, f"{_field(where, key)} must be {what}")
+
+
+def _misfit(raw: list, wheres: list, key: str, message: str) -> TraceError:
+    """The error of a column with a value that misfits: the first row that
+    lacks the key, else ``message``."""
+    missing = next((w for w, v in zip(wheres, raw) if v is _ABSENT), None)
+    return TraceError(message if missing is None else f"{missing}: missing trace field {key!r}")
 
 
 def _field(where: str, key: str) -> str:
@@ -508,24 +601,25 @@ def _contract(algorithm: str, params: dict, mirror: str, linear: bool = False):
     return header, rows, final
 
 
-def _column(records: list, wheres: list, key: str, kind):
-    """The records' ``key`` values, each of ``kind``: a float array for numeric
-    kinds, else a list; the first misfit is named by its ``wheres`` and field."""
+def _column(raw: list, wheres: list, key: str, kind):
+    """The ``key`` values ``raw`` (``_ABSENT`` where a record lacks the key),
+    each of ``kind``: a float array for numeric kinds, else a list; the first
+    misfit is named by its ``wheres`` and field."""
     if kind == "nullable":
-        keep = [i for i, rec in enumerate(records) if rec.get(key) is not None]
-        col = np.full(len(records), np.nan)
-        col[keep] = _points([records[i] for i in keep], key, None, [wheres[i] for i in keep])
+        keep = [i for i, v in enumerate(raw) if v is not None and v is not _ABSENT]
+        col = np.full(len(raw), np.nan)
+        col[keep] = _points([raw[i] for i in keep], key, None, [wheres[i] for i in keep])
         return col
     what, test = _KINDS[kind] if type(kind) is str else (
         f"one of {', '.join(kind)}", lambda v: v in kind)
     if kind in _NUMERIC:
-        col = _points(records, key, 2 if kind == "increasing pair" else None, wheres)
+        col = _points(raw, key, 2 if kind == "increasing pair" else None, wheres)
         bad = () if test is None else np.flatnonzero(~test(col))
     else:
-        col = [_require(rec, key, where) for rec, where in zip(records, wheres)]
-        bad = [i for i, v in enumerate(col) if not test(v)]
+        col = raw
+        bad = [i for i, v in enumerate(col) if not test(v)]  # _ABSENT fits no kind
     if len(bad):
-        raise TraceError(f"{_field(wheres[bad[0]], key)} must be {what}")
+        raise _misfit(raw, wheres, key, f"{_field(wheres[bad[0]], key)} must be {what}")
     return col
 
 
@@ -569,9 +663,9 @@ def trace_to_report(records: list) -> dict:
                    Geometry, mirror, domain)
     wheres = [f"line {i + 2}" for i in range(T)]
     dim = geom.domain.dim
-    plays = _points(rows, "x", dim, wheres)
-    comparators = _points(rows, "u", dim, wheres)
-    x_final = _points([final], "x_final", dim, ["final record"])[0]
+    plays = _points([row.get("x", _ABSENT) for row in rows], "x", dim, wheres)
+    comparators = _points([row.get("u", _ABSENT) for row in rows], "u", dim, wheres)
+    x_final = _points([final.get("x_final", _ABSENT)], "x_final", dim, ["final record"])[0]
     specs = [_require(row, "loss", where) for row, where in zip(rows, wheres)]
     try:
         losses = LossTable.from_dicts(specs)
@@ -585,13 +679,28 @@ def trace_to_report(records: list) -> dict:
     if mirror == ENTROPY and losses.kind != "linear":  # the only entropic prox route
         i = next(i for i, spec in enumerate(specs) if spec.get("kind") != "linear")
         raise TraceError(f"{wheres[i]}: trace field 'loss' must be linear on the entropy mirror")
+    return _report(header, geom, losses, plays, comparators, x_final,
+                   lambda key: [row.get(key, _ABSENT) for row in rows], final, wheres)
+
+
+def _report(header: dict, geom: Geometry, losses: LossTable, plays: np.ndarray,
+            comparators: np.ndarray, x_final: np.ndarray, column, final: dict,
+            wheres: list) -> dict:
+    """The report of a trace whose header, geometry, plays, comparators and
+    losses are checked, from its rows gathered into columns: ``column(key)``
+    is every row's ``key`` value as a list, ``_ABSENT`` where a row lacks it.
+    Here each row key and final-record key is checked against its kind."""
+    config = header["config"]
+    params = config["algorithm"]
+    algorithm, mirror, T = params["name"], geom.mirror, len(plays)
     header_kinds, row_kinds, final_kinds = _contract(
         algorithm, params, mirror, losses.kind == "linear")
     for key, kind in header_kinds.items():
-        _column([params], ["line 1"], key, kind)
-    cols = {key: _column(rows, wheres, key, kind) for key, kind in row_kinds.items()}
+        _column([params.get(key, _ABSENT)], ["line 1"], key, kind)
+    raw = {key: column(key) for key in row_kinds}
+    cols = {key: _column(raw[key], wheres, key, kind) for key, kind in row_kinds.items()}
     for key, kind in final_kinds.items():
-        _column([final], ["final record"], key, kind)
+        _column([final.get(key, _ABSENT)], ["final record"], key, kind)
     lam_final, epochs = (final.get(key) if key in final_kinds else None
                          for key in ("lam_final", "epochs"))
     values = cols["value"]
@@ -603,14 +712,14 @@ def trace_to_report(records: list) -> dict:
     violations = []
     for i in np.flatnonzero(off | low | ~inside[:-1]):
         if off[i]:
-            violations.append({"round": rows[i]["t"], "check": "value",
+            violations.append({"round": raw["t"][i], "check": "value",
                                "recorded": float(values[i]),
                                "recomputed": float(recomputed[i])})
         if low[i]:
-            violations.append({"round": rows[i]["t"], "check": "delta-floor",
-                               "delta": rows[i]["delta"]})
+            violations.append({"round": raw["t"][i], "check": "delta-floor",
+                               "delta": raw["delta"][i]})
         if not inside[i]:
-            violations.append({"round": rows[i]["t"], "check": "play-set"})
+            violations.append({"round": raw["t"][i], "check": "play-set"})
     if not inside[-1]:
         violations.append({"round": None, "check": "final-play-set"})
     if abs(float(np.sum(values)) - final["value_sum"]) > 1e-9:

@@ -43,7 +43,7 @@ def test_loss_table_rows_are_the_round_losses(kind):
     env = make_environment(kind, T=64, seed=9, **KINDS[kind])
     table = env.loss_table()
     assert table.kind == env.loss(1).kind and len(table) == 64
-    assert table.to_dicts() == [l.to_dict() for l in env.losses()]
+    assert [table[i].to_dict() for i in range(len(table))] == [l.to_dict() for l in env.losses()]
     # and every round's comparator, stacked: same bits, shape and dtype
     us, stacked = env.comparators(), np.stack([env.comparator(t) for t in range(1, 65)])
     assert us.shape == stacked.shape == (64, env.default_geometry().domain.dim)

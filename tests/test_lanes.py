@@ -6,7 +6,9 @@ first faulty lane raises on its own.  ``runner.run_cell`` steps a family of
 ``DynamicIOMD`` or ``OGD`` cells on an interval as
 ``learners.IntervalLanes``; each seed's trace and report must equal what the
 seed writes as a family of one, and what its learner writes stepped on its
-own.
+own.  A lane's lines are written from its columns, so they must equal the
+trace encoder's text of the same rows, and its report what ``verify`` reads
+from those lines.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from driftlab.learners import ConfigError
 from driftlab.losses import LossTable
 from driftlab.prox import (SolverError, _quadratic_interval_lanes, implicit_update,
                            implicit_update_lanes)
-from driftlab.runner import ALGORITHMS, expand_config, families, run_cell
+from driftlab.runner import (ALGORITHMS, _TRACE_ENCODER, _column_lines, expand_config,
+                             families, parse_trace, run_cell, trace_to_report)
 
 
 def _bits(v) -> bytes:
@@ -79,8 +82,8 @@ def test_quadratic_interval_lanes_equal_the_one_lane_update_bit_for_bit(lanes, d
     table, X, lams = _lanes(lanes, dom)
     geom = euclidean_geometry(Interval(*dom))
     # the batched route itself, and the public call that takes it
-    _assert_lanes_equal_one_lane(_quadratic_interval_lanes(table, geom, X, lams),
-                                 table, geom, X, lams)
+    _assert_lanes_equal_one_lane(
+        _quadratic_interval_lanes(table.A[:, 0], table.Y, geom, X, lams), table, geom, X, lams)
     _assert_lanes_equal_one_lane(implicit_update_lanes(table, geom, X, lams),
                                  table, geom, X, lams)
 
@@ -122,13 +125,50 @@ def test_ogd_lanes_equal_the_one_lane_update_bit_for_bit(lanes, dom, eta):
                                                     table.Y[i:i + 1]) for i in range(len(X))])
     batch.update(np.zeros(len(X)))
     for i, ogd in enumerate(ogds):
-        (lane,) = batch.rows(i)
+        lane = batch.lane(i)
         one = ogd.update(table[i])
         assert _bits(batch.x[i]) == _bits(ogd.x), i
-        assert _bits(lane["value"]) == _bits(one["value"]), i
-        assert _bits(lane["gnorm_dual"]) == _bits(one["gnorm_dual"]), i
-        assert lane["solver"] == one["solver"], i
+        assert _bits(lane["value"]) == _bits([one["value"]]), i
+        assert _bits(lane["gnorm_dual"]) == _bits([one["gnorm_dual"]]), i
+        assert lane["solver"] == [one["solver"]], i
         assert lane["delta"] is one["delta"] is None and lane["lam"] is one["lam"] is None, i
+
+
+# any float, non-finite ones included, and the ones whose text is easy to get
+# wrong: signed zero, the least subnormal, exponent forms, 0.1 + 0.2, integral
+_FLOAT = st.one_of(st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 3.0, -2.0, 1e22]),
+                   st.floats())
+# a lane's row: value, gnorm_dual, delta, lam, loss a, loss y, u, x, t, epoch,
+# restart and solver
+_ROW = st.tuples(_FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT, _FLOAT,
+                 st.integers(0, 2 ** 62), st.integers(0, 2 ** 62), st.booleans(),
+                 st.sampled_from(["closed-form", "identity", "restart", "gradient-step"]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=5), ogd=st.booleans(), doubling=st.booleans())
+@example(rows=[(-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 3.0, -2.0, 0.0, 1, 0, False, "closed-form"),
+               (math.nan, 1.0, 0.0, math.inf, -math.inf, 1e-300, 0.5, -0.5, 2, 1, True,
+                "restart"),
+               (0.0, -0.0, -0.0, 1.0, 0.0, -0.0, 0.0, -0.0, 3, 1, False, "identity")],
+         ogd=False, doubling=True)
+@example(rows=[(0.5, 1.0, 0.0, 0.0, 1.0, 0.25, 0.25, 0.0, 1, 0, False, "gradient-step")],
+         ogd=True, doubling=False)
+def test_lane_lines_equal_the_trace_encoder_bit_for_bit(rows, ogd, doubling):
+    value, gnorm, delta, lam, a, y, u, x, t, epoch, restart, solver = map(list, zip(*rows))
+    records = [{"value": r[0], "gnorm_dual": r[1], "delta": None if ogd else r[2],
+                "lam": None if ogd else r[3], "loss": {"a": [r[4]], "kind": "quadratic",
+                                                       "y": r[5]},
+                "u": [r[6]], "x": [r[7]], "t": r[8], "solver": r[11],
+                **({"epoch": r[9], "restart": r[10]} if doubling else {})} for r in rows]
+    cols = {"value": np.array(value), "gnorm_dual": np.array(gnorm),
+            "delta": None if ogd else np.array(delta), "lam": None if ogd else np.array(lam),
+            "loss": {"a": np.array(a)[:, None], "kind": "quadratic", "y": np.array(y)},
+            "u": np.array(u)[:, None], "x": np.array(x)[:, None], "t": np.array(t),
+            "solver": solver}
+    if doubling:
+        cols.update(epoch=np.array(epoch), restart=np.array(restart))
+    assert _column_lines(cols) == [_TRACE_ENCODER.encode(rec) for rec in records]
 
 
 def _specs() -> list:
@@ -160,11 +200,32 @@ def test_each_seed_of_a_family_writes_what_it_writes_alone(env, spec, monkeypatc
         assert a.report == b.report == c.report, a.name
 
 
+@pytest.mark.parametrize("spec", _specs(), ids=str)
+@pytest.mark.parametrize("env", ENVIRONMENTS.values(), ids=list(ENVIRONMENTS))
+def test_a_lane_family_reports_what_verify_reads_from_its_lines(env, spec, monkeypatch):
+    cells = _family(env, spec)
+    try:
+        fit = learners.IntervalLanes.fit([runner._build(cell).learner for cell in cells])
+    except ConfigError:  # the algorithm does not run on this environment
+        return
+    if not fit:
+        return
+    lanes = []
+    lane_result = runner._lane_result
+    monkeypatch.setattr(runner, "_lane_result",
+                        lambda *args: lanes.append(1) or lane_result(*args))
+    results = run_cell(cells)
+    assert len(lanes) == len(cells)
+    for result in results:
+        text = "\n".join(result.trace_lines) + "\n"
+        assert trace_to_report(parse_trace(text)) == result.report, result.name
+
+
 def test_interval_diomd_families_step_as_lanes(monkeypatch):
     steps = []
-    batch = learners.implicit_update_lanes
-    monkeypatch.setattr(learners, "implicit_update_lanes",
-                        lambda loss, *args: steps.append(len(loss)) or batch(loss, *args))
+    batch = learners._quadratic_interval_lanes
+    monkeypatch.setattr(learners, "_quadratic_interval_lanes",
+                        lambda a, *args: steps.append(len(a)) or batch(a, *args))
     for spec in ("greedy", FIXED_DIOMD, "diomd", "diomd-doubling"):
         steps.clear()
         run_cell(_family(ENVIRONMENTS["drifting-quadratic"], spec))
@@ -185,16 +246,16 @@ def test_interval_diomd_families_step_as_lanes(monkeypatch):
 def test_a_family_whose_lanes_raise_reruns_one_cell_at_a_time(monkeypatch):
     cells = _family(ENVIRONMENTS["drifting-quadratic"], "diomd-doubling")
     alone = [run_cell([cell])[0] for cell in cells]
-    batch = learners.implicit_update_lanes
+    batch = learners._quadratic_interval_lanes
 
-    def fail_at_round_9(loss, geom, X, lams):
-        if len(loss) > 1 and fail_at_round_9.calls == 8:
+    def fail_at_round_9(a, y, geom, X, lams):
+        if len(a) > 1 and fail_at_round_9.calls == 8:
             raise SolverError("injected")
-        fail_at_round_9.calls += len(loss) > 1
-        return batch(loss, geom, X, lams)
+        fail_at_round_9.calls += len(a) > 1
+        return batch(a, y, geom, X, lams)
 
     fail_at_round_9.calls = 0
-    monkeypatch.setattr(learners, "implicit_update_lanes", fail_at_round_9)
+    monkeypatch.setattr(learners, "_quadratic_interval_lanes", fail_at_round_9)
     again = run_cell(cells)
     assert fail_at_round_9.calls == 8
     assert [r.trace_lines for r in again] == [r.trace_lines for r in alone]

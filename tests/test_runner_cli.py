@@ -881,3 +881,17 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "fixed-loss-greedy-s0" in proc.stdout
+
+
+def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool():
+    # verify reads no config and a one-process run starts no pool, so
+    # neither pays for those imports at start-up
+    src = str(Path(driftlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, driftlab.cli; print(sorted(m for m in "
+         "('yaml', 'concurrent.futures.process') if m in sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
