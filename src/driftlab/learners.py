@@ -18,7 +18,8 @@ import numpy as np
 
 from .geometry import EUCLIDEAN, Geometry, Interval, _as_vector
 from .losses import LinearLoss, Loss, LossTable
-from .prox import SolverError, _quadratic_interval_lanes, implicit_update, implicit_update_lanes
+from .prox import (ProxResult, SolverError, _quadratic_interval_lanes, implicit_update,
+                   implicit_update_lanes)
 
 
 class ConfigError(ValueError):
@@ -191,40 +192,28 @@ class DynamicIOMD(Learner):
             if path_increment is None or path_increment < 0:
                 raise ConfigError("doubling learner needs nonnegative path increments")
             self.path_in_epoch += path_increment
-            if self.path_in_epoch > self.Q:
-                return self._restart(loss)
-        if self.beta_sq is None:
-            self.lam = self.schedule.lam(self.t)
-        res = implicit_update(loss, self.geom, self.x, self.lam)
+        if self.doubling and self.path_in_epoch > self.Q:
+            # the next epoch opens at weight zero; the iterate stays, unsolved
+            self.epoch += 1
+            self.Q, self.beta_sq = self.schedule.budget(self.geom, self.epoch)
+            self.lam = self.delta_sum = self.path_in_epoch = 0.0
+            res = ProxResult(x_next=self.x, delta=0.0, solver="restart", residual=0.0,
+                             value=loss._value(self.x))
+        else:
+            if self.beta_sq is None:
+                self.lam = self.schedule.lam(self.t)
+            res = implicit_update(loss, self.geom, self.x, self.lam)
         row = _round_row(self.geom, loss, self.x, res, self.lam)
         if self.beta_sq is not None:
             # deltas are nonnegative, so the weight sequence never decreases
             self.delta_sum += res.delta
             self.lam = max(self.lam, self.delta_sum / self.beta_sq)
         if self.doubling:
-            row["restart"] = False
+            row["restart"] = res.solver == "restart"
             row["epoch"] = self.epoch
         self.x = res.x_next
         self.t += 1
         return row
-
-    def _restart(self, loss) -> dict:
-        """Open the next epoch; the iterate stays and no prox step is solved."""
-        self.epoch += 1
-        self.Q, self.beta_sq = self.schedule.budget(self.geom, self.epoch)
-        self.lam = 0.0
-        self.delta_sum = 0.0
-        self.path_in_epoch = 0.0
-        self.t += 1
-        return {
-            "value": loss._value(self.x),
-            "gnorm_dual": self.geom.dual_norm(loss._subgradient(self.x)),
-            "delta": 0.0,
-            "lam": 0.0,
-            "solver": "restart",
-            "restart": True,
-            "epoch": self.epoch,
-        }
 
 
 class OGD(Learner):

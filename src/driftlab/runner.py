@@ -1,9 +1,9 @@
 """Cell execution and replay: traces, reports, and grid summaries.
 
 A cell is one (environment, algorithm, seed) run.  Executing a cell yields a
-line-oriented JSON trace; the report is then computed from the parsed trace
-alone, so re-deriving the report from the written file (``verify``) matches
-the original byte for byte.
+line-oriented JSON trace, written from the run's columns, and a report that
+the same code computes from the parsed trace alone, so re-deriving the report
+from the written file (``verify``) matches the original byte for byte.
 """
 
 from __future__ import annotations
@@ -346,23 +346,38 @@ def _build(cell: dict) -> _Run:
 
 
 class _OneLane:
-    """Any learner as a family of one, stepped as ``IntervalLanes`` are: its
-    rounds are kept as the rows it writes."""
+    """Any learner as a family of one, stepped as ``IntervalLanes`` are, on
+    the rows of its environment's loss table: its rounds are kept as its
+    plays and the rows its ``update`` returns."""
 
     def __init__(self, learner, env):
-        self.learner, self.env = learner, env
-        self.rows = []
+        self.learner, self.losses = learner, env.loss_table()
+        self.plays, self.rows = [], []
 
     def update(self, path_increments: np.ndarray) -> None:
-        loss = self.env.loss(len(self.rows) + 1)
-        x = np.asarray(self.learner.play(), dtype=float).tolist()
-        row = self.learner.update(loss, float(path_increments[0]))
-        self.rows.append({"loss": loss.to_dict(), "x": x, **row})
+        loss = self.losses[len(self.rows)]
+        self.plays.append(np.array(self.learner.play(), dtype=float))
+        self.rows.append(self.learner.update(loss, float(path_increments[0])))
+
+    def lane(self, i: int) -> dict:
+        """The rounds as ``IntervalLanes.lane`` reads a lane's: each row key
+        maps to a float, int or flag array when every value is exactly of
+        that type, else to the list of its values."""
+        cols = {key: _as_column([row[key] for row in self.rows]) for key in self.rows[0]}
+        cols["x"], cols["loss"] = np.array(self.plays), self.losses
+        return cols
 
     def final(self, i: int) -> dict:
         return {"x_final": np.asarray(self.learner.play(), dtype=float).tolist(),
                 "lam_final": getattr(self.learner, "lam", None),
                 "epochs": getattr(self.learner, "epoch", None)}
+
+
+def _as_column(values: list):
+    if (all(isinstance(v, float) for v in values) or all(type(v) is int for v in values)
+            or all(type(v) is bool for v in values)):
+        return np.array(values)
+    return values
 
 
 def families(cells: list) -> list:
@@ -383,11 +398,11 @@ def families(cells: list) -> list:
 def run_cell(cells: list) -> list:
     """The ``CellResult`` of each cell of one family (see ``families``), in
     order.  ``DynamicIOMD`` or ``OGD`` learners of one step rule on an
-    interval step as lanes of one batch (``learners.IntervalLanes``), and
-    each lane's trace and report are written from its columns; any other
-    family runs one cell at a time.  If any lane raises, the family reruns
-    one cell at a time, so the error is the one the first failing cell
-    raises on its own."""
+    interval step as lanes of one batch (``learners.IntervalLanes``); any
+    other family runs one cell at a time, as a lane of its own
+    (``_OneLane``).  Each cell's trace and report are written from its
+    columns.  If any lane raises, the family reruns one cell at a time, so
+    the error is the one the first failing cell raises on its own."""
     try:
         runs = [_build(cell) for cell in cells]
         learners = [run.learner for run in runs]
@@ -402,7 +417,7 @@ def run_cell(cells: list) -> list:
     for run in runs:
         lane = _OneLane(run.learner, run.env)
         (us,) = _play([run], lane)
-        results.append(_result(run, us, lane.rows, lane.final(0)))
+        results.append(_lane_result(run, us, lane.lane(0), lane.final(0)))
     return results
 
 
@@ -435,30 +450,23 @@ def _final_record(run: _Run, value_sum: float, final: dict) -> dict:
             **{key: state[key] for key in final_keys}}
 
 
-def _result(run: _Run, comparators: np.ndarray, rows: list, final: dict) -> CellResult:
-    records = [run.header]
-    value_sum = 0.0
-    for t, (row, u) in enumerate(zip(rows, comparators.tolist()), start=1):
-        value_sum += row["value"]
-        row["t"], row["u"] = t, u  # each row becomes its record, not a copy
-        records.append(row)
-    records.append(_final_record(run, value_sum, final))
-    # the report reads the records themselves; verify parses the same lines
-    lines = [_TRACE_ENCODER.encode(rec) for rec in records]
-    return CellResult(run.name, lines, trace_to_report(records))
-
-
 def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) -> CellResult:
     """The trace and report of one lane's columns (``IntervalLanes.lane``):
-    the lines are the bytes ``_result`` writes for the same rows, and the
-    report is the one ``trace_to_report`` makes of them."""
+    the lines are the text ``_TRACE_ENCODER`` writes for the same rows, and
+    the report is the one ``trace_to_report`` makes of those lines, with the
+    same checks of the plays, comparators and final play."""
     n = len(comparators)
     values = cols["value"].tolist()
     value_sum = 0.0
-    for value in values:  # in order, as ``_result`` sums the rows
+    for value in values:  # in order, one round at a time
         value_sum += value
     final = _final_record(run, value_sum, final)
-    losses, plays = cols["loss"], cols["x"]
+    wheres = [f"line {i + 2}" for i in range(n)]
+    dim = run.geom.domain.dim
+    plays = _points(cols["x"], "x", dim, wheres)
+    us = _points(comparators, "u", dim, wheres)
+    x_final = _points([final["x_final"]], "x_final", dim, ["final record"])[0]
+    losses = cols["loss"]
     lines = _column_lines({**cols, "loss": losses.columns(), "t": np.arange(1, n + 1),
                            "u": comparators})
     lines = [_TRACE_ENCODER.encode(run.header), *lines, _TRACE_ENCODER.encode(final)]
@@ -470,11 +478,7 @@ def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) ->
             return col.tolist()
         return col if isinstance(col, list) else [col] * n
 
-    # the lane made its plays and checked them; its environment made the comparators
-    wheres = [f"line {i + 2}" for i in range(n)]
-    comparators = _points(comparators, "u", run.geom.domain.dim, wheres)
-    report = _report(run.header, run.geom, losses, plays, comparators,
-                     np.asarray(final["x_final"], dtype=float), column, final, wheres)
+    report = _report(run.header, run.geom, losses, plays, us, x_final, column, final, wheres)
     return CellResult(run.name, lines, report)
 
 
@@ -513,9 +517,13 @@ def _template(columns: dict, slots: list) -> str:
 
 def _slot(col, slots: list) -> str:
     """The template slot of one column of values, appended to ``slots``."""
-    if isinstance(col, list):  # labels: few distinct ones, each encoded once
-        text = {label: _TRACE_ENCODER.encode(label) for label in set(col)}
-        slots.append([text[label] for label in col])
+    if isinstance(col, list):
+        encode = _TRACE_ENCODER.encode
+        # labels: few distinct ones, each encoded once.  Any other list goes
+        # value by value: a memo would take -0.0 for 0.0, and 1 for 1.0 or True
+        if all(type(v) is str for v in col):
+            encode = {label: encode(label) for label in set(col)}.__getitem__
+        slots.append(list(map(encode, col)))
         return "%s"
     values = col.tolist()
     if col.dtype.kind == "b" or col.dtype.kind == "f" and not np.isfinite(col).all():
@@ -585,7 +593,8 @@ def _is_point(p, shape: tuple) -> bool:
 def _contract(algorithm: str, params: dict, mirror: str, linear: bool = False):
     """(header, row, final-record) kinds that a trace of ``algorithm`` must fit;
     a learner key the algorithm does not declare, such as abprod's copied
-    delta or the eg2 that doubling omits on restart rows, is nullable."""
+    delta or doubling's eg2 (which older traces omit on restart rows), is
+    nullable."""
     rows, final, header = ALGORITHMS[algorithm][2:]
     rows = {"t": "count", "value": "number",
             **dict.fromkeys(("delta", "gnorm_dual", "lam", "eg2"), "nullable"), **rows}

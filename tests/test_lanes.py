@@ -6,9 +6,9 @@ first faulty lane raises on its own.  ``runner.run_cell`` steps a family of
 ``DynamicIOMD`` or ``OGD`` cells on an interval as
 ``learners.IntervalLanes``; each seed's trace and report must equal what the
 seed writes as a family of one, and what its learner writes stepped on its
-own.  A lane's lines are written from its columns, so they must equal the
-trace encoder's text of the same rows, and its report what ``verify`` reads
-from those lines.
+own.  Every cell's lines, in lanes or as a family of one (``_OneLane``), are
+written from its columns, so they must equal the trace encoder's text of the
+same rows, and its report what ``verify`` reads from those lines.
 """
 
 from __future__ import annotations
@@ -205,10 +205,9 @@ def test_each_seed_of_a_family_writes_what_it_writes_alone(env, spec, monkeypatc
 def test_a_lane_family_reports_what_verify_reads_from_its_lines(env, spec, monkeypatch):
     cells = _family(env, spec)
     try:
-        fit = learners.IntervalLanes.fit([runner._build(cell).learner for cell in cells])
+        for cell in cells:
+            runner._build(cell)
     except ConfigError:  # the algorithm does not run on this environment
-        return
-    if not fit:
         return
     lanes = []
     lane_result = runner._lane_result
