@@ -3,8 +3,8 @@
 ``evaluate_bounds`` consumes a completed run and emits one row per applicable
 inequality with the realized left and right sides.  Rows never weaken the
 stated guarantee: when a premise fails (for example the comparator path
-exceeds the configured budget, or a comparator of the greedy drift bound
-lies outside the domain) the row is marked inapplicable instead of passed.
+exceeds the configured budget, or a comparator of a drift bound lies
+outside the domain) the row is marked inapplicable instead of passed.
 
 Rows read the run's losses as ``losses.LossTable`` columns; the recursion
 check takes the whole weight sequence at once.
@@ -96,6 +96,12 @@ class RunRecord:
         return self.losses.values(self.comparators)
 
     @cached_property
+    def comparators_inside(self) -> bool:
+        """Whether every comparator lies in the domain, which the drift bounds
+        assume: they compare against points the learner could have played."""
+        return bool(self.geom.domain._contains_rows(self.comparators).all())
+
+    @cached_property
     def comparator_steps(self) -> np.ndarray:
         return step_lengths(self.comparators, self.geom.primal_norm)
 
@@ -182,13 +188,18 @@ def _premise_row(name, ok, lhs, rhs, note=""):
                       status="checked" if ok else "inapplicable", note=note)
 
 
+def _drift_row(rec, name, lhs, rhs, tol, note="", applicable=True):
+    """A row of a bound that needs every comparator in the domain; where one
+    leaves it, the row is inapplicable and its note says so."""
+    if not rec.comparators_inside:
+        note, applicable = "comparators leave the domain; the bound needs u_t in V", False
+    return _row(name, lhs, rhs, tol, note=note, applicable=applicable)
+
+
 def _greedy_rows(rec, tol):
-    # the bound compares against comparators the learner could have played
-    inside = all(rec.geom.domain._contains(u) for u in rec.comparators)
-    note = ("regret <= first value - final value + signed drift" if inside
-            else "comparators leave the domain; the bound needs u_t in V")
     rhs = rec.endpoint_gap() + rec.variability.signed
-    return [_row("greedy-drift-bound", rec.regret(), rhs, tol, note=note, applicable=inside)]
+    return [_drift_row(rec, "greedy-drift-bound", rec.regret(), rhs, tol,
+                       note="regret <= first value - final value + signed drift")]
 
 
 def _fixed_rows(rec, tol):
@@ -196,8 +207,8 @@ def _fixed_rows(rec, tol):
     rhs = (rec.geom.diameter_sq * lams[-1]
            + rec.geom.gamma * float(np.sum(lams[1:] * rec.comparator_steps))
            + float(np.sum(rec.deltas)))
-    rows = [_row("fixed-schedule-bound", rec.regret(), rhs, tol,
-                 note="regret <= D^2/eta_T + gamma * sum ||du||/eta_t + sum delta")]
+    rows = [_drift_row(rec, "fixed-schedule-bound", rec.regret(), rhs, tol,
+                       note="regret <= D^2/eta_T + gamma * sum ||du||/eta_t + sum delta")]
     rows.append(_delta_floor_row(rec))
     return rows
 
@@ -259,23 +270,23 @@ def _adaptive_rows(rec, tol):
         ok = ct <= tau + 1e-9
         rows.append(_premise_row("path-budget", ok, ct, tau,
                                  note="comparator path within configured budget"))
-        rows.append(_row(f"{style}-arm-endpoint", regret,
-                         2.0 * (rec.endpoint_gap() + vt), tol, applicable=ok,
-                         note=endpoint_note))
-        rows.append(_row(f"{style}-arm-gradient", regret,
-                         2.0 * math.sqrt((3.0 * D2 + g * tau) * gsq), tol, applicable=ok,
-                         note=gradient_note))
+        rows.append(_drift_row(rec, f"{style}-arm-endpoint", regret,
+                               2.0 * (rec.endpoint_gap() + vt), tol, applicable=ok,
+                               note=endpoint_note))
+        rows.append(_drift_row(rec, f"{style}-arm-gradient", regret,
+                               2.0 * math.sqrt((3.0 * D2 + g * tau) * gsq), tol,
+                               applicable=ok, note=gradient_note))
     elif style == "static":
         factor = 2.0 + g * ct / D2
         arm = min(rec.endpoint_gap() + vt, math.sqrt(3.0 * D2 * gsq))
-        rows.append(_row("static-mode-bound", regret, factor * arm, tol,
-                         note="beta^2 = D^2 checker mode"))
+        rows.append(_drift_row(rec, "static-mode-bound", regret, factor * arm, tol,
+                               note="beta^2 = D^2 checker mode"))
     elif style == "expert":
         rows.extend(_expert_rows(rec, tol, regret, gsq))
     elif style == "composite-static":
         rhs = min(2.0 * (rec.endpoint_gap() + vt),
                   2.0 * math.sqrt(D2) * math.sqrt(3.0 * gsq))
-        rows.append(_row("composite-static-bound", regret, rhs, tol))
+        rows.append(_drift_row(rec, "composite-static-bound", regret, rhs, tol))
     return rows
 
 
@@ -336,7 +347,7 @@ def _doubling_rows(rec, tol):
         note = "gradient arm vacuous at zero path"
     c = math.sqrt(2.0) / (D + g * math.sqrt(2.0))
     rhs = (2.0 + c) * min(arm_a, arm_b)
-    rows.append(_row("doubling-regret", rec.regret(), rhs, tol, note=note))
+    rows.append(_drift_row(rec, "doubling-regret", rec.regret(), rhs, tol, note=note))
     return rows
 
 

@@ -25,7 +25,7 @@ from driftlab.learners import (
     Learner,
 )
 from driftlab.losses import AbsoluteLoss, CompositeLoss, LinearLoss, QuadraticLoss
-from driftlab.runner import run_cell
+from driftlab.runner import run_cell, strict_failures
 
 INTERVAL = euclidean_geometry(Interval(-1.0, 1.0))
 
@@ -262,6 +262,64 @@ def test_greedy_row_inapplicable_when_comparators_leave_the_domain():
     assert row["status"] == "inapplicable"
     assert "comparators leave the domain" in row["note"]
     assert res.report["bounds_summary"]["failed"] == 0
+
+
+OUTSIDE = "comparators leave the domain; the bound needs u_t in V"
+
+
+# expert comparators sit on corners of the simplex, outside the clipped
+# simplex the learner plays on; the first three and the two doubling cells
+# failed --strict while these rows ignored that premise
+@pytest.mark.parametrize("shifts, seed, T, spec, names", [
+    (1, 4, 5, {"name": "diomd", "bound_style": "drift", "tau": 2.0},
+     ["drift-arm-endpoint", "drift-arm-gradient"]),
+    (1, 4, 5, {"name": "diomd", "bound_style": "composite", "tau": 2.0},
+     ["composite-arm-endpoint", "composite-arm-gradient"]),
+    (1, 4, 5, {"name": "diomd", "bound_style": "composite-static", "tau": 2.0},
+     ["composite-static-bound"]),
+    (1, 4, 5, {"name": "diomd", "bound_style": "static", "tau": 2.0}, ["static-mode-bound"]),
+    (1, 4, 5, {"name": "diomd", "schedule": "fixed", "scale": 1.0}, ["fixed-schedule-bound"]),
+    (1, 0, 2, {"name": "diomd-doubling"}, ["doubling-regret"]),
+    (0, 41, 2, {"name": "diomd-doubling"}, ["doubling-regret"]),
+], ids=lambda v: str(v))
+def test_drift_rows_are_inapplicable_when_comparators_leave_the_domain(
+        shifts, seed, T, spec, names):
+    cell = {"environment": {"kind": "shifting-experts", "params": {"d": 3, "shifts": shifts}},
+            "algorithm": spec, "T": T, "seed": seed}
+    report = run_cell([cell])[0].report
+    rows = {row["name"]: row for row in report["bounds"]}
+    for name in names:
+        assert rows[name]["status"] == "inapplicable", name
+        assert rows[name]["note"] == OUTSIDE, name
+    # the path budget stays a premise row of its own
+    if "path-budget" in rows:
+        assert rows["path-budget"]["status"] == "checked"
+        assert rows["path-budget"]["note"] == "comparator path within configured budget"
+    assert strict_failures([report]) == []
+    assert report["bounds_summary"]["checked"] > 0
+
+
+def test_expert_rows_keep_their_clipping_term_for_corner_comparators():
+    cell = {"environment": {"kind": "shifting-experts", "params": {"d": 3, "shifts": 1}},
+            "algorithm": {"name": "diomd", "tau": 2.0}, "T": 5, "seed": 4}
+    rows = {row["name"]: row for row in run_cell([cell])[0].report["bounds"]}
+    for name in ("expert-arm-endpoint", "expert-arm-gradient", "expert-first-order"):
+        assert rows[name]["status"] == "checked" and rows[name]["note"] != OUTSIDE, name
+
+
+def test_comparators_inside_reads_every_comparator():
+    geom = euclidean_geometry(Interval(-0.4, 0.4))
+    env = DriftingQuadraticEnv(T=5, seed=3, tau=2.0)
+    us = env.comparators()
+
+    def record(comparators):
+        return RunRecord("greedy", geom, env.losses(), np.zeros((5, 1)), np.zeros(1),
+                         comparators=comparators)
+
+    assert record(np.clip(us, -0.4, 0.4)).comparators_inside is True
+    outside = np.clip(us, -0.4, 0.4)
+    outside[-1] = 0.5
+    assert record(outside).comparators_inside is False
 
 
 def _adaptive_record(tau_alg, env, wrap=lambda loss: loss):

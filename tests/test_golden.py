@@ -24,16 +24,19 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 # Files whose bytes moved on purpose since golden.json was last recorded.
-# The greedy drift row of the box cell turned inapplicable: its comparators
-# leave the box, and the bound needs them inside the domain.  Scaffold's
+# The greedy drift row and the adaptive diomd drift arms of the box cell
+# turned inapplicable: its comparators leave the box, and the bounds need
+# them inside the domain.  Scaffold's
 # default base gained the loss_sup that the diomd builder resolves on the
 # entropy mirror, so a header rebuilds its run; only that header key moved.
 MOVED = {
     "tiny-box": {
+        "drifting-quadratic-diomd-s3.report.json":
+            "189b0fd2c8d5a77ea95daa260654b477ba948435e7693c8cd1f459d53c13ef56",
         "drifting-quadratic-greedy-s3.report.json":
             "342d847f50ac4903d074930ce9033cac1af86df01de497643194848fa18446d5",
         "summary.csv":
-            "c31afb5a1c06bda37f9cad89f8b55287ca7825591cb171ef71ab5c69c4a59fde",
+            "6e25e61f42fe0060f84d0719fc8d0cd7125dff9a9e4f76cc7c07c107dc699838",
     },
     "expert-shift": {
         "shifting-experts-abprod-s0.report.json":
