@@ -97,8 +97,7 @@ class RunRecord:
 
     @cached_property
     def comparators_inside(self) -> bool:
-        """Whether every comparator lies in the domain, which the drift bounds
-        assume: they compare against points the learner could have played."""
+        """Whether every comparator is a point the learner could have played."""
         return bool(self.geom.domain._contains_rows(self.comparators).all())
 
     @cached_property
@@ -189,8 +188,7 @@ def _premise_row(name, ok, lhs, rhs, note=""):
 
 
 def _drift_row(rec, name, lhs, rhs, tol, note="", applicable=True):
-    """A row of a bound that needs every comparator in the domain; where one
-    leaves it, the row is inapplicable and its note says so."""
+    """A row of a bound that holds for comparators in the domain only."""
     if not rec.comparators_inside:
         note, applicable = "comparators leave the domain; the bound needs u_t in V", False
     return _row(name, lhs, rhs, tol, note=note, applicable=applicable)

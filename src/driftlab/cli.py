@@ -93,30 +93,32 @@ def _parse_seeds(text: str) -> list:
         raise ConfigError(f"--seed-override: expected comma-separated integers, got {text!r}") from exc
 
 
-def _execute(cells, threads: int):
-    """Every cell's result, in order.  Each family runs as one ``run_cell``
-    call, or over worker processes as at most ``threads`` contiguous chunks."""
+def _execute(cells, threads: int, out_dir: Path) -> list:
+    """Every cell's report, in order, each family's files written as its
+    ``run_cell`` returns.  Each family runs as one ``run_cell`` call, or
+    over worker processes as at most ``threads`` contiguous chunks."""
     jobs = []
     for family in families(cells):
         n = min(threads, len(family))
         jobs += [family[j * len(family) // n:(j + 1) * len(family) // n] for j in range(n)]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a one-process run starts no pool
+    if threads == 1:
+        return _write_outputs(map(run_cell, jobs), out_dir)
+    from concurrent.futures import ProcessPoolExecutor  # a one-process run starts no pool
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run_cell, jobs))
-    else:
-        done = [run_cell(job) for job in jobs]
-    return [result for results in done for result in results]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return _write_outputs(pool.map(run_cell, jobs), out_dir)
 
 
-def _write_outputs(results, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_outputs(done, out_dir: Path) -> list:
+    """The reports of ``done``'s results, written family by family, then ``summary.csv``."""
     reports = []
-    for res in results:
-        (out_dir / f"{res.name}.trace.jsonl").write_text("\n".join(res.trace_lines) + "\n")
-        (out_dir / f"{res.name}.report.json").write_text(report_json(res.report))
-        reports.append(res.report)
+    for results in done:
+        out_dir.mkdir(parents=True, exist_ok=True)  # only once a family is done
+        for res in results:
+            (out_dir / f"{res.name}.trace.jsonl").write_text("\n".join(res.trace_lines) + "\n")
+            (out_dir / f"{res.name}.report.json").write_text(report_json(res.report))
+            reports.append(res.report)
+    out_dir.mkdir(parents=True, exist_ok=True)  # a grid of no cells still gets its summary
     (out_dir / "summary.csv").write_text(summarize(reports))
     return reports
 
@@ -140,8 +142,7 @@ def _grid_command(args, sweep: bool) -> int:
         cells = expand_config(config, seed_override=seed_override)
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
-    results = _execute(cells, args.threads)
-    reports = _write_outputs(results, Path(args.output_dir))
+    reports = _execute(cells, args.threads, Path(args.output_dir))
     for report in sorted(reports, key=lambda r: r["cell"]):
         print(_cell_line(report))
     failures = strict_failures(reports)

@@ -360,11 +360,11 @@ class _OneLane:
         self.rows.append(self.learner.update(loss, float(path_increments[0])))
 
     def lane(self, i: int) -> dict:
-        """The rounds as ``IntervalLanes.lane`` reads a lane's: each row key
-        maps to a float, int or flag array when every value is exactly of
-        that type, else to the list of its values."""
+        """The rounds as ``IntervalLanes.lane`` reads a lane's, the plays ``x``
+        unstacked: a row key maps to a float, int or flag array where every
+        value is exactly that, else to a list."""
         cols = {key: _as_column([row[key] for row in self.rows]) for key in self.rows[0]}
-        cols["x"], cols["loss"] = np.array(self.plays), self.losses
+        cols["x"], cols["loss"] = self.plays, self.losses
         return cols
 
     def final(self, i: int) -> dict:
@@ -442,14 +442,6 @@ def play_rounds(lanes, comparators: list, norm: str) -> None:
             raise ConfigError(f"config field 'algorithm.loss_range': round {t}: {exc}") from None
 
 
-def _final_record(run: _Run, value_sum: float, final: dict) -> dict:
-    state = {"value_sum": value_sum, **final}
-    resolved = run.header["config"]["algorithm"]
-    final_keys = _contract(resolved["name"], resolved, run.geom.mirror)[2]
-    return {"final": True, "x_final": final["x_final"],
-            **{key: state[key] for key in final_keys}}
-
-
 def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) -> CellResult:
     """The trace and report of one lane's columns (``IntervalLanes.lane``):
     the lines are the text ``_TRACE_ENCODER`` writes for the same rows, and
@@ -460,15 +452,17 @@ def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) ->
     value_sum = 0.0
     for value in values:  # in order, one round at a time
         value_sum += value
-    final = _final_record(run, value_sum, final)
+    state, algorithm = {**final, "value_sum": value_sum}, run.header["config"]["algorithm"]
+    final = {"final": True, "x_final": final["x_final"], **{
+        key: state[key] for key in _contract(algorithm["name"], algorithm, run.geom.mirror)[2]}}
     wheres = [f"line {i + 2}" for i in range(n)]
     dim = run.geom.domain.dim
     plays = _points(cols["x"], "x", dim, wheres)
     us = _points(comparators, "u", dim, wheres)
     x_final = _points([final["x_final"]], "x_final", dim, ["final record"])[0]
     losses = cols["loss"]
-    lines = _column_lines({**cols, "loss": losses.columns(), "t": np.arange(1, n + 1),
-                           "u": comparators})
+    lines = _column_lines({**cols, "x": plays, "loss": losses.columns(),
+                           "t": np.arange(1, n + 1), "u": comparators})
     lines = [_TRACE_ENCODER.encode(run.header), *lines, _TRACE_ENCODER.encode(final)]
     cols = {**cols, "t": list(range(1, n + 1)), "value": values}
 
@@ -593,8 +587,7 @@ def _is_point(p, shape: tuple) -> bool:
 def _contract(algorithm: str, params: dict, mirror: str, linear: bool = False):
     """(header, row, final-record) kinds that a trace of ``algorithm`` must fit;
     a learner key the algorithm does not declare, such as abprod's copied
-    delta or doubling's eg2 (which older traces omit on restart rows), is
-    nullable."""
+    delta or doubling's eg2 (absent on restart rows of older traces), is nullable."""
     rows, final, header = ALGORITHMS[algorithm][2:]
     rows = {"t": "count", "value": "number",
             **dict.fromkeys(("delta", "gnorm_dual", "lam", "eg2"), "nullable"), **rows}

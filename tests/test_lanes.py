@@ -171,6 +171,74 @@ def test_lane_lines_equal_the_trace_encoder_bit_for_bit(rows, ogd, doubling):
     assert _column_lines(cols) == [_TRACE_ENCODER.encode(rec) for rec in records]
 
 
+# a row value that a label memo or a typed column could take for another:
+# signed zeros, 1, 1.0 and True, null, non-finite floats, the least
+# subnormal; or any float, int or label
+_VALUE = st.one_of(st.sampled_from([-0.0, 0.0, 1, 1.0, True, False, None, math.nan, math.inf,
+                                    -math.inf, 5e-324, "closed-form", "restart"]),
+                   st.floats(), st.integers(-2 ** 62, 2 ** 62), st.text(max_size=3))
+# a row key's values: all of one type, which a family of one keeps as an
+# array (floats, ints, flags) or as a list (labels), or any mix
+_COLUMN = st.sampled_from([_FLOAT, st.integers(-2 ** 62, 2 ** 62), st.booleans(),
+                           st.text(max_size=3), _VALUE])
+_FINITE = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _scripted_rounds(draw):
+    """(rows, plays, loss a, loss y, comparators) of T rounds in d dimensions."""
+    T, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def rounds(values, width=None):
+        values = values if width is None else st.lists(values, min_size=width, max_size=width)
+        return draw(st.lists(values, min_size=T, max_size=T))
+
+    cols = {key: rounds(draw(_COLUMN)) for key in ("eta", "k_acc", "restart", "solver")}
+    rows = [{key: col[i] for key, col in cols.items()} for i in range(T)]
+    return (rows, rounds(_FLOAT, d), rounds(_FINITE, d), rounds(_FINITE),
+            rounds(_FLOAT, d))
+
+
+class _Scripted:
+    """A learner and its environment that play and write given rounds."""
+
+    def __init__(self, rows, plays, a, y):
+        self.rows, self.plays, self.t = rows, plays, 0
+        self.table = LossTable({"quadratic"}, np.array(a), np.array(y))
+
+    def loss_table(self):
+        return self.table
+
+    def play(self):
+        return np.array(self.plays[self.t])
+
+    def update(self, loss, path_increment):
+        self.t += 1
+        return dict(self.rows[self.t - 1])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rounds=_scripted_rounds())
+@example(rounds=([{"eta": -0.0, "k_acc": 1, "restart": None, "solver": "restart"},
+                  {"eta": 0.0, "k_acc": 1.0, "restart": True, "solver": 1},
+                  {"eta": math.nan, "k_acc": True, "restart": False, "solver": "restart"}],
+                 [[-0.0], [5e-324], [math.inf]], [[1.0], [-0.0], [2.0]], [0.0, -0.0, 1e16],
+                 [[0.0], [-math.inf], [math.nan]]))
+def test_one_lane_lines_equal_the_trace_encoder_bit_for_bit(rounds):
+    rows, plays, a, y, us = rounds
+    scripted = _Scripted(rows, plays, a, y)
+    lane = runner._OneLane(scripted, scripted)
+    for _ in rows:
+        lane.update(np.zeros(1))
+    cols = lane.lane(0)
+    n = len(rows)
+    lines = _column_lines({**cols, "x": np.array(cols["x"]), "loss": cols["loss"].columns(),
+                           "t": np.arange(1, n + 1), "u": np.array(us)})
+    records = [{**row, "loss": scripted.table[i].to_dict(), "x": plays[i], "t": i + 1,
+                "u": us[i]} for i, row in enumerate(rows)]
+    assert lines == [_TRACE_ENCODER.encode(rec) for rec in records]
+
+
 def _specs() -> list:
     return [*ALGORITHMS, FIXED_DIOMD, {"name": "diomd", "x0": [0.5]},
             {"name": "diomd-doubling", "x0": [-0.25]}]

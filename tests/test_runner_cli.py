@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +369,37 @@ def test_cli_reaches_every_cell_through_one_argument_run_cell(tmp_path, monkeypa
         main(["run", cfg, "--output-dir", str(out)])
     assert [cell["seed"] for cell in exc.value.args[0]] == [0, 1, 2]
     assert not out.exists()
+
+
+def test_cli_writes_each_family_as_its_run_cell_returns(tmp_path):
+    # a run holds the traces of at most the family it writes and the one it
+    # runs, so 16 families peak within one family's trace of 2
+    def config(n):
+        return {"environment": {"kind": "lower-bound", "params": {"sigma": 0.3}}, "T": 1500,
+                "seeds": [0], "algorithms": [{"name": "ogd", "scale": 1.0 + k}
+                                             for k in range(n)]}
+
+    main(["run", _write_config(tmp_path, config(1), "warm.yaml"), "--output-dir",
+          str(tmp_path / "warm")])
+    peaks = []
+    for n in (2, 16):
+        cfg = _write_config(tmp_path, config(n), f"c{n}.yaml")
+        tracemalloc.start()
+        try:
+            assert main(["run", cfg, "--output-dir", str(tmp_path / f"out{n}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "out16").glob("*.trace.jsonl"))) == 16
+    trace = (tmp_path / "out2" / "lower-bound-ogd-s0.trace.jsonl").stat().st_size
+    assert peaks[1] - peaks[0] < trace, (peaks, trace)
+
+
+def test_cli_writes_a_summary_for_a_grid_of_no_cells(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, {**BASIC, "seeds": []}), "--output-dir",
+                 str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["summary.csv"]
 
 
 def test_cli_seed_override(tmp_path):
@@ -863,6 +896,25 @@ def test_bad_trace_points_name_the_line_and_field():
         bad[index][field] = value
         with pytest.raises(TraceError, match=message):
             trace_to_report(bad)
+
+
+@pytest.mark.parametrize("at, play, message", [
+    (3, [math.nan, 0.5, 0.25, 0.25], "line 4: trace field 'x'"),
+    (2, [0.5, 0.5], "line 3: trace field 'x'"),
+    (41, [0.25, math.inf, 0.25, 0.25], "final record: trace field 'x_final'"),
+])
+def test_a_run_checks_its_plays_as_verify_does(at, play, message, monkeypatch):
+    # a family of one writes from its columns, and checks its plays there
+    from driftlab import combiners
+
+    def faulty(self, weights=combiners.AdaptMLProd.play):
+        return np.array(play) if self.t == at else weights(self)
+
+    monkeypatch.setattr(combiners.AdaptMLProd, "play", faulty)
+    cell = _cell({"environment": {"kind": "shifting-experts", "params": {"d": 4, "shifts": 3}},
+                  "T": 40, "seeds": [0], "algorithm": "adapt-ml-prod"})
+    with pytest.raises(TraceError, match=message):
+        run_cell([cell])
 
 
 def test_cli_module_entry_point(tmp_path):

@@ -19,7 +19,8 @@ import yaml
 
 from driftlab.cli import main
 from driftlab.learners import ConfigError
-from driftlab.runner import ALGORITHMS, _contract, expand_config, run_cell
+from driftlab.runner import (ALGORITHMS, _contract, expand_config, parse_trace, run_cell,
+                             trace_to_report)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BASE_KEYS = {"t", "loss", "x", "u", "value"}
@@ -62,6 +63,21 @@ def test_writer_matches_reader(spec):
         assert records[-1].keys() == {"final", "x_final"} | final.keys(), env
         assert header.keys() <= records[0]["config"]["algorithm"].keys()
     assert ran, spec
+
+
+def test_a_doubling_trace_whose_restart_rows_lack_eg2_still_verifies():
+    # restart rows on the entropy mirror carry eg2 as every other round does;
+    # traces written before they did omit it there, and still verify
+    cell = expand_config({"environment": {"kind": "shifting-experts",
+                                          "params": {"d": 3, "shifts": 6}},
+                          "T": 40, "algorithm": "diomd-doubling"})[0]
+    ran = run_cell([cell])[0]
+    records = parse_trace("\n".join(ran.trace_lines))
+    restarts = [row for row in records[1:-1] if row["restart"]]
+    assert restarts and all("eg2" in row for row in records[1:-1])
+    for row in restarts:
+        del row["eg2"]
+    assert trace_to_report(records) == ran.report
 
 
 def _tiny_cells() -> list:
