@@ -444,27 +444,25 @@ def play_rounds(lanes, comparators: list, norm: str) -> None:
 
 def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) -> CellResult:
     """The trace and report of one lane's columns (``IntervalLanes.lane``):
-    the lines are the text ``_TRACE_ENCODER`` writes for the same rows, and
-    the report is the one ``trace_to_report`` makes of those lines, with the
-    same checks of the plays, comparators and final play."""
+    the text ``_TRACE_ENCODER`` writes for the same rows, and the report that
+    ``trace_to_report`` makes of it, after the same checks of the points."""
     n = len(comparators)
-    values = cols["value"].tolist()
     value_sum = 0.0
-    for value in values:  # in order, one round at a time
+    for value in cols["value"].tolist():  # in order, one round at a time
         value_sum += value
-    state, algorithm = {**final, "value_sum": value_sum}, run.header["config"]["algorithm"]
-    final = {"final": True, "x_final": final["x_final"], **{
-        key: state[key] for key in _contract(algorithm["name"], algorithm, run.geom.mirror)[2]}}
+    algorithm = run.header["config"]["algorithm"]
+    state = {**final, "value_sum": value_sum}
+    final_keys = _contract(algorithm["name"], algorithm, run.geom.mirror)[2]
+    final = {"final": True, "x_final": final["x_final"], **{key: state[key] for key in final_keys}}
     wheres = [f"line {i + 2}" for i in range(n)]
     dim = run.geom.domain.dim
     plays = _points(cols["x"], "x", dim, wheres)
     us = _points(comparators, "u", dim, wheres)
     x_final = _points([final["x_final"]], "x_final", dim, ["final record"])[0]
     losses = cols["loss"]
-    lines = _column_lines({**cols, "x": plays, "loss": losses.columns(),
-                           "t": np.arange(1, n + 1), "u": comparators})
-    lines = [_TRACE_ENCODER.encode(run.header), *lines, _TRACE_ENCODER.encode(final)]
-    cols = {**cols, "t": list(range(1, n + 1)), "value": values}
+    cols = {**cols, "x": plays, "loss": losses.columns(), "t": np.arange(1, n + 1),
+            "u": comparators}
+    lines = [_TRACE_ENCODER.encode(run.header), *_column_lines(cols), _TRACE_ENCODER.encode(final)]
 
     def column(key):  # every row's value, as the parsed lines hold it
         col = cols.get(key, _ABSENT)

@@ -269,7 +269,7 @@ OUTSIDE = "comparators leave the domain; the bound needs u_t in V"
 
 # expert comparators sit on corners of the simplex, outside the clipped
 # simplex the learner plays on; the first three and the two doubling cells
-# failed --strict while these rows ignored that premise
+# fail --strict where these rows ignore that premise
 @pytest.mark.parametrize("shifts, seed, T, spec, names", [
     (1, 4, 5, {"name": "diomd", "bound_style": "drift", "tau": 2.0},
      ["drift-arm-endpoint", "drift-arm-gradient"]),
