@@ -395,13 +395,6 @@ def test_cli_writes_each_family_as_its_run_cell_returns(tmp_path):
     assert peaks[1] - peaks[0] < trace, (peaks, trace)
 
 
-def test_cli_writes_a_summary_for_a_grid_of_no_cells(tmp_path):
-    out = tmp_path / "out"
-    assert main(["run", _write_config(tmp_path, {**BASIC, "seeds": []}), "--output-dir",
-                 str(out)]) == 0
-    assert [p.name for p in out.iterdir()] == ["summary.csv"]
-
-
 def test_cli_seed_override(tmp_path):
     cfg = _write_config(tmp_path, BASIC)
     out = tmp_path / "out"
