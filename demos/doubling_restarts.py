@@ -30,7 +30,7 @@ for tau in (0.0, 1.0, 4.0, 16.0, 64.0):
     regret = total - sum(l.value(u) for l, u in zip(losses, comparators))
     ct = float(np.sum(steps))
     cap = math.log2(ct / (math.sqrt(2.0) * D) + 1.0)
-    print(f"{tau:7.1f} {ct:13.3f} {learner.epoch:7d} {cap:9.3f} {regret:9.4f}")
+    print(f"{tau:7.1f} {ct:13.3f} {learner.epoch[0]:7d} {cap:9.3f} {regret:9.4f}")
 
 print()
 print("each epoch count stays below its doubling cap; no run needed the")

@@ -26,7 +26,7 @@ def episode(schedule):
     for loss in losses:
         total += loss.value(learner.play())
         learner.update(loss)
-    return total - comp_total, learner.lam
+    return total - comp_total, learner.lam[0]
 
 
 rows = [

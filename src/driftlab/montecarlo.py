@@ -3,9 +3,9 @@
 Runs the square-loss environment with targets jumping between -sigma and
 +sigma for every single-iterate learner.  A (sigma, learner) family is what
 ``driftlab run`` steps for those seeds: each seed's learner comes from the
-runner's builder, and the family steps as lanes of one batch
-(``learners.IntervalLanes``) through the runner's round loop, so each seed's
-values are those of its live run bit for bit.
+runner's builder, and the family steps as the lanes of one learner
+(``learners.stack``) through the runner's round loop, so each seed's values
+are those of its live run bit for bit.  Only the values are kept.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import LowerBoundEnv
-from .learners import ConfigError, IntervalLanes
+from .learners import ConfigError, stack
+from .losses import LossTable
 from .runner import _build_algorithm, play_rounds
 
 # name: algorithm spec
@@ -52,10 +53,12 @@ def run_family(learner: str, sigma: float, T: int, seeds,
         raise ConfigError(f"unknown batched learner {learner!r}; choose from {LEARNERS}")
     envs = [LowerBoundEnv(T, seed, sigma) for seed in seeds]
     geom = envs[0].default_geometry()
-    lanes = IntervalLanes([_build_algorithm(_SPECS[learner], geom, env, T)[0] for env in envs],
-                          [env.loss_table() for env in envs])
-    play_rounds(lanes, [env.comparators() for env in envs], geom.primal_norm)
-    values, eps = lanes.column("value"), np.stack([env.eps for env in envs], axis=1)
+    lanes = stack([_build_algorithm(_SPECS[learner], geom, env, T)[0] for env in envs])
+    losses = iter(LossTable.rounds([env.loss_table() for env in envs]))
+    rows = []
+    play_rounds(lambda increments: rows.append(lanes.step(next(losses), increments)["value"]),
+                [env.comparators() for env in envs], geom.primal_norm)
+    values, eps = np.array(rows), np.stack([env.eps for env in envs], axis=1)
     # the comparator sits on the per-round minimizer, so its loss is zero
     return SweepResult(learner, sigma, T, tuple(env.seed for env in envs),
                        regret=values.sum(axis=0), vt=np.sum(np.abs(np.diff(eps, axis=0)), axis=0),

@@ -172,11 +172,12 @@ def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray)
     weight lams[i] and loss ``loss``, or ``loss[i]`` when ``loss`` is a
     ``LossTable`` of one row per lane.
 
-    One linear loss on the entropy simplex and quadratic losses on an
-    interval step as one batch; any other input steps lane by lane.  Each
-    lane equals the one-lane update bit for bit.  A fault in an anchor, a
-    weight or an output also steps lane by lane, so the error raised is the
-    one the first faulty lane raises on its own.
+    Two or more lanes of one linear loss on the entropy simplex, or of 1-d
+    quadratic losses on an interval, step as one batch; any other input,
+    and a single lane, steps lane by lane through ``implicit_update``, the
+    reference route.  Each lane equals the one-lane update bit for bit.  A
+    fault in an anchor, a weight or an output also steps lane by lane, so
+    the error raised is the one the first faulty lane raises on its own.
     """
     route = _lanes_route(loss, geom, X)
     if (route is not None and np.isfinite(X).all() and geom.domain._contains_rows(X).all()
@@ -194,15 +195,23 @@ def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray)
 
 def _lanes_route(loss, geom, X):
     """The batched step of these lanes, a function of (X, lams), or None to
-    step them one by one."""
-    if X.ndim != 2 or X.shape[1] != geom.domain.dim:
+    step them one by one (one lane steps faster on its own)."""
+    if X.ndim != 2 or X.shape[1] != geom.domain.dim or len(X) < 2:
         return None
     if geom.mirror == "entropy" and isinstance(loss, LinearLoss):
         return lambda X, lams: _entropy_lanes(loss, geom, X, lams)
-    if (geom.mirror == "euclidean" and isinstance(geom.domain, Interval)
-            and isinstance(loss, LossTable) and loss.A is not None and loss.kind == "quadratic"
-            and loss.A.shape == (len(X), 1)):
-        return lambda X, lams: _quadratic_interval_lanes(loss.A[:, 0], loss.Y, geom, X, lams)
+    quadratics = _interval_quadratics(loss, geom, len(X))
+    if geom.mirror == "euclidean" and quadratics is not None:
+        return lambda X, lams: _quadratic_interval_lanes(*quadratics, geom, X, lams)
+    return None
+
+
+def _interval_quadratics(loss, geom, k: int):
+    """(a, y) of k lanes' 1-d quadratic losses on an interval, the rows of
+    the ``LossTable`` ``loss``; None for any other losses or domain."""
+    if (isinstance(geom.domain, Interval) and isinstance(loss, LossTable)
+            and loss.kind == "quadratic" and loss.A is not None and loss.A.shape == (k, 1)):
+        return loss.A[:, 0], loss.Y
     return None
 
 

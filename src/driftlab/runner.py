@@ -23,7 +23,7 @@ from .envs import _ENV_KINDS, GENERATOR_NAME, make_environment
 from .geometry import (ENTROPY, EUCLIDEAN, ClippedSimplex, Geometry, _simplex_rows,
                        domain_from_dict, entropy_geometry)
 from .learners import (AdaptiveSchedule, ConfigError, DoublingSchedule, DynamicIOMD,
-                       GreedySchedule, IntervalLanes, OGD, fixed_schedule, start_point)
+                       GreedySchedule, OGD, fixed_schedule, stack, start_point)
 from .losses import LossTable, loss_from_dict, step_lengths
 
 SCHEMA_VERSION = 1
@@ -345,10 +345,44 @@ def _build(cell: dict) -> _Run:
     return _Run(name, env, geom, learner, header)
 
 
+class _Lanes:
+    """A learner that steps lanes (``learners.stack``), one per run, on the
+    runs' loss tables; its rounds are kept as (T, k) columns, and ``lane(i)``
+    reads lane i's."""
+
+    def __init__(self, learner, tables: list):
+        self.learner, self.tables = learner, tables
+        self.losses = LossTable.rounds(tables)
+        self.plays, self.rows, self._cols = [], [], None
+
+    def update(self, path_increments: np.ndarray) -> None:
+        self.plays.append(self.learner.x)  # a step replaces x, never writes into it
+        self.rows.append(self.learner.step(self.losses[len(self.rows)], path_increments))
+
+    def lane(self, i: int) -> tuple:
+        """Lane i's rounds as columns, keyed as the rows its learner's
+        ``update`` writes (a key it writes as null maps to None), with its
+        plays ``x`` (T, d) and its losses ``loss``, a ``LossTable``; and its
+        last play, weight and epoch, as the trace's final record reads them."""
+        first = self.rows[0]
+        if self._cols is None:  # every lane's array columns, (T, k) and (T, k, d)
+            self._cols = {key: np.stack([row[key] for row in self.rows])
+                          for key, col in first.items() if isinstance(col, np.ndarray)}
+            self._cols["x"] = np.stack(self.plays)
+        cols = {key: col if col is None else [row[key][i] for row in self.rows]
+                for key, col in first.items()}  # the labels, and null keys
+        cols.update((key, col[:, i]) for key, col in self._cols.items())
+        cols["loss"] = self.tables[i]
+        lam, epoch = (getattr(self.learner, key, None) for key in ("lam", "epoch"))
+        return cols, {"x_final": self.learner.x[i].tolist(),
+                      "lam_final": None if lam is None else lam[i].item(),
+                      "epochs": None if epoch is None else epoch[i].item()}
+
+
 class _OneLane:
-    """Any learner as a family of one, stepped as ``IntervalLanes`` are, on
-    the rows of its environment's loss table: its rounds are kept as its
-    plays and the rows its ``update`` returns."""
+    """A learner that does not step lanes (a combiner) as a family of one,
+    stepped as ``_Lanes`` are, on the rows of its environment's loss table:
+    its rounds are kept as its plays and the rows its ``update`` returns."""
 
     def __init__(self, learner, env):
         self.learner, self.losses = learner, env.loss_table()
@@ -359,18 +393,13 @@ class _OneLane:
         self.plays.append(np.array(self.learner.play(), dtype=float))
         self.rows.append(self.learner.update(loss, float(path_increments[0])))
 
-    def lane(self, i: int) -> dict:
-        """The rounds as ``IntervalLanes.lane`` reads a lane's, the plays ``x``
-        unstacked: a row key maps to a float, int or flag array where every
-        value is exactly that, else to a list."""
+    def lane(self, i: int) -> tuple:
+        """The rounds and last play as ``_Lanes.lane`` reads a lane's, the
+        plays ``x`` unstacked: a row key maps to a float, int or flag array
+        where every value is exactly that, else to a list."""
         cols = {key: _as_column([row[key] for row in self.rows]) for key in self.rows[0]}
         cols["x"], cols["loss"] = self.plays, self.losses
-        return cols
-
-    def final(self, i: int) -> dict:
-        return {"x_final": np.asarray(self.learner.play(), dtype=float).tolist(),
-                "lam_final": getattr(self.learner, "lam", None),
-                "epochs": getattr(self.learner, "epoch", None)}
+        return cols, {"x_final": np.asarray(self.learner.play(), dtype=float).tolist()}
 
 
 def _as_column(values: list):
@@ -397,53 +426,50 @@ def families(cells: list) -> list:
 
 def run_cell(cells: list) -> list:
     """The ``CellResult`` of each cell of one family (see ``families``), in
-    order.  ``DynamicIOMD`` or ``OGD`` learners of one step rule on an
-    interval step as lanes of one batch (``learners.IntervalLanes``); any
-    other family runs one cell at a time, as a lane of its own
-    (``_OneLane``).  Each cell's trace and report are written from its
-    columns.  If any lane raises, the family reruns one cell at a time, so
-    the error is the one the first failing cell raises on its own."""
+    order.  Learners of one step rule step as the lanes of one learner
+    (``learners.stack``); a family of any other learner runs one cell at a
+    time, as a lane of its own (``_OneLane``).  Each cell's trace and report
+    are written from its columns.  If any lane raises, the family reruns one
+    cell at a time, so the error is the one the first failing cell raises on
+    its own."""
     try:
         runs = [_build(cell) for cell in cells]
-        learners = [run.learner for run in runs]
-        if IntervalLanes.fit(learners):
-            lanes = IntervalLanes(learners, [run.env.loss_table() for run in runs])
-            comparators = _play(runs, lanes)
-            return [_lane_result(run, us, lanes.lane(i), lanes.final(i))
-                    for i, (run, us) in enumerate(zip(runs, comparators))]
+        learner = stack([run.learner for run in runs])
+        if learner is not None:
+            return _results(runs, _Lanes(learner, [run.env.loss_table() for run in runs]))
     except Exception:
         runs = map(_build, cells)  # lazily, so the cells build and run in order
     results = []
     for run in runs:
-        lane = _OneLane(run.learner, run.env)
-        (us,) = _play([run], lane)
-        results.append(_lane_result(run, us, lane.lane(0), lane.final(0)))
+        learner = stack([run.learner])
+        results += _results([run], _OneLane(run.learner, run.env) if learner is None
+                            else _Lanes(learner, [run.env.loss_table()]))
     return results
 
 
-def _play(runs: list, lanes) -> list:
-    """Each run of the family stepped by ``lanes``; returns each run's
-    comparators."""
+def _results(runs: list, lanes) -> list:
+    """The ``CellResult`` of each run of the family, stepped by ``lanes``."""
     comparators = [run.env.comparators() for run in runs]
-    play_rounds(lanes, comparators, runs[0].geom.primal_norm)
-    return comparators
+    play_rounds(lanes.update, comparators, runs[0].geom.primal_norm)
+    return [_lane_result(run, us, *lanes.lane(i))
+            for i, (run, us) in enumerate(zip(runs, comparators))]
 
 
-def play_rounds(lanes, comparators: list, norm: str) -> None:
-    """The round loop: each round ``lanes`` steps every lane of the family,
-    lane i moving along its comparator path ``comparators[i]``, whose step
-    lengths ``norm`` measures."""
+def play_rounds(step, comparators: list, norm: str) -> None:
+    """The round loop: each round ``step(path_increments)`` steps every lane
+    of the family, lane i moving along its comparator path
+    ``comparators[i]``, whose step lengths ``norm`` measures."""
     increments = np.column_stack([np.concatenate(([0.0], step_lengths(us, norm)))
                                   for us in comparators])
     for t, path_increments in enumerate(increments, start=1):
         try:
-            lanes.update(path_increments)
+            step(path_increments)
         except RangeError as exc:
             raise ConfigError(f"config field 'algorithm.loss_range': round {t}: {exc}") from None
 
 
 def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) -> CellResult:
-    """The trace and report of one lane's columns (``IntervalLanes.lane``):
+    """The trace and report of one lane's columns (``_Lanes.lane``):
     the text ``_TRACE_ENCODER`` writes for the same rows, and the report that
     ``trace_to_report`` makes of it, after the same checks of the points."""
     n = len(comparators)

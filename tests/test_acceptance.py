@@ -155,12 +155,12 @@ def test_criterion_03_adaptive_drift_certificate():
         deltas = _col(rows, "delta")
         gnorms = _col(rows, "gnorm_dual")
         assert float(np.min(deltas)) >= DELTA_FLOOR
-        lam_path = np.append(_col(rows, "lam"), learner.lam)
+        lam_path = np.append(_col(rows, "lam"), learner.lam[0])
         assert float(np.min(np.diff(lam_path))) >= -1e-12
         gsq = float(np.sum(gnorms ** 2))
         cap = math.sqrt(
             (2.0 * INTERVAL.diameter_sq / beta_sq ** 2 + 1.0 / beta_sq) * gsq)
-        _ok(float(learner.lam), cap, 1e-9)
+        _ok(float(learner.lam[0]), cap, 1e-9)
         vt = temporal_variability(losses, INTERVAL.domain).signed
         endpoint = float(vals[0]) - losses[-1].value(learner.play())
         _ok(regret, 2.0 * (endpoint + vt))
@@ -184,7 +184,7 @@ def test_criterion_04_doubling_restart_certificate():
         assert float(np.min(_col(rows, "delta"))) >= DELTA_FLOOR
         ct = float(np.sum(np.abs(np.diff(us, axis=0))))
         seen_ct.append(ct)
-        _ok(learner.epoch, math.log2(ct / (math.sqrt(2.0) * D) + 1.0), 1e-12)
+        _ok(learner.epoch[0], math.log2(ct / (math.sqrt(2.0) * D) + 1.0), 1e-12)
         vt = temporal_variability(losses, INTERVAL.domain).signed
         arm_a = float(vals[0]) - losses[-1].value(learner.play()) + vt
         arm_b = math.inf

@@ -122,7 +122,7 @@ def test_recursion_on_traced_two_round_adaptive_run():
         row = learner.update(QuadraticLoss([1.0], 1.0))
         lams.append(row["lam"])
         gnorms.append(row["gnorm_dual"])
-    lam_seq = np.array(lams + [learner.lam])
+    lam_seq = np.array(lams + [learner.lam[0]])
     g = np.array(gnorms)
     d = math.sqrt(2.0 * INTERVAL.diameter_sq)
     rc = check_recursion_bound(g, g, 1.0, d, 1.0 * lam_seq)
@@ -331,7 +331,7 @@ def _adaptive_record(tau_alg, env, wrap=lambda loss: loss):
         "diomd", geom, [wrap(loss) for loss in env.losses()], cols["plays"], cols["x_final"],
         comparators=env.comparators(), values=cols["values"],
         deltas=cols["deltas"], lams=cols["lams"], gnorms=cols["gnorms"],
-        lam_final=learner.lam,
+        lam_final=learner.lam[0],
         params={"schedule_kind": "adaptive", "beta_sq": beta_sq, "tau": tau_alg},
     )
 
@@ -398,7 +398,7 @@ def test_static_checker_mode_row():
         "diomd", geom, env.losses(), cols["plays"], cols["x_final"],
         comparators=env.comparators(), values=cols["values"],
         deltas=cols["deltas"], lams=cols["lams"], gnorms=cols["gnorms"],
-        lam_final=learner.lam,
+        lam_final=learner.lam[0],
         params={"schedule_kind": "adaptive", "beta_sq": geom.diameter_sq,
                 "bound_style": "static"},
     )
@@ -416,14 +416,14 @@ def test_doubling_rows_count_epochs():
     rec = RunRecord(
         "diomd-doubling", geom, env.losses(), cols["plays"], cols["x_final"],
         comparators=env.comparators(), values=cols["values"],
-        deltas=cols["deltas"], gnorms=cols["gnorms"], epochs=learner.epoch,
+        deltas=cols["deltas"], gnorms=cols["gnorms"], epochs=learner.epoch[0],
     )
     rows = _by_name(evaluate_bounds(rec))
     assert set(rows) == {"delta-floor", "epoch-count", "doubling-regret"}
     for row in rows.values():
         assert row.status == "checked"
         assert row.passed
-    assert rows["epoch-count"].lhs == learner.epoch
+    assert rows["epoch-count"].lhs == learner.epoch[0]
     assert rows["epoch-count"].rhs == pytest.approx(
         math.log2(rec.path_len / (math.sqrt(2.0) * math.sqrt(geom.diameter_sq)) + 1.0)
     )

@@ -3,16 +3,19 @@
 ``prox.implicit_update_lanes`` steps k anchors at once; lane i must equal
 ``implicit_update`` on row i bit for bit, and a fault must raise what the
 first faulty lane raises on its own.  ``runner.run_cell`` steps a family of
-``DynamicIOMD`` or ``OGD`` cells on an interval as
-``learners.IntervalLanes``; each seed's trace and report must equal what the
-seed writes as a family of one, and what its learner writes stepped on its
-own.  Every cell's lines, in lanes or as a family of one (``_OneLane``), are
-written from its columns, so they must equal the trace encoder's text of the
-same rows, and its report what ``verify`` reads from those lines.
+``DynamicIOMD`` or ``OGD`` cells as the lanes of one learner
+(``learners.stack``); each seed's trace and report must equal what the seed
+writes as a family of one, and what it writes with every lane stepped on its
+own, through ``implicit_update`` or OGD's step of one loss.  A self-tuning
+trace's weights must be the running max of its progress sums.  Every cell's
+lines, in lanes or as a family of one (``_OneLane``), are written from its
+columns, so they must equal the trace encoder's text of the same rows, and
+its report what ``verify`` reads from those lines.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,8 +24,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_trace_contract import ENVIRONMENTS, FIXED_DIOMD
 
-from driftlab import learners, runner
-from driftlab.geometry import GeometryError, Interval, euclidean_geometry
+from driftlab import learners, prox, runner
+from driftlab.geometry import (Geometry, GeometryError, Interval, domain_from_dict,
+                               euclidean_geometry)
 from driftlab.learners import ConfigError
 from driftlab.losses import LossTable
 from driftlab.prox import (SolverError, _quadratic_interval_lanes, implicit_update,
@@ -120,18 +124,16 @@ def test_ogd_lanes_equal_the_one_lane_update_bit_for_bit(lanes, dom, eta):
     table, X, _ = _lanes([(a, y, at, 0.0) for a, y, at in lanes], dom)
     geom = euclidean_geometry(Interval(*dom))
     ogds = [learners.OGD(geom, [eta], x0=x) for x in X]
-    assert learners.IntervalLanes.fit(ogds)
-    batch = learners.IntervalLanes(ogds, [LossTable({"quadratic"}, table.A[i:i + 1],
-                                                    table.Y[i:i + 1]) for i in range(len(X))])
-    batch.update(np.zeros(len(X)))
+    batch = learners.stack(ogds)
+    assert batch is not None
+    row = batch.step(table, np.zeros(len(X)))
     for i, ogd in enumerate(ogds):
-        lane = batch.lane(i)
-        one = ogd.update(table[i])
-        assert _bits(batch.x[i]) == _bits(ogd.x), i
-        assert _bits(lane["value"]) == _bits([one["value"]]), i
-        assert _bits(lane["gnorm_dual"]) == _bits([one["gnorm_dual"]]), i
-        assert lane["solver"] == [one["solver"]], i
-        assert lane["delta"] is one["delta"] is None and lane["lam"] is one["lam"] is None, i
+        one = ogd.update(table[i])  # one loss: the step of any loss, one lane at a time
+        assert _bits(batch.x[i]) == _bits(ogd.x[0]), i
+        assert _bits(row["value"][i]) == _bits(one["value"]), i
+        assert _bits(row["gnorm_dual"][i]) == _bits(one["gnorm_dual"]), i
+        assert row["solver"][i] == one["solver"], i
+        assert row["delta"] is one["delta"] is None and row["lam"] is one["lam"] is None, i
 
 
 # any float, non-finite ones included, and the ones whose text is easy to get
@@ -200,7 +202,8 @@ def _scripted_rounds(draw):
 
 
 class _Scripted:
-    """A learner and its environment that play and write given rounds."""
+    """A learner and its environment that play and write given rounds; the
+    last play is also the final one."""
 
     def __init__(self, rows, plays, a, y):
         self.rows, self.plays, self.t = rows, plays, 0
@@ -210,7 +213,7 @@ class _Scripted:
         return self.table
 
     def play(self):
-        return np.array(self.plays[self.t])
+        return np.array(self.plays[min(self.t, len(self.plays) - 1)])
 
     def update(self, loss, path_increment):
         self.t += 1
@@ -230,7 +233,7 @@ def test_one_lane_lines_equal_the_trace_encoder_bit_for_bit(rounds):
     lane = runner._OneLane(scripted, scripted)
     for _ in rows:
         lane.update(np.zeros(1))
-    cols = lane.lane(0)
+    cols, _ = lane.lane(0)
     n = len(rows)
     lines = _column_lines({**cols, "x": np.array(cols["x"]), "loss": cols["loss"].columns(),
                            "t": np.arange(1, n + 1), "u": np.array(us)})
@@ -259,8 +262,10 @@ def test_each_seed_of_a_family_writes_what_it_writes_alone(env, spec, monkeypatc
         return
     assert families(cells) == [cells]
     together = run_cell(cells)
-    # and what each learner writes stepped on its own, outside the lanes
-    monkeypatch.setattr(learners.IntervalLanes, "fit", staticmethod(lambda learners: False))
+    # and what it writes with every lane stepped on its own: each prox step
+    # through implicit_update, each OGD step as that of one loss
+    monkeypatch.setattr(prox, "_lanes_route", lambda *args: None)
+    monkeypatch.setattr(learners, "_interval_quadratics", lambda *args: None)
     own = [run_cell([cell])[0] for cell in cells]
     for a, b, c in zip(together, alone, own):
         assert a.name == b.name == c.name
@@ -288,10 +293,56 @@ def test_a_lane_family_reports_what_verify_reads_from_its_lines(env, spec, monke
         assert trace_to_report(parse_trace(text)) == result.report, result.name
 
 
+def _oracle_weights(records: list) -> list:
+    """Each epoch's self-tuning weights, from the trace's deltas alone: in
+    an epoch that opens at row s, the weight of row s + j is the running
+    max of 0 and the epoch's progress sums over beta_sq, the next beyond the
+    epoch's last row.  A doubling epoch i has beta_sq = D^2 + gamma * Q_i,
+    Q_i = sqrt(2) * D * 2^i."""
+    config, rows = records[0]["config"], records[1:-1]
+    geom = Geometry(config["geometry"]["mirror"], domain_from_dict(config["geometry"]["domain"]))
+    delta = np.array([row["delta"] for row in rows])
+    starts = [i for i, row in enumerate(rows) if i == 0 or row.get("restart")]
+    weights = []
+    for epoch, (s, e) in enumerate(zip(starts, [*starts[1:], len(rows)])):
+        beta_sq = config["algorithm"].get("beta_sq")
+        if beta_sq is None:
+            q = math.sqrt(2.0) * math.sqrt(geom.diameter_sq) * 2.0 ** epoch
+            beta_sq = geom.diameter_sq + geom.gamma * q
+        weights.append(np.maximum.accumulate([0.0, *np.cumsum(delta[s:e]) / beta_sq]))
+    return weights
+
+
+_SELF_TUNING = ["diomd", "diomd-doubling", {"name": "diomd", "tau": 4.0, "x0": [0.5]},
+                {"name": "diomd-doubling", "x0": [-0.25]}]
+_RESTARTING = {"kind": "drifting-quadratic", "params": {"tau": 8.0}}
+
+
+@pytest.mark.parametrize("spec", _SELF_TUNING, ids=str)
+@pytest.mark.parametrize("env", [_RESTARTING, *ENVIRONMENTS.values()],
+                         ids=["restarting", *ENVIRONMENTS])
+def test_self_tuning_weights_are_the_running_max_of_the_progress_sums(env, spec):
+    cells = expand_config({"environment": env, "T": 40, "seeds": [3, 0, 11, 4, 7],
+                           "algorithm": spec})
+    try:
+        results = run_cell(cells) + [run_cell([cell])[0] for cell in cells]
+    except ConfigError:  # the start point does not fit this environment
+        return
+    restarts = 0
+    for result in results:  # lanes of one family, then each cell as a family of one
+        records = [json.loads(line) for line in result.trace_lines]
+        weights = _oracle_weights(records)
+        lam = [row["lam"] for row in records[1:-1]]
+        assert _bits(lam) == _bits(np.concatenate([w[:-1] for w in weights])), result.name
+        assert _bits(records[-1]["lam_final"]) == _bits(weights[-1][-1]), result.name
+        restarts += len(weights) - 1
+    assert restarts > 0 or env is not _RESTARTING or "doubling" not in str(spec)
+
+
 def test_interval_diomd_families_step_as_lanes(monkeypatch):
     steps = []
-    batch = learners._quadratic_interval_lanes
-    monkeypatch.setattr(learners, "_quadratic_interval_lanes",
+    batch = prox._quadratic_interval_lanes
+    monkeypatch.setattr(prox, "_quadratic_interval_lanes",
                         lambda a, *args: steps.append(len(a)) or batch(a, *args))
     for spec in ("greedy", FIXED_DIOMD, "diomd", "diomd-doubling"):
         steps.clear()
@@ -305,24 +356,27 @@ def test_interval_diomd_families_step_as_lanes(monkeypatch):
     # ogd lanes take a gradient step: no prox, and no OGD.update
     run_cell(_family(ENVIRONMENTS["drifting-quadratic"], "ogd"))
     assert steps == [] and updates == []
-    # an expert family still runs one lane at a time
+    # an expert family steps as lanes too, each lane's prox step on its own
+    solves = []
+    one = prox.implicit_update
+    monkeypatch.setattr(prox, "implicit_update", lambda *args: solves.append(1) or one(*args))
     run_cell(_family(ENVIRONMENTS["shifting-experts"], "diomd"))
-    assert steps == [] and updates == [learners.DynamicIOMD] * (5 * 24)
+    assert steps == [] and updates == [] and len(solves) == 5 * 24
 
 
 def test_a_family_whose_lanes_raise_reruns_one_cell_at_a_time(monkeypatch):
     cells = _family(ENVIRONMENTS["drifting-quadratic"], "diomd-doubling")
     alone = [run_cell([cell])[0] for cell in cells]
-    batch = learners._quadratic_interval_lanes
+    step = learners.DynamicIOMD.step
 
-    def fail_at_round_9(a, y, geom, X, lams):
-        if len(a) > 1 and fail_at_round_9.calls == 8:
+    def fail_at_round_9(self, loss, path_increments):
+        if len(self.x) > 1 and fail_at_round_9.calls == 8:
             raise SolverError("injected")
-        fail_at_round_9.calls += len(a) > 1
-        return batch(a, y, geom, X, lams)
+        fail_at_round_9.calls += len(self.x) > 1
+        return step(self, loss, path_increments)
 
     fail_at_round_9.calls = 0
-    monkeypatch.setattr(learners, "_quadratic_interval_lanes", fail_at_round_9)
+    monkeypatch.setattr(learners.DynamicIOMD, "step", fail_at_round_9)
     again = run_cell(cells)
     assert fail_at_round_9.calls == 8
     assert [r.trace_lines for r in again] == [r.trace_lines for r in alone]

@@ -80,11 +80,11 @@ def test_diomd_adaptive_two_round_hand_roll():
     row1 = learner.update(loss)
     np.testing.assert_allclose(learner.play(), [1.0], atol=1e-15)
     assert row1["delta"] == pytest.approx(0.5, abs=1e-15)
-    assert learner.lam == pytest.approx(0.5, abs=1e-15)
+    assert learner.lam[0] == pytest.approx(0.5, abs=1e-15)
     row2 = learner.update(loss)
     np.testing.assert_allclose(learner.play(), [1.0], atol=1e-15)
     assert row2["delta"] == pytest.approx(0.0, abs=1e-15)
-    assert learner.lam == pytest.approx(0.5, abs=1e-15)
+    assert learner.lam[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_diomd_fixed_linear_equals_projected_gradient():
@@ -103,8 +103,8 @@ def test_diomd_adaptive_lam_never_decreases():
     prev = 0.0
     for _ in range(200):
         learner.update(QuadraticLoss([1.0], float(rng.uniform(-1, 1))))
-        assert learner.lam >= prev
-        prev = learner.lam
+        assert learner.lam[0] >= prev
+        prev = learner.lam[0]
 
 
 def test_diomd_adaptive_lam_cap():
@@ -120,7 +120,7 @@ def test_diomd_adaptive_lam_cap():
         gsq += float(g @ g)
         learner.update(loss)
     cap = math.sqrt((2 * geom.diameter_sq / beta_sq**2 + 1 / beta_sq) * gsq)
-    assert learner.lam <= cap + 1e-9
+    assert learner.lam[0] <= cap + 1e-9
 
 
 def test_fixed_schedule_validation_and_exhaustion():
@@ -155,13 +155,13 @@ def test_doubling_without_drift_matches_adaptive_diomd():
     beta_sq = UNIT_D.diameter_sq + UNIT_D.gamma * q0  # epoch-0 beta^2, bitwise
     doubling = DynamicIOMD(UNIT_D, DoublingSchedule())
     plain = DynamicIOMD(UNIT_D, AdaptiveSchedule(beta_sq=beta_sq))
-    assert doubling.beta_sq == beta_sq
+    assert doubling.beta_sq[0] == beta_sq
     for _ in range(100):
         loss = QuadraticLoss([1.0], float(rng.uniform(-0.6, 0.6)))
         doubling.update(loss, 0.0)
         plain.update(loss)
         np.testing.assert_array_equal(doubling.play(), plain.play())
-    assert doubling.epoch == 0
+    assert doubling.epoch[0] == 0
 
 
 def test_doubling_epoch_count_bound():
@@ -172,8 +172,8 @@ def test_doubling_epoch_count_bound():
     inc = 5.0 * math.sqrt(2.0) / T
     for _ in range(T):
         learner.update(QuadraticLoss([1.0], float(rng.uniform(-0.6, 0.6))), inc)
-    assert learner.epoch <= 2
-    assert learner.epoch >= 1  # budget sqrt(2) is exceeded well before T
+    assert learner.epoch[0] <= 2
+    assert learner.epoch[0] >= 1  # budget sqrt(2) is exceeded well before T
 
 
 def test_doubling_triggering_round_freezes_iterate():
@@ -185,18 +185,18 @@ def test_doubling_triggering_round_freezes_iterate():
     assert row["solver"] == "restart"
     assert row["delta"] == 0.0
     np.testing.assert_array_equal(learner.play(), before)
-    assert learner.lam == 0.0
-    assert learner.epoch == 1
-    assert learner.beta_sq == UNIT_D.diameter_sq + UNIT_D.gamma * learner.Q
+    assert learner.lam[0] == 0.0
+    assert learner.epoch[0] == 1
+    assert learner.beta_sq[0] == UNIT_D.diameter_sq + UNIT_D.gamma * learner.Q[0]
 
 
 def test_doubling_threshold_and_beta_follow_epoch():
     learner = DynamicIOMD(UNIT_D, DoublingSchedule())
     for i in range(4):
-        assert learner.Q == pytest.approx(math.sqrt(2.0) * 2.0**i, rel=1e-15)
-        assert learner.beta_sq == pytest.approx(
-            UNIT_D.diameter_sq + UNIT_D.gamma * learner.Q, rel=1e-15)
-        learner.update(QuadraticLoss([1.0], 0.0), learner.Q + 1.0)
+        assert learner.Q[0] == pytest.approx(math.sqrt(2.0) * 2.0**i, rel=1e-15)
+        assert learner.beta_sq[0] == pytest.approx(
+            UNIT_D.diameter_sq + UNIT_D.gamma * learner.Q[0], rel=1e-15)
+        learner.update(QuadraticLoss([1.0], 0.0), learner.Q[0] + 1.0)
 
 
 def test_doubling_rejects_unobservable_path():
@@ -274,8 +274,9 @@ def _assert_same_state(batched, twins):
         assert np.array_equal(a.x, b.x)
         assert a.x.dtype == np.float64 and a.x.shape == b.x.shape
         assert a.t == b.t
-        assert getattr(a, "lam", None) == getattr(b, "lam", None)
-        assert getattr(a, "delta_sum", None) == getattr(b, "delta_sum", None)
+        # lane 0's weight and progress sum; OGD has neither
+        assert getattr(a, "lam", [None])[0] == getattr(b, "lam", [None])[0]
+        assert getattr(a, "delta_sum", [None])[0] == getattr(b, "delta_sum", [None])[0]
 
 
 def test_update_many_equals_one_at_a_time_updates_bit_for_bit():
@@ -294,7 +295,7 @@ def test_update_many_equals_one_at_a_time_updates_bit_for_bit():
             batched.append(DynamicIOMD(geom, sched))
             twins.append(DynamicIOMD(geom, sched))
         loss = env.loss(t)
-        stepped = [learner.lam > 0.0 for learner in batched]
+        stepped = [learner.lam[0] > 0.0 for learner in batched]
         zero_lam_steps += stepped.count(False)
         update_many(batched, loss)
         for twin in twins:
@@ -340,18 +341,18 @@ def test_update_many_keeps_the_anchor_of_an_infinite_weight():
     twins = [DynamicIOMD(geom, AdaptiveSchedule(1.0)) for _ in range(3)]
     for learners in (batched, twins):
         learners[0].update(loss)
-        learners[0].lam = math.inf
+        learners[0].lam = np.array([math.inf])
     update_many(batched, loss)
     for twin in twins:
         twin.update(loss)
     _assert_same_state(batched, twins)
-    assert batched[0].lam == math.inf
+    assert batched[0].lam[0] == math.inf
 
 
 @pytest.mark.parametrize("poison, error", [
-    (lambda l: setattr(l, "x", np.array([0.5, np.nan, 0.25, 0.25])), GeometryError),
-    (lambda l: setattr(l, "x", np.array([0.5, 0.5, 0.5, 0.5])), SolverError),
-    (lambda l: setattr(l, "lam", -1.0), SolverError),
+    (lambda l: setattr(l, "x", np.array([[0.5, np.nan, 0.25, 0.25]])), GeometryError),
+    (lambda l: setattr(l, "x", np.array([[0.5, 0.5, 0.5, 0.5]])), SolverError),
+    (lambda l: setattr(l, "lam", np.array([-1.0])), SolverError),
 ], ids=["nan-anchor", "anchor-off-the-simplex", "negative-lam"])
 def test_update_many_raises_what_update_raises(poison, error):
     geom = entropy_geometry(ClippedSimplex(4, 0.1))

@@ -325,8 +325,8 @@ def test_cli_grid_output_is_order_independent(tmp_path):
 
 
 def test_cli_threads_do_not_change_bytes(tmp_path):
-    # lane families (greedy, fixed, adaptive, doubling) and one-cell families
-    # (ogd, abprod), each of five seeds, split into 1, 2 or 3 chunks
+    # lane families (greedy, fixed, adaptive, doubling, ogd) and one-cell
+    # families (abprod), each of five seeds, split into 1, 2 or 3 chunks
     config = {
         "environment": {"kind": "drifting-quadratic", "params": {"tau": 8.0}},
         "T": 40,
