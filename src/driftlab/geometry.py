@@ -19,6 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # the ufunc np.clip dispatches to, without its Python wrappers
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip
+
 MEMBERSHIP_TOL = 1e-9
 
 EUCLIDEAN = "euclidean"
@@ -102,7 +107,7 @@ class _Orthotope(Domain):
     """Coordinate-wise bounds ``lo <= x <= hi``: an interval or a box."""
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
+        return _clip(x, self.lo, self.hi)
 
     def midpoint(self):
         return 0.5 * (np.atleast_1d(self.lo) + self.hi)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftlab.geometry import (
@@ -164,6 +164,31 @@ def test_project_interval_interior_point_unchanged():
 def test_project_box_clips_coordinates():
     geom = euclidean_geometry(Box([0, 0], [1, 1]))
     np.testing.assert_allclose(geom.project([1.5, -0.2]), [1.0, 0.0], atol=0)
+
+
+# values whose clipped bits are easy to get wrong: signed zeros, NaN of
+# either sign, infinities, the least subnormal; bounds that are signed zeros
+_CLIPPED = st.one_of(st.sampled_from([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                      5e-324, -5e-324]), st.floats())
+_BOUND = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0, 5e-324]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(X=st.lists(st.lists(_CLIPPED, min_size=2, max_size=2), min_size=1, max_size=5),
+       lo=_BOUND, hi=_BOUND)
+@example(X=[[-0.0, 0.0], [math.nan, -math.nan], [-1.5, 2.5], [math.inf, -math.inf]],
+         lo=0.0, hi=1.0)
+@example(X=[[-0.0, 0.0], [0.0, -0.0]], lo=-0.0, hi=1.0)
+@example(X=[[-0.0, 0.0], [0.0, -0.0]], lo=-1.0, hi=0.0)
+def test_domain_clip_gives_the_bits_of_np_clip(X, lo, hi):
+    # the interval and box clip through the ufunc that np.clip dispatches to
+    assume(lo < hi)
+    X = np.array(X)
+    box, interval = Box([lo, lo], [hi, hi]), Interval(lo, hi)
+    assert box.clip(X).tobytes() == np.clip(X, box.lo, box.hi).tobytes()
+    assert box.clip(X[0]).tobytes() == np.clip(X[0], box.lo, box.hi).tobytes()
+    assert interval.clip(X).tobytes() == np.clip(X, lo, hi).tobytes()
+    assert interval.clip(X[:, 0]).tobytes() == np.clip(X[:, 0], lo, hi).tobytes()
 
 
 def test_project_ball_radial_scaling():
