@@ -845,6 +845,9 @@ def expand_config(config: dict, seed_override=None) -> list:
         seeds = config.get("seeds", [0])
     if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("config field 'seeds': must be a list of integers")
+    if not seeds:  # a grid of no cells would check nothing
+        where = "config field 'seeds'" if seed_override is None else "--seed-override"
+        raise ConfigError(f"{where}: need at least one seed")
     cells = []
     names = set()
     for spec in algs:

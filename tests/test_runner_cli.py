@@ -456,6 +456,26 @@ def test_cli_hard_errors_exit_one(tmp_path, capsys):
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o"), "--threads", "0"]) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("seeds, override, field", [
+    ([], None, "config field 'seeds'"),
+    ([0], ",", "--seed-override"),
+], ids=["config-seeds", "seed-override"])
+def test_an_empty_seed_list_exits_one_naming_its_field(tmp_path, capsys, command, seeds,
+                                                      override, field):
+    # a grid of no cells would pass --strict with nothing checked
+    config = {**BASIC, "seeds": seeds}
+    if command == "sweep":
+        config["sweep"] = {"environment.params.tau": [0.5, 4.0]}
+    out = tmp_path / "out"
+    args = [command, _write_config(tmp_path, config), "--output-dir", str(out), "--strict"]
+    if override is not None:
+        args += ["--seed-override", override]
+    assert main(args) == 1
+    assert f"driftlab: error: {field}: need at least one seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
