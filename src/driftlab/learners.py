@@ -99,7 +99,7 @@ class DoublingSchedule:
     Epoch i has budget Q_i = sqrt(2) * D * 2^i and runs the adaptive rule
     with beta_sq = D^2 + gamma * Q_i.  When the comparator path inside the
     epoch exceeds Q_i, the next epoch opens with the weight reset to zero and
-    the iterate carried over unchanged (no prox solve on a restart round).
+    the iterate carried over unchanged (a restart round's prox step is dropped).
     """
 
     def budget(self, geom: Geometry, epoch: int) -> tuple[float, float]:
@@ -303,7 +303,7 @@ def _step_rule(learner):
         return None
     etas = getattr(getattr(learner, "schedule", learner), "etas", None)  # OGD's own
     return (type(learner), type(getattr(learner, "schedule", None)), learner.geom.mirror,
-            learner.geom.domain.to_dict(), None if etas is None else (etas.tobytes(), learner.t))
+            learner.geom.domain, None if etas is None else (etas.tobytes(), learner.t))
 
 
 def stack(learners: list):
@@ -331,8 +331,8 @@ def update_many(learners: list, loss: Loss) -> None:
             learner.update(loss)
         return
     lanes.step(loss, np.zeros(len(learners)))
+    cols = [(key, getattr(lanes, key)) for key in _LANES if getattr(lanes, key, None) is not None]
     for i, learner in enumerate(learners):
-        for key in _LANES:
-            if getattr(lanes, key, None) is not None:
-                setattr(learner, key, getattr(lanes, key)[i:i + 1])
+        for key, col in cols:
+            setattr(learner, key, col[i:i + 1])
         learner.t += 1

@@ -370,7 +370,7 @@ class _Lanes:
                           for key, col in first.items() if isinstance(col, np.ndarray)}
             self._cols["x"] = np.stack(self.plays)
         cols = {key: col if col is None else [row[key][i] for row in self.rows]
-                for key, col in first.items()}  # the labels, and null keys
+                for key, col in first.items() if key not in self._cols}  # labels, nulls
         cols.update((key, col[:, i]) for key, col in self._cols.items())
         cols["loss"] = self.tables[i]
         lam, epoch = (getattr(self.learner, key, None) for key in ("lam", "epoch"))
