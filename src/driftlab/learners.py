@@ -292,13 +292,12 @@ class OGD(Learner):
 
 
 # the per-lane state of the learners, (k, d) or (k,)
-_LANES = ("x", "lam", "delta_sum", "beta_sq", "epoch", "path_in_epoch", "Q")
+_LANE_STATE = ("x", "lam", "delta_sum", "beta_sq", "epoch", "path_in_epoch", "Q")
 
 
 def _step_rule(learner):
-    """What a learner's step reads besides its lanes' state: its type,
-    geometry and schedule, and the round when its steps are fixed; None for
-    a learner that does not step lanes."""
+    """What a learner's step reads besides its lanes' state (type, geometry,
+    schedule, and the round where steps are fixed); None if it has no lanes."""
     if type(learner) not in (DynamicIOMD, OGD):
         return None
     etas = getattr(getattr(learner, "schedule", learner), "etas", None)  # OGD's own
@@ -315,7 +314,7 @@ def stack(learners: list):
     if rule is None or any(_step_rule(l) != rule for l in learners[1:]):
         return None
     out = copy.copy(learners[0])
-    for key in _LANES:
+    for key in _LANE_STATE:
         if getattr(out, key, None) is not None:
             setattr(out, key, np.concatenate([getattr(l, key) for l in learners]))
     return out
@@ -331,7 +330,8 @@ def update_many(learners: list, loss: Loss) -> None:
             learner.update(loss)
         return
     lanes.step(loss, np.zeros(len(learners)))
-    cols = [(key, getattr(lanes, key)) for key in _LANES if getattr(lanes, key, None) is not None]
+    cols = [(key, getattr(lanes, key)) for key in _LANE_STATE
+            if getattr(lanes, key, None) is not None]
     for i, learner in enumerate(learners):
         for key, col in cols:
             setattr(learner, key, col[i:i + 1])
