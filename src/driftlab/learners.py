@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import Geometry, GeometryError, _as_vector, _Orthotope
 from .losses import Loss, LossTable
-from .prox import _interval_quadratics, implicit_update_lanes
+from .prox import _interval_quadratics, implicit_update_lanes, _sound_lanes
 
 
 class ConfigError(ValueError):
@@ -155,12 +155,11 @@ class DynamicIOMD(Learner):
     first round (of each doubling epoch) is a pure loss minimization and the
     weights never decrease.
 
-    The learner steps k lanes at once; a built learner has one, and
-    ``stack`` joins learners into one.  ``x`` is (k, d), one point per
-    lane, and ``lam``, ``delta_sum``, ``beta_sq`` (self-tuning schedules)
+    A built learner has one lane, and ``stack`` joins learners into one:
+    ``x`` is (k, d), and ``lam``, ``delta_sum``, ``beta_sq`` (self-tuning)
     and doubling's ``epoch``, ``path_in_epoch`` and ``Q`` are (k,).  ``lam``
-    holds each lane's weight of the next round for the self-tuning schedules
-    and that of the last round otherwise.
+    holds the weight of the next round for the self-tuning schedules and
+    that of the last round otherwise.
     """
 
     def __init__(self, geom: Geometry, schedule, x0=None):
@@ -203,7 +202,7 @@ class DynamicIOMD(Learner):
         if self.beta_sq is None:
             self.lam = np.full(k, self.schedule.lam(self.t))
         lams = self.lam
-        out = implicit_update_lanes(loss, self.geom, self.x, lams)
+        out = implicit_update_lanes(loss, self.geom, self.x, lams, checked=True)
         x_next, deltas, solvers = out.x_next, out.deltas, out.solvers
         if self.beta_sq is not None:
             # deltas are nonnegative, so the weights never decrease; this is
@@ -259,10 +258,9 @@ class OGD(Learner):
         return _one_row(self.step(loss, np.array([path_increment], dtype=float)))
 
     def step(self, loss, path_increments: np.ndarray) -> dict:
-        """x' = proj(x - eta_t * g) in every lane, g the subgradient of
-        ``loss`` (or of row i of a ``LossTable``) at lane i's point; 1-d
-        quadratics on an interval take it as one batch.  Returns the round's
-        row as ``DynamicIOMD.step`` does; OGD writes no delta or weight."""
+        """x' = proj(x - eta_t * g) in every lane, g the subgradient of ``loss``
+        (or of row i of a ``LossTable``) at lane i's point, as one batch for 1-d
+        quadratics on an interval; returns the row, with no delta or weight."""
         if self.t > self.etas.size:
             raise ConfigError(
                 f"ogd schedule exhausted: round {self.t} exceeds horizon {self.etas.size}"
@@ -307,9 +305,9 @@ def _step_rule(learner):
 
 def stack(learners: list):
     """One learner whose lanes are those of ``learners``, in order, or None
-    unless they step by one rule (see ``_step_rule``).  Self-tuning
-    schedules read no round, so their learners may have been born at
-    different rounds; the stacked learner counts rounds from the first's."""
+    unless they step by one rule (``_step_rule``) from sound points and
+    weights, which its steps keep sound without checking again.  Self-tuning
+    schedules read no round, so learners born at different rounds stack."""
     rule = _step_rule(learners[0])
     if rule is None or any(_step_rule(l) != rule for l in learners[1:]):
         return None
@@ -317,7 +315,7 @@ def stack(learners: list):
     for key in _LANE_STATE:
         if getattr(out, key, None) is not None:
             setattr(out, key, np.concatenate([getattr(l, key) for l in learners]))
-    return out
+    return out if _sound_lanes(out.geom, out.x, getattr(out, "lam", np.zeros(0))) else None
 
 
 def update_many(learners: list, loss: Loss) -> None:

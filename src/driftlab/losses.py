@@ -264,8 +264,7 @@ class LossTable:
 
     @classmethod
     def rounds(cls, tables: list) -> list:
-        """Each round's losses of the runs ``tables``, as one table with a
-        row per run."""
+        """Each round's losses of the runs ``tables``: one table, a row per run."""
         first = tables[0]
         if first._M is None or any(t.kinds != first.kinds or t._M is None
                                    or t._M.shape != first._M.shape for t in tables):

@@ -167,21 +167,20 @@ class ProxLanes(NamedTuple):
     gnorms: np.ndarray
 
 
-def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray) -> ProxLanes:
+def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray,
+                          checked: bool = False) -> ProxLanes:
     """``implicit_update`` from the anchors X (k, d) at once, lane i with
-    weight lams[i] and loss ``loss``, or ``loss[i]`` when ``loss`` is a
-    ``LossTable`` of one row per lane.
+    weight lams[i] and loss ``loss``, or ``loss[i]`` of a ``LossTable``.
 
     Two or more lanes of one linear loss on the entropy simplex, or of 1-d
-    quadratic losses on an interval, step as one batch; any other input,
-    and a single lane, steps lane by lane through ``implicit_update``, the
-    reference route.  Each lane equals the one-lane update bit for bit.  A
-    fault in an anchor, a weight or an output also steps lane by lane, so
-    the error raised is the one the first faulty lane raises on its own.
+    quadratics on an interval, step as one batch; anything else, and one
+    lane, steps lane by lane through ``implicit_update``, the reference
+    route, which each lane equals bit for bit.  A fault in an anchor, a
+    weight or an output also steps lane by lane, so the first faulty lane
+    raises its own error; a learner's anchors and weights come ``checked``.
     """
     route = _lanes_route(loss, geom, X)
-    if (route is not None and np.isfinite(X).all() and geom.domain._contains_rows(X).all()
-            and (lams >= 0.0).all()):
+    if route is not None and (checked or _sound_lanes(geom, X, lams)):
         try:
             return route(X, lams)
         except (GeometryError, SolverError):
@@ -191,6 +190,12 @@ def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray)
     return ProxLanes(np.array([r.x_next for r in results]), np.array([r.value for r in results]),
                      np.array([r.delta for r in results]), [r.solver for r in results],
                      np.array([geom.dual_norm(l._subgradient(x)) for l, x in zip(losses, X)]))
+
+
+def _sound_lanes(geom: Geometry, X: np.ndarray, lams: np.ndarray) -> bool:
+    """Whether anchors X and weights lams are as ``implicit_update`` requires."""
+    return bool(np.isfinite(X).all() and geom.domain._contains_rows(X).all()
+                and (lams >= 0.0).all())
 
 
 def _lanes_route(loss, geom, X):

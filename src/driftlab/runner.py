@@ -346,9 +346,8 @@ def _build(cell: dict) -> _Run:
 
 
 class _Lanes:
-    """A learner that steps lanes (``learners.stack``), one per run, on the
-    runs' loss tables; its rounds are kept as (T, k) columns, and ``lane(i)``
-    reads lane i's."""
+    """A stacked learner (``learners.stack``), one lane per run, stepped on
+    the runs' loss tables; ``lane(i)`` reads lane i's (T, k) columns."""
 
     def __init__(self, learner, tables: list):
         self.learner, self.tables = learner, tables
@@ -360,10 +359,9 @@ class _Lanes:
         self.rows.append(self.learner.step(self.losses[len(self.rows)], path_increments))
 
     def lane(self, i: int) -> tuple:
-        """Lane i's rounds as columns, keyed as the rows its learner's
-        ``update`` writes (a key it writes as null maps to None), with its
-        plays ``x`` (T, d) and its losses ``loss``, a ``LossTable``; and its
-        last play, weight and epoch, as the trace's final record reads them."""
+        """Lane i's columns, keyed as its learner's ``update`` rows (None for
+        a null key), with plays ``x`` (T, d) and losses ``loss`` (a
+        ``LossTable``); and its last play, weight and epoch, for the final record."""
         first = self.rows[0]
         if self._cols is None:  # every lane's array columns, (T, k) and (T, k, d)
             self._cols = {key: np.stack([row[key] for row in self.rows])

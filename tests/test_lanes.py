@@ -364,6 +364,18 @@ def test_interval_diomd_families_step_as_lanes(monkeypatch):
     assert steps == [] and updates == [] and len(solves) == 5 * 24
 
 
+def test_a_lane_family_checks_its_anchors_and_weights_once(monkeypatch):
+    # stack checks the points and weights it joins; each step keeps them
+    # sound, so the batched prox step does not check them again every round
+    checks = []
+    sound = prox._sound_lanes
+    for module in (prox, learners):
+        monkeypatch.setattr(module, "_sound_lanes",
+                            lambda *args: checks.append(len(args[1])) or sound(*args))
+    run_cell(_family(ENVIRONMENTS["drifting-quadratic"], "diomd"))
+    assert checks == [5]
+
+
 def test_a_family_whose_lanes_raise_reruns_one_cell_at_a_time(monkeypatch):
     cells = _family(ENVIRONMENTS["drifting-quadratic"], "diomd-doubling")
     alone = [run_cell([cell])[0] for cell in cells]
