@@ -263,15 +263,16 @@ class LossTable:
         return cls({kind}, M, Y)
 
     @classmethod
-    def rounds(cls, tables: list) -> list:
-        """Each round's losses of the runs ``tables``: one table, a row per run."""
+    def rounds(cls, tables: list):
+        """Each round's losses of the runs ``tables``, in turn: one table, a row
+        per run, made as the round comes."""
         first = tables[0]
         if first._M is None or any(t.kinds != first.kinds or t._M is None
                                    or t._M.shape != first._M.shape for t in tables):
-            return [cls.from_losses(t[r] for t in tables) for r in range(len(first))]
+            return (cls.from_losses(t[r] for t in tables) for r in range(len(first)))
         M = np.stack([t._M for t in tables], axis=1)
         Y = [None] * len(M) if first.Y is None else np.stack([t.Y for t in tables], axis=1)
-        return [cls(first.kinds, m, y) for m, y in zip(M, Y)]
+        return (cls(first.kinds, m, y) for m, y in zip(M, Y))
 
     def __len__(self):
         return len(self._M) if self._items is None else len(self._items)

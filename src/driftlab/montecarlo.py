@@ -54,7 +54,7 @@ def run_family(learner: str, sigma: float, T: int, seeds,
     envs = [LowerBoundEnv(T, seed, sigma) for seed in seeds]
     geom = envs[0].default_geometry()
     lanes = stack([_build_algorithm(_SPECS[learner], geom, env, T)[0] for env in envs])
-    losses = iter(LossTable.rounds([env.loss_table() for env in envs]))
+    losses = LossTable.rounds([env.loss_table() for env in envs])
     rows = []
     play_rounds(lambda increments: rows.append(lanes.step(next(losses), increments)["value"]),
                 [env.comparators() for env in envs], geom.primal_norm)

@@ -351,26 +351,25 @@ class _Lanes:
 
     def __init__(self, learner, tables: list):
         self.learner, self.tables = learner, tables
-        self.losses = LossTable.rounds(tables)
-        self.plays, self.rows, self._cols = [], [], None
+        self.losses, self.T = LossTable.rounds(tables), len(tables[0])
+        self.cols, self.labels = None, []
 
     def update(self, path_increments: np.ndarray) -> None:
-        self.plays.append(self.learner.x)  # a step replaces x, never writes into it
-        self.rows.append(self.learner.step(self.losses[len(self.rows)], path_increments))
+        row = {"x": self.learner.x, **self.learner.step(next(self.losses), path_increments)}
+        if self.cols is None:  # the first round's keys: arrays become (T, k) columns
+            self.cols = {key: None if v is None else np.empty((self.T, *v.shape), v.dtype)
+                         for key, v in row.items() if key != "solver"}
+        for key, col in self.cols.items():
+            if col is not None:
+                col[len(self.labels)] = row[key]
+        self.labels.append(row["solver"])
 
     def lane(self, i: int) -> tuple:
         """Lane i's columns, keyed as its learner's ``update`` rows (None for
         a null key), with plays ``x`` (T, d) and losses ``loss`` (a
         ``LossTable``); and its last play, weight and epoch, for the final record."""
-        first = self.rows[0]
-        if self._cols is None:  # every lane's array columns, (T, k) and (T, k, d)
-            self._cols = {key: np.stack([row[key] for row in self.rows])
-                          for key, col in first.items() if isinstance(col, np.ndarray)}
-            self._cols["x"] = np.stack(self.plays)
-        cols = {key: col if col is None else [row[key][i] for row in self.rows]
-                for key, col in first.items() if key not in self._cols}  # labels, nulls
-        cols.update((key, col[:, i]) for key, col in self._cols.items())
-        cols["loss"] = self.tables[i]
+        cols = {key: col if col is None else col[:, i] for key, col in self.cols.items()}
+        cols["solver"], cols["loss"] = [labels[i] for labels in self.labels], self.tables[i]
         lam, epoch = (getattr(self.learner, key, None) for key in ("lam", "epoch"))
         return cols, {"x_final": self.learner.x[i].tolist(),
                       "lam_final": None if lam is None else lam[i].item(),
