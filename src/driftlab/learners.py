@@ -227,9 +227,9 @@ class DynamicIOMD(Learner):
         row.update(value=out.values, gnorm_dual=out.gnorms, delta=deltas, lam=lams,
                    solver=solvers)
         if self.geom.mirror == "entropy" and loss.kind == "linear":
-            G = loss.G if isinstance(loss, LossTable) else [loss.g] * k
+            G2 = loss.G * loss.G if isinstance(loss, LossTable) else [loss.g * loss.g] * k
             # one dot product per lane: a matrix product rounds differently
-            row["eg2"] = np.array([float(x @ (g * g)) for x, g in zip(self.x, G)])
+            row["eg2"] = np.array([float(x @ g2) for x, g2 in zip(self.x, G2)])
         self.x = x_next
         self.t += 1
         return row
