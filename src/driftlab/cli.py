@@ -94,7 +94,7 @@ def _parse_seeds(text: str) -> list:
 
 
 def _execute(cells, threads: int, out_dir: Path) -> list:
-    """Every cell's report, in order, each family's files written as its
+    """Every cell's report, in cell order, each family's files written as its
     ``run_cell`` returns.  Each family runs as one ``run_cell`` call, or
     over worker processes as at most ``threads`` contiguous chunks."""
     jobs = []
@@ -102,22 +102,34 @@ def _execute(cells, threads: int, out_dir: Path) -> list:
         n = min(threads, len(family))
         jobs += [family[j * len(family) // n:(j + 1) * len(family) // n] for j in range(n)]
     if threads == 1:
-        return _write_outputs(map(run_cell, jobs), out_dir)
+        return _write_outputs(cells, jobs, map(run_cell, jobs), out_dir)
     from concurrent.futures import ProcessPoolExecutor  # a one-process run starts no pool
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return _write_outputs(pool.map(run_cell, jobs), out_dir)
+        return _write_outputs(cells, jobs, pool.map(run_cell, jobs), out_dir)
 
 
-def _write_outputs(done, out_dir: Path) -> list:
-    """The reports of ``done``'s results, written family by family, then ``summary.csv``."""
-    reports = []
-    for results in done:
+def _write_outputs(cells: list, jobs: list, done, out_dir: Path) -> list:
+    """The reports of ``done``'s results for ``jobs``, written job by job,
+    then ``summary.csv``; the reports in cell order.  A job that fails raises
+    the error of the first failing cell in cell order: the cells before its
+    last that no job has written rerun one at a time until one fails."""
+    where = {id(cell): i for i, cell in enumerate(cells)}
+    written, done = {}, iter(done)
+    for job in jobs:
+        try:
+            results = next(done)
+        except (ConfigError, TraceError):
+            for i in range(where[id(job[-1])] + 1):  # a job's cells are in cell order
+                if i not in written:
+                    run_cell([cells[i]])
+            raise
         out_dir.mkdir(parents=True, exist_ok=True)  # only once a family is done
-        for res in results:
+        for cell, res in zip(job, results):
             (out_dir / f"{res.name}.trace.jsonl").write_text("\n".join(res.trace_lines) + "\n")
             (out_dir / f"{res.name}.report.json").write_text(report_json(res.report))
-            reports.append(res.report)
+            written[where[id(cell)]] = res.report
+    reports = [written[i] for i in sorted(written)]
     out_dir.mkdir(parents=True, exist_ok=True)  # a grid of no cells still gets its summary
     (out_dir / "summary.csv").write_text(summarize(reports))
     return reports
@@ -148,6 +160,12 @@ def _grid_command(args, sweep: bool) -> int:
     failures = strict_failures(reports)
     print(f"{len(reports)} cells -> {args.output_dir}/summary.csv; "
           f"{len(failures)} strict failure(s)")
+    return _strict_status(args, failures)
+
+
+def _strict_status(args, failures: list) -> int:
+    """2 under --strict if any bound row or integrity check failed (each
+    named on stderr), else 0."""
     if args.strict and failures:
         for cell, name in failures:
             print(f"strict: {cell}: {name}", file=sys.stderr)
@@ -167,12 +185,7 @@ def _verify_command(args) -> int:
             print(_cell_line(report))
         else:
             sys.stdout.write(report_json(report))
-    failures = strict_failures(reports)
-    if args.strict and failures:
-        for cell, name in failures:
-            print(f"strict: {cell}: {name}", file=sys.stderr)
-        return 2
-    return 0
+    return _strict_status(args, strict_failures(reports))
 
 
 def main(argv=None) -> int:
@@ -188,10 +201,7 @@ def main(argv=None) -> int:
             for name in sorted(ALGORITHMS):
                 print(f"{name:>16}  {ALGORITHMS[name][0]}")
             return 0
-    except (ConfigError, TraceError) as exc:
-        print(f"driftlab: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, TraceError, OSError) as exc:
         print(f"driftlab: error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable subcommand")

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .learners import ConfigError, Learner, update_many
-from .losses import LinearLoss, Loss, LossError, step_lengths
+from .learners import ConfigError, Learner, _one_row, _step_rule, stack, update_many
+from .losses import LinearLoss, Loss, LossError, LossTable, step_lengths
 
 _INV_E = 1.0 / math.e
 
@@ -69,7 +69,15 @@ class ABProd(Learner):
     with rate eta_t = min(1/2, 1 / sqrt(1 + sum of past r^2)).  The rate cap
     keeps the sequence non-increasing from its starting value 1/2, which the
     per-run weight inequalities require.
+
+    A built combiner has one lane, and ``learners.stack`` joins combiners of
+    one loss range whose candidates stack and whose benchmarks stack: the
+    Prod state ``log_w_a``, ``w_b``, ``eta``, ``r_sq_sum`` and ``k_acc`` is
+    (k,), and ``x`` is the (k, d) mixture of the plays.  A learner without
+    lanes (``step``) plays and updates as the one lane it is.
     """
+
+    _STATE = ("log_w_a", "w_b", "eta", "r_sq_sum", "k_acc")
 
     def __init__(self, learner_a: Learner, learner_b: Learner,
                  loss_range: LossRange = LossRange()):
@@ -77,53 +85,98 @@ class ABProd(Learner):
         self.b = learner_b
         self.range = loss_range
         self.geom = learner_b.geom
-        self.log_w_a = math.log(0.5)
-        self.w_b = 0.5
-        self.eta = 0.5
-        self.r_sq_sum = 0.0
-        self.k_acc = 1.0
+        self.log_w_a = np.array([math.log(0.5)])
+        self.w_b, self.eta, self.r_sq_sum, self.k_acc = (np.array([v]) for v in (0.5, 0.5, 0.0, 1.0))
         self.t = 1
+        self._weigh()
+
+    def _rule(self):
+        """What a stacked step reads besides the lanes' state: the loss range
+        and both learners' step rules; None unless both have lanes."""
+        rules = (_step_rule(self.a), _step_rule(self.b))
+        return None if None in rules else (ABProd, self.range, *rules)
+
+    def _join(self, combiners: list):
+        """This copy of ``combiners[0]`` made their stack (``learners.stack``)."""
+        self.a, self.b = (stack([getattr(c, key) for c in combiners]) for key in ("a", "b"))
+        for key in self._STATE:
+            setattr(self, key, np.concatenate([getattr(c, key) for c in combiners]))
+        self._weigh()
+        return None if self.a is None or self.b is None else self
+
+    def _weigh(self):
+        """Each lane's probability on the first learner, as floats and a column."""
+        wa = [eta * math.exp(w) for eta, w in zip(self.eta.tolist(), self.log_w_a.tolist())]
+        self.p = [w / (w + 0.5 * wb) for w, wb in zip(wa, self.w_b.tolist())]
+        self._P = np.array(self.p)[:, None]
 
     def mixture_weight(self) -> float:
-        """Probability placed on the first learner this round."""
-        wa = self.eta * math.exp(self.log_w_a)
-        return wa / (wa + 0.5 * self.w_b)
+        """Probability placed on the first learner this round (lane 0)."""
+        return self.p[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._P * _plays(self.a) + (1.0 - self._P) * _plays(self.b)
 
     def play(self):
-        p = self.mixture_weight()
-        return p * self.a.play() + (1.0 - p) * self.b.play()
+        return self.x[0]
 
     def update(self, loss: Loss, path_increment: float = 0.0):
-        xa = self.a.play()
-        xb = self.b.play()
-        p = self.mixture_weight()
-        la = self.range.unit(loss._value(xa))
-        lb = self.range.unit(loss._value(xb))
-        r = lb - la
-        eta_old = self.eta
-        self.r_sq_sum += r * r
-        eta_new = min(0.5, 1.0 / math.sqrt(1.0 + self.r_sq_sum))
-        base = 1.0 + eta_old * r
-        if base <= 0.0:
-            raise RangeError("prod update left the positive cone; losses out of range?")
-        self.log_w_a = (eta_new / eta_old) * (self.log_w_a + math.log(base))
-        self.k_acc += _INV_E * (eta_old / eta_new - 1.0)
-        self.eta = eta_new
-        row_a = self.a.update(loss, path_increment)
-        self.b.update(loss, path_increment)
-        row = {
-            "value": loss._value(p * xa + (1.0 - p) * xb),
-            "p_a": p,
-            "r": r,
-            "eta": eta_old,
-            "k_acc": self.k_acc,
-            "loss_a": la,
-            "loss_b": lb,
-        }
+        """``step`` of a one-lane combiner; its row as Python values."""
+        return _one_row(self.step(loss, np.array([path_increment], dtype=float)))
+
+    def step(self, loss, path_increments: np.ndarray) -> dict:
+        """One round of every lane, on ``loss`` or row i of a ``LossTable``:
+        the Prod recursion in Python floats, lane by lane, then one step of
+        each learner.  Returns the round's row as (k,) columns, with the
+        candidate's ``delta`` where its rows have one."""
+        X, p = self.x, self.p
+        la, lb = ([self.range.unit(v) for v in _values(loss, _plays(learner))]
+                  for learner in (self.a, self.b))
+        r = [b - a for a, b in zip(la, lb)]
+        eta_old, log_w_a, r_sq_sum, k_acc = (getattr(self, key).tolist() for key in (
+            "eta", "log_w_a", "r_sq_sum", "k_acc"))
+        eta = list(eta_old)
+        for i, ri in enumerate(r):
+            r_sq_sum[i] += ri * ri
+            eta_new = min(0.5, 1.0 / math.sqrt(1.0 + r_sq_sum[i]))
+            base = 1.0 + eta[i] * ri
+            if base <= 0.0:
+                raise RangeError("prod update left the positive cone; losses out of range?")
+            log_w_a[i] = (eta_new / eta[i]) * (log_w_a[i] + math.log(base))
+            k_acc[i] += _INV_E * (eta[i] / eta_new - 1.0)
+            eta[i] = eta_new
+        self.eta, self.log_w_a, self.r_sq_sum, self.k_acc = map(
+            np.array, (eta, log_w_a, r_sq_sum, k_acc))
+        row_a = _step(self.a, loss, path_increments)
+        _step(self.b, loss, path_increments)
+        row = {"value": np.array(_values(loss, X)), "p_a": np.array(p), "r": np.array(r),
+               "eta": np.array(eta_old), "k_acc": self.k_acc, "loss_a": np.array(la),
+               "loss_b": np.array(lb)}
         if "delta" in row_a:
-            row["delta"] = row_a.get("delta")
+            row["delta"] = row_a["delta"]
         self.t += 1
+        self._weigh()
         return row
+
+
+def _plays(learner) -> np.ndarray:
+    """A learner's plays, (k, d): its lanes' points, or its one play."""
+    return learner.x if hasattr(learner, "step") else np.asarray(learner.play(), dtype=float)[None, :]
+
+
+def _values(loss, X: np.ndarray) -> list:
+    """Lane i's loss value at X[i]: row i of a ``LossTable``, or the one loss."""
+    if isinstance(loss, LossTable):
+        return loss.values(X).tolist()
+    return [loss._value(x) for x in X]
+
+
+def _step(learner, loss, path_increments: np.ndarray) -> dict:
+    """One round of a learner's lanes, or of the one lane it is; its row as columns."""
+    if hasattr(learner, "step"):
+        return learner.step(loss, path_increments)
+    return {key: [v] for key, v in learner.update(loss, float(path_increments[0])).items()}
 
 
 # ---------------------------------------------------------------------------

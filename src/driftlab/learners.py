@@ -202,7 +202,8 @@ class DynamicIOMD(Learner):
         if self.beta_sq is None:
             self.lam = np.full(k, self.schedule.lam(self.t))
         lams = self.lam
-        out = implicit_update_lanes(loss, self.geom, self.x, lams, checked=True)
+        # stacked lanes were checked once; a lone lane is checked each step
+        out = implicit_update_lanes(loss, self.geom, self.x, lams, checked=k > 1)
         x_next, deltas, solvers = out.x_next, out.deltas, out.solvers
         if self.beta_sq is not None:
             # deltas are nonnegative, so the weights never decrease; this is
@@ -295,9 +296,10 @@ _LANE_STATE = ("x", "lam", "delta_sum", "beta_sq", "epoch", "path_in_epoch", "Q"
 
 def _step_rule(learner):
     """What a learner's step reads besides its lanes' state (type, geometry,
-    schedule, and the round where steps are fixed); None if it has no lanes."""
+    schedule, and the round where steps are fixed); None if it has no lanes.
+    A combiner with lanes gives its own (``_rule``)."""
     if type(learner) not in (DynamicIOMD, OGD):
-        return None
+        return learner._rule() if hasattr(learner, "_rule") else None
     etas = getattr(getattr(learner, "schedule", learner), "etas", None)  # OGD's own
     return (type(learner), type(getattr(learner, "schedule", None)), learner.geom.mirror,
             learner.geom.domain, None if etas is None else (etas.tobytes(), learner.t))
@@ -307,11 +309,14 @@ def stack(learners: list):
     """One learner whose lanes are those of ``learners``, in order, or None
     unless they step by one rule (``_step_rule``) from sound points and
     weights, which its steps keep sound without checking again.  Self-tuning
-    schedules read no round, so learners born at different rounds stack."""
+    schedules read no round, so learners born at different rounds stack.  A
+    combiner stacks its own state and its learners' (``_join``)."""
     rule = _step_rule(learners[0])
     if rule is None or any(_step_rule(l) != rule for l in learners[1:]):
         return None
     out = copy.copy(learners[0])
+    if hasattr(out, "_join"):
+        return out._join(learners)
     for key in _LANE_STATE:
         if getattr(out, key, None) is not None:
             setattr(out, key, np.concatenate([getattr(l, key) for l in learners]))
@@ -320,9 +325,10 @@ def stack(learners: list):
 
 def update_many(learners: list, loss: Loss) -> None:
     """Step every learner on the same loss, rows discarded, leaving each
-    one's state as its own ``update`` would: learners that ``stack`` step as
-    the lanes of one, written back; any others step one at a time."""
-    lanes = stack(learners) if learners else None
+    one's state as its own ``update`` would: ``DynamicIOMD`` or ``OGD``
+    learners that ``stack`` step as the lanes of one, written back; any
+    others step one at a time."""
+    lanes = stack(learners) if learners and type(learners[0]) in (DynamicIOMD, OGD) else None
     if lanes is None:
         for learner in learners:
             learner.update(loss)

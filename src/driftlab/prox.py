@@ -172,9 +172,9 @@ def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray,
     """``implicit_update`` from the anchors X (k, d) at once, lane i with
     weight lams[i] and loss ``loss``, or ``loss[i]`` of a ``LossTable``.
 
-    Two or more lanes of one linear loss on the entropy simplex, or of 1-d
-    quadratics on an interval, step as one batch; anything else, and one
-    lane, steps lane by lane through ``implicit_update``, the reference
+    Lanes of one linear loss on the entropy simplex, or two or more lanes of
+    1-d quadratics on an interval, step as one batch; anything else steps
+    lane by lane through ``implicit_update``, the reference
     route, which each lane equals bit for bit.  A fault in an anchor, a
     weight or an output also steps lane by lane, so the first faulty lane
     raises its own error; a learner's anchors and weights come ``checked``.
@@ -200,13 +200,13 @@ def _sound_lanes(geom: Geometry, X: np.ndarray, lams: np.ndarray) -> bool:
 
 def _lanes_route(loss, geom, X):
     """The batched step of these lanes, a function of (X, lams), or None to
-    step them one by one (one lane steps faster on its own)."""
-    if X.ndim != 2 or X.shape[1] != geom.domain.dim or len(X) < 2:
+    step them one by one (one lane of quadratics steps faster on its own)."""
+    if X.ndim != 2 or X.shape[1] != geom.domain.dim:
         return None
     if geom.mirror == "entropy" and isinstance(loss, LinearLoss):
         return lambda X, lams: _entropy_lanes(loss, geom, X, lams)
     quadratics = _interval_quadratics(loss, geom, len(X))
-    if geom.mirror == "euclidean" and quadratics is not None:
+    if geom.mirror == "euclidean" and quadratics is not None and len(X) > 1:
         return lambda X, lams: _quadratic_interval_lanes(*quadratics, geom, X, lams)
     return None
 

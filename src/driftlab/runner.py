@@ -23,7 +23,7 @@ from .envs import _ENV_KINDS, GENERATOR_NAME, make_environment
 from .geometry import (ENTROPY, EUCLIDEAN, ClippedSimplex, Geometry, _simplex_rows,
                        domain_from_dict, entropy_geometry)
 from .learners import (AdaptiveSchedule, ConfigError, DoublingSchedule, DynamicIOMD,
-                       GreedySchedule, OGD, fixed_schedule, stack, start_point)
+                       GreedySchedule, OGD, _step_rule, fixed_schedule, stack, start_point)
 from .losses import LossTable, loss_from_dict, step_lengths
 
 SCHEMA_VERSION = 1
@@ -352,24 +352,27 @@ class _Lanes:
     def __init__(self, learner, tables: list):
         self.learner, self.tables = learner, tables
         self.losses, self.T = LossTable.rounds(tables), len(tables[0])
-        self.cols, self.labels = None, []
+        self.cols, self.t = None, 0
 
     def update(self, path_increments: np.ndarray) -> None:
         row = {"x": self.learner.x, **self.learner.step(next(self.losses), path_increments)}
         if self.cols is None:  # the first round's keys: arrays become (T, k) columns
-            self.cols = {key: None if v is None else np.empty((self.T, *v.shape), v.dtype)
-                         for key, v in row.items() if key != "solver"}
+            self.cols = {key: v if v is None else [] if type(v) is list
+                         else np.empty((self.T, *v.shape), v.dtype) for key, v in row.items()}
         for key, col in self.cols.items():
-            if col is not None:
-                col[len(self.labels)] = row[key]
-        self.labels.append(row["solver"])
+            if type(col) is list:  # labels, a list per round
+                col.append(row[key])
+            elif col is not None:
+                col[self.t] = row[key]
+        self.t += 1
 
     def lane(self, i: int) -> tuple:
         """Lane i's columns, keyed as its learner's ``update`` rows (None for
         a null key), with plays ``x`` (T, d) and losses ``loss`` (a
         ``LossTable``); and its last play, weight and epoch, for the final record."""
-        cols = {key: col if col is None else col[:, i] for key, col in self.cols.items()}
-        cols["solver"], cols["loss"] = [labels[i] for labels in self.labels], self.tables[i]
+        cols = {key: col if col is None else [labels[i] for labels in col]
+                if type(col) is list else col[:, i] for key, col in self.cols.items()}
+        cols["loss"] = self.tables[i]
         lam, epoch = (getattr(self.learner, key, None) for key in ("lam", "epoch"))
         return cols, {"x_final": self.learner.x[i].tolist(),
                       "lam_final": None if lam is None else lam[i].item(),
@@ -377,9 +380,10 @@ class _Lanes:
 
 
 class _OneLane:
-    """A learner that does not step lanes (a combiner) as a family of one,
-    stepped as ``_Lanes`` are, on the rows of its environment's loss table:
-    its rounds are kept as its plays and the rows its ``update`` returns."""
+    """A learner that does not stack (scaffold, adapt-ml-prod, or an abprod
+    of one of them) as a family of one, stepped as ``_Lanes`` are, on the
+    rows of its environment's loss table: its rounds are kept as its plays
+    and the rows its ``update`` returns."""
 
     def __init__(self, learner, env):
         self.learner, self.losses = learner, env.loss_table()
@@ -407,41 +411,51 @@ def _as_column(values: list):
 
 
 def families(cells: list) -> list:
-    """The cells as families, in order: runs of neighbouring cells that
-    differ only in ``seed`` and ``name``, as ``expand_config`` writes each
-    spec's seeds next to each other."""
-    out, rest = [], None
+    """The cells as families, in order of their first cell: the cells that
+    differ only in ``seed``, ``name`` and ``environment.params``, wherever
+    they stand, so a spec's seeds at every sweep point are one family."""
+    out = []
     for cell in cells:
         key = {k: v for k, v in cell.items() if k not in ("seed", "name")}
-        if out and key == rest:
-            out[-1].append(cell)
+        if isinstance(key.get("environment"), dict):
+            key["environment"] = {k: v for k, v in key["environment"].items() if k != "params"}
+        family = next((f for k, f in out if k == key), None)
+        if family is None:
+            out.append((key, [cell]))
         else:
-            out.append([cell])
-            rest = key
-    return out
+            family.append(cell)
+    return [family for _, family in out]
 
 
 def run_cell(cells: list) -> list:
     """The ``CellResult`` of each cell of one family (see ``families``), in
-    order.  Learners of one step rule step as the lanes of one learner
-    (``learners.stack``); a family of any other learner runs one cell at a
-    time, as a lane of its own (``_OneLane``).  Each cell's trace and report
-    are written from its columns.  If any lane raises, the family reruns one
-    cell at a time, so the error is the one the first failing cell raises on
-    its own."""
+    order.  The learners of one step rule (``learners._step_rule``) step as
+    the lanes of one learner (``learners.stack``), a group at a time in order
+    of its first cell; a learner that does not stack runs as a lane of its
+    own (``_OneLane``).  Each cell's trace and report are written from its
+    columns.  If any lane raises, the family reruns one cell at a time, so
+    the error is the one the first failing cell raises on its own."""
     try:
-        runs = [_build(cell) for cell in cells]
-        learner = stack([run.learner for run in runs])
-        if learner is not None:
-            return _results(runs, _Lanes(learner, [run.env.loss_table() for run in runs]))
+        runs, groups = [_build(cell) for cell in cells], {}
+        for run in runs:
+            groups.setdefault(_step_rule(run.learner) or id(run), []).append(run)
+        lanes = [_lanes(group) for group in groups.values()]
+        if None not in lanes:
+            done = {id(run): result for group, group_lanes in zip(groups.values(), lanes)
+                    for run, result in zip(group, _results(group, group_lanes))}
+            return [done[id(run)] for run in runs]
     except Exception:
         runs = map(_build, cells)  # lazily, so the cells build and run in order
-    results = []
-    for run in runs:
-        learner = stack([run.learner])
-        results += _results([run], _OneLane(run.learner, run.env) if learner is None
-                            else _Lanes(learner, [run.env.loss_table()]))
-    return results
+    return [result for run in runs for result in _results([run], _lanes([run]))]
+
+
+def _lanes(runs: list):
+    """The lanes of runs whose learners ``stack``, of a lone learner that does
+    not (``_OneLane``), or None for several that do not."""
+    learner = stack([run.learner for run in runs])
+    if learner is not None:
+        return _Lanes(learner, [run.env.loss_table() for run in runs])
+    return _OneLane(runs[0].learner, runs[0].env) if len(runs) == 1 else None
 
 
 def _results(runs: list, lanes) -> list:

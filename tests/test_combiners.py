@@ -195,9 +195,9 @@ def test_abprod_per_run_weight_inequalities():
             lm = combo.range.unit(loss.value(x))
             vs_a += lm - row["loss_a"]
             vs_b += lm - row["loss_b"]
-        k = combo.k_acc
+        k = combo.k_acc[0]  # the Prod state is per lane: a built combiner has one
         assert vs_b <= 2.0 * math.log(2.0) + 2.0 * math.log(k) + 1e-9
-        root = math.sqrt(1.0 + combo.r_sq_sum)
+        root = math.sqrt(1.0 + combo.r_sq_sum[0])
         assert vs_a <= 2.0 * math.log(2.0) + (2.0 + math.log(k)) * root + 1e-9
 
 

@@ -1,4 +1,5 @@
-"""Seed lanes: a family of cells that differ only in seed steps as one batch.
+"""Lanes: a family of cells that differ only in seed, name and environment
+parameters steps as one batch, a group of lanes per step rule.
 
 ``prox.implicit_update_lanes`` steps k anchors at once; lane i must equal
 ``implicit_update`` on row i bit for bit, and a fault must raise what the
@@ -10,7 +11,9 @@ own, through ``implicit_update`` or OGD's step of one loss.  A self-tuning
 trace's weights must be the running max of its progress sums.  Every cell's
 lines, in lanes or as a family of one (``_OneLane``), are written from its
 columns, so they must equal the trace encoder's text of the same rows, and
-its report what ``verify`` reads from those lines.
+its report what ``verify`` reads from those lines.  A stacked ``ABProd``
+lane must step as a one-lane ``ABProd`` bit for bit, and each cell of a
+sweep must write what it writes alone.
 """
 
 from __future__ import annotations
@@ -409,12 +412,108 @@ def test_a_family_raises_the_error_of_its_first_failing_cell(bad, message):
     assert str(exc.value) == message
 
 
-def test_families_group_neighbouring_cells_that_differ_only_in_seed():
+def _beside_the_family_key(cell: dict) -> dict:
+    """A cell without what may differ inside a family: seed, name and environment.params."""
+    env = {k: v for k, v in cell["environment"].items() if k != "params"}
+    return {**{k: v for k, v in cell.items() if k not in ("seed", "name")}, "environment": env}
+
+
+def test_families_group_the_cells_that_differ_only_in_seed_name_and_environment_params():
     config = {"environment": ENVIRONMENTS["drifting-quadratic"], "T": 10, "seeds": [0, 1],
-              "algorithms": ["greedy", "ogd", "greedy"],
+              "algorithms": ["greedy", "ogd", "greedy", {"name": "greedy", "x0": [0.0]}],
               "sweep": {"environment.params.tau": [0.5, 4.0]}}
     cells = runner.expand_sweep(config)
     groups = families(cells)
-    assert [len(f) for f in groups] == [2] * 6
-    assert [cell for f in groups for cell in f] == cells
-    assert all(len({c["name"] for c in f}) == 2 for f in groups)
+    # a spec's seeds at both sweep points, wherever they stand; equal specs are one
+    assert [len(f) for f in groups] == [8, 4, 4]
+    index = {id(cell): i for i, cell in enumerate(cells)}
+    at = [[index[id(cell)] for cell in f] for f in groups]
+    # every cell in exactly one family, in cell order within it, and the
+    # families in order of their first cell
+    assert sorted(i for f in at for i in f) == list(range(len(cells)))
+    assert all(f == sorted(f) for f in at) and [f[0] for f in at] == sorted(f[0] for f in at)
+    assert all(len({c["name"] for c in f}) == len(f) for f in groups)
+    keys = [_beside_the_family_key(f[0]) for f in groups]
+    assert all(_beside_the_family_key(c) == key for f, key in zip(groups, keys) for c in f)
+    assert all(a != b for i, a in enumerate(keys) for b in keys[i + 1:])
+
+
+_SWEPT = ["greedy", "diomd", FIXED_DIOMD, "diomd-doubling", "ogd",
+          {"name": "abprod", "candidate": "diomd"}]
+
+
+@pytest.mark.parametrize("sweep, lanes", [({"environment.params.tau": [0.5, 4.0]}, [4]),
+                                          ({"environment.params.lo": [-1.0, -0.5]}, [2, 2])],
+                         ids=["tau", "lo"])
+def test_each_cell_of_a_sweep_writes_what_it_writes_alone(sweep, lanes, monkeypatch):
+    cells = runner.expand_sweep({"environment": ENVIRONMENTS["drifting-quadratic"], "T": 24,
+                                 "seeds": [3, 0], "algorithms": _SWEPT, "sweep": sweep})
+    groups = families(cells)
+    assert [len(f) for f in groups] == [4] * len(_SWEPT)
+    sizes = []
+    stacked = runner._Lanes
+    monkeypatch.setattr(runner, "_Lanes", lambda learner, tables: (
+        sizes.append(len(tables)) or stacked(learner, tables)))
+    together = [result for f in groups for result in run_cell(f)]
+    # a tau sweep keeps the domain, so a family steps as one group of lanes;
+    # a sweep of lo moves it, so each point's seeds step as a group
+    assert sizes == lanes * len(_SWEPT)
+    alone = {cell["name"]: run_cell([cell])[0] for cell in cells}
+    assert sorted(alone) == sorted(result.name for result in together)
+    for result in together:
+        assert result.trace_lines == alone[result.name].trace_lines, result.name
+        assert result.report == alone[result.name].report, result.name
+
+
+_CHILD = st.sampled_from(["greedy", FIXED_DIOMD, "diomd", "diomd-doubling", "ogd"])
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(env=st.sampled_from(sorted(ENVIRONMENTS)), candidate=_CHILD, benchmark=_CHILD,
+       seeds=st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True),
+       T=st.integers(1, 30), hi=st.sampled_from([2.0, 4.0]))
+def test_a_stacked_abprod_lane_steps_as_a_one_lane_abprod_bit_for_bit(
+        env, candidate, benchmark, seeds, T, hi):
+    cells = expand_config({"environment": ENVIRONMENTS[env], "T": T, "seeds": seeds,
+                           "algorithm": {"name": "abprod", "candidate": candidate,
+                                         "benchmark": benchmark, "loss_range": [0.0, hi]}})
+    try:
+        runs = [runner._build(cell) for cell in cells]
+    except ConfigError:  # ogd off the euclidean geometry
+        return
+    alone = [runner._build(cell).learner for cell in cells]
+    lanes = learners.stack([run.learner for run in runs])
+    assert lanes is not None
+    tables = [run.env.loss_table() for run in runs]
+    rounds, t = LossTable.rounds(tables), iter(range(T))
+
+    def step(path_increments):
+        r = next(t)
+        X, row = lanes.x, lanes.step(next(rounds), path_increments)
+        for i, one in enumerate(alone):
+            x, one_row = one.play(), one.update(tables[i][r], float(path_increments[i]))
+            assert _bits(X[i]) == _bits(x), (r, i)
+            assert set(row) == set(one_row)
+            for key, col in row.items():
+                assert (col is None) == (one_row[key] is None), key
+                assert col is None or _bits(col[i]) == _bits(one_row[key]), (r, i, key)
+
+    runner.play_rounds(step, [run.env.comparators() for run in runs], runs[0].geom.primal_norm)
+    for i, one in enumerate(alone):  # the final play
+        assert _bits(lanes.x[i]) == _bits(one.play()), i
+
+
+@pytest.mark.parametrize("candidate", ["scaffold", "adapt-ml-prod"])
+def test_an_abprod_whose_candidate_has_no_lanes_runs_one_cell_at_a_time(candidate, monkeypatch):
+    cells = _family(ENVIRONMENTS["shifting-experts"], {"name": "abprod",
+                                                       "candidate": {"name": candidate}})
+    assert learners.stack([runner._build(cell).learner for cell in cells]) is None
+    ones = []
+    one_lane = runner._OneLane
+    monkeypatch.setattr(runner, "_OneLane", lambda learner, env: (
+        ones.append(learner) or one_lane(learner, env)))
+    together = run_cell(cells)
+    assert len(ones) == len(cells) and all(type(one).__name__ == "ABProd" for one in ones)
+    for result, cell in zip(together, cells):
+        alone = run_cell([cell])[0]
+        assert (result.trace_lines, result.report) == (alone.trace_lines, alone.report)

@@ -353,6 +353,55 @@ def test_cli_threads_do_not_change_bytes(tmp_path):
     assert len(restarts) > 1 and all(restarts)
 
 
+# a spec's seeds at both points of a tau sweep are one family, stepped as lanes
+SWEEP = {
+    "environment": {"kind": "drifting-quadratic", "params": {"tau": 1.0}},
+    "T": 30,
+    "seeds": [0, 1],
+    "algorithms": ["greedy", "diomd", "ogd", {"name": "abprod", "candidate": {"name": "diomd"}}],
+    "sweep": {"environment.params.tau": [0.5, 4.0]},
+}
+
+
+def test_cli_threads_do_not_change_the_bytes_of_a_sweep(tmp_path):
+    cfg = _write_config(tmp_path, SWEEP)
+    outs = [tmp_path / f"t{n}" for n in (1, 2, 3)]
+    for n, out in zip((1, 2, 3), outs):
+        assert main(["sweep", cfg, "--output-dir", str(out), "--threads", str(n)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert len(names) == 2 * 16 + 1
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (out, name)
+
+
+def test_cli_returns_the_reports_of_a_sweep_in_cell_order(tmp_path):
+    cells = expand_sweep(SWEEP)
+    reports = cli._execute(cells, 1, tmp_path)
+    assert [report["cell"] for report in reports] == [cell["name"] for cell in cells]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cli_a_sweep_raises_the_error_of_its_first_failing_cell(tmp_path, capsys, threads):
+    # diomd from x0 = 0.5 fails at the first point (0.5 lies outside
+    # [-1, 0.2]) and greedy at the second (an empty interval); greedy's family
+    # runs first, but diomd's first cell comes first in cell order
+    config = {"environment": {"kind": "drifting-quadratic", "params": {"tau": 1.0}}, "T": 10,
+              "seeds": [0], "algorithms": ["greedy", {"name": "diomd", "x0": [0.5]}],
+              "sweep": {"environment.params.hi": [0.2, -2.0]}}
+    cells = expand_sweep(config)
+    with pytest.raises(ConfigError) as first:
+        run_cell([cells[1]])
+    with pytest.raises(ConfigError) as later:
+        run_cell([cells[2]])
+    assert str(first.value) != str(later.value)
+    cfg = _write_config(tmp_path, config)
+    assert main(["sweep", cfg, "--output-dir", str(tmp_path / "out"),
+                 "--threads", str(threads)]) == 1
+    assert capsys.readouterr().err == f"driftlab: error: {first.value}\n"
+
+
 def test_cli_reaches_every_cell_through_one_argument_run_cell(tmp_path, monkeypatch):
     # the benchmark's set-up probe swaps run_cell for a one-argument raiser
     # and counts a process that never calls it as failed
