@@ -6,6 +6,8 @@ synthetic drift environments; and a trace/report pipeline that certifies
 every run against its regret guarantees after the fact.
 """
 
+import types
+
 from .bounds import (
     BoundCheck,
     RunRecord,
@@ -68,53 +70,6 @@ from .runner import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABProd",
-    "AbsoluteLoss",
-    "AdaptMLProd",
-    "AdaptiveSchedule",
-    "Ball",
-    "BoundCheck",
-    "Box",
-    "ClippedSimplex",
-    "CompositeLoss",
-    "ConfigError",
-    "CoveringInterval",
-    "DoublingSchedule",
-    "DynamicIOMD",
-    "FixedSchedule",
-    "Geometry",
-    "GreedySchedule",
-    "HingeLoss",
-    "Interval",
-    "LinearLoss",
-    "LossRange",
-    "OGD",
-    "Piece",
-    "QuadraticLoss",
-    "RunRecord",
-    "Scaffold",
-    "SolverError",
-    "TraceError",
-    "active_intervals",
-    "break_by_path_length",
-    "check_recursion_bound",
-    "domain_from_dict",
-    "entropy_geometry",
-    "euclidean_geometry",
-    "evaluate_bounds",
-    "expand_config",
-    "expand_sweep",
-    "first_order_bound",
-    "fixed_schedule",
-    "implicit_update",
-    "intervals_starting_at",
-    "loss_from_dict",
-    "make_environment",
-    "path_length",
-    "run_cell",
-    "summarize",
-    "temporal_variability",
-    "trace_to_report",
-    "verify_trace",
-]
+# the public names imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
