@@ -77,7 +77,7 @@ class ABProd(Learner):
     lanes (``step``) plays and updates as the one lane it is.
     """
 
-    _STATE = ("log_w_a", "w_b", "eta", "r_sq_sum", "k_acc")
+    _LANE_STATE = ("log_w_a", "w_b", "eta", "r_sq_sum", "k_acc")
 
     def __init__(self, learner_a: Learner, learner_b: Learner,
                  loss_range: LossRange = LossRange()):
@@ -85,8 +85,8 @@ class ABProd(Learner):
         self.b = learner_b
         self.range = loss_range
         self.geom = learner_b.geom
-        self.log_w_a = np.array([math.log(0.5)])
-        self.w_b, self.eta, self.r_sq_sum, self.k_acc = (np.array([v]) for v in (0.5, 0.5, 0.0, 1.0))
+        self.log_w_a, self.w_b, self.eta, self.r_sq_sum, self.k_acc = (
+            np.array([v]) for v in (math.log(0.5), 0.5, 0.5, 0.0, 1.0))
         self.t = 1
         self._weigh()
 
@@ -99,7 +99,7 @@ class ABProd(Learner):
     def _join(self, combiners: list):
         """This copy of ``combiners[0]`` made their stack (``learners.stack``)."""
         self.a, self.b = (stack([getattr(c, key) for c in combiners]) for key in ("a", "b"))
-        for key in self._STATE:
+        for key in self._LANE_STATE:
             setattr(self, key, np.concatenate([getattr(c, key) for c in combiners]))
         self._weigh()
         return None if self.a is None or self.b is None else self
@@ -162,7 +162,9 @@ class ABProd(Learner):
 
 def _plays(learner) -> np.ndarray:
     """A learner's plays, (k, d): its lanes' points, or its one play."""
-    return learner.x if hasattr(learner, "step") else np.asarray(learner.play(), dtype=float)[None, :]
+    if hasattr(learner, "step"):
+        return learner.x
+    return np.asarray(learner.play(), dtype=float)[None, :]
 
 
 def _values(loss, X: np.ndarray) -> list:
