@@ -393,7 +393,7 @@ def _mlprod_rows(rec, tol):
             exc.row = t
             raise
         eta_old = comb.eta
-        _, lhat, r = comb._step(unit_losses[t])
+        _, lhat, r = comb._advance(unit_losses[t])
         lhat_sum += lhat
         weighted_rsq += eta_old * (r * r)
     k_final = comb.k_acc

@@ -73,8 +73,7 @@ class ABProd(Learner):
     A built combiner has one lane, and ``learners.stack`` joins combiners of
     one loss range whose candidates stack and whose benchmarks stack: the
     Prod state ``log_w_a``, ``w_b``, ``eta``, ``r_sq_sum`` and ``k_acc`` is
-    (k,), and ``x`` is the (k, d) mixture of the plays.  A learner without
-    lanes (``step``) plays and updates as the one lane it is.
+    (k,), and ``x`` is the (k, d) mixture of the plays.
     """
 
     _LANE_STATE = ("log_w_a", "w_b", "eta", "r_sq_sum", "k_acc")
@@ -116,7 +115,7 @@ class ABProd(Learner):
 
     @property
     def x(self) -> np.ndarray:
-        return self._P * _plays(self.a) + (1.0 - self._P) * _plays(self.b)
+        return self._P * self.a.x + (1.0 - self._P) * self.b.x
 
     def play(self):
         return self.x[0]
@@ -131,7 +130,7 @@ class ABProd(Learner):
         each learner.  Returns the round's row as (k,) columns, with the
         candidate's ``delta`` where its rows have one."""
         X, p = self.x, self.p
-        la, lb = ([self.range.unit(v) for v in _values(loss, _plays(learner))]
+        la, lb = ([self.range.unit(v) for v in _values(loss, learner.x)]
                   for learner in (self.a, self.b))
         r = [b - a for a, b in zip(la, lb)]
         eta_old, log_w_a, r_sq_sum, k_acc = (getattr(self, key).tolist() for key in (
@@ -148,8 +147,8 @@ class ABProd(Learner):
             eta[i] = eta_new
         self.eta, self.log_w_a, self.r_sq_sum, self.k_acc = map(
             np.array, (eta, log_w_a, r_sq_sum, k_acc))
-        row_a = _step(self.a, loss, path_increments)
-        _step(self.b, loss, path_increments)
+        row_a = self.a.step(loss, path_increments)
+        self.b.step(loss, path_increments)
         row = {"value": np.array(_values(loss, X)), "p_a": np.array(p), "r": np.array(r),
                "eta": np.array(eta_old), "k_acc": self.k_acc, "loss_a": np.array(la),
                "loss_b": np.array(lb)}
@@ -160,25 +159,11 @@ class ABProd(Learner):
         return row
 
 
-def _plays(learner) -> np.ndarray:
-    """A learner's plays, (k, d): its lanes' points, or its one play."""
-    if hasattr(learner, "step"):
-        return learner.x
-    return np.asarray(learner.play(), dtype=float)[None, :]
-
-
 def _values(loss, X: np.ndarray) -> list:
     """Lane i's loss value at X[i]: row i of a ``LossTable``, or the one loss."""
     if isinstance(loss, LossTable):
         return loss.values(X).tolist()
     return [loss._value(x) for x in X]
-
-
-def _step(learner, loss, path_increments: np.ndarray) -> dict:
-    """One round of a learner's lanes, or of the one lane it is; its row as columns."""
-    if hasattr(learner, "step"):
-        return learner.step(loss, path_increments)
-    return {key: [v] for key, v in learner.update(loss, float(path_increments[0])).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +179,8 @@ class AdaptMLProd(Learner):
     instantaneous excess r_i = <p, g> - g_i.  Rates follow
     eta_i = min(1/2, sqrt(log d / (1 + sum of past r_i^2))) and never
     increase.
+
+    It has one lane, ``x`` (1, d), and does not stack.
     """
 
     def __init__(self, d: int, loss_range: LossRange = LossRange(), geom=None):
@@ -213,23 +200,31 @@ class AdaptMLProd(Learner):
         z = self.eta * np.exp(self.log_w - np.max(self.log_w))
         return z / float(np.sum(z))
 
+    @property
+    def x(self) -> np.ndarray:
+        return self.weights()[None, :]
+
     def play(self):
         return self.weights()
 
     def update(self, loss: Loss, path_increment: float = 0.0):
+        """``step`` of the one lane; its row as Python values."""
+        return _one_row(self.step(loss, np.array([path_increment], dtype=float)))
+
+    def step(self, loss, path_increments: np.ndarray) -> dict:
+        """One round on the loss vector ``loss`` (a ``LinearLoss``, or the one
+        row of a ``LossTable``); returns the row as (1,) columns."""
+        loss = loss[0] if isinstance(loss, LossTable) else loss
         if not isinstance(loss, LinearLoss):
             raise ConfigError("expert combiner consumes linear losses (loss vectors)")
         g_raw = loss.g
         if g_raw.shape != (self.d,):
             raise ConfigError(f"expected {self.d} expert losses, got {g_raw.shape}")
-        p, lhat, _ = self._step(np.array([self.range.unit(v) for v in g_raw]))
-        return {
-            "value": float(p @ g_raw),
-            "lhat": lhat,
-            "k_acc": self.k_acc,
-        }
+        p, lhat, _ = self._advance(np.array([self.range.unit(v) for v in g_raw]))
+        return {"value": np.array([float(p @ g_raw)]), "lhat": np.array([lhat]),
+                "k_acc": np.array([self.k_acc])}
 
-    def _step(self, g: np.ndarray):
+    def _advance(self, g: np.ndarray):
         """Advance on the unit losses ``g``; return this round's weights, their
         loss ``lhat`` and the excesses ``r``."""
         p = self.weights()
@@ -382,7 +377,8 @@ class Scaffold(Learner):
 
     Spawns a fresh base learner for every covering interval at its first
     round, retires it after its last, and mixes the awake learners' plays
-    with sleeping-expert Prod weights driven by each play's own loss.
+    with sleeping-expert Prod weights driven by each play's own loss.  It
+    has one lane, ``x`` (1, d), and does not stack.
     """
 
     def __init__(self, base_factory: Callable[[CoveringInterval], Learner],
@@ -427,20 +423,28 @@ class Scaffold(Learner):
             self._round = (p, plays, sum(pi * yi for pi, yi in zip(p, plays)))
         return self._round
 
+    @property
+    def x(self) -> np.ndarray:
+        return self._mix()[2][None, :]
+
     def play(self):
         return self._mix()[2]
 
     def update(self, loss: Loss, path_increment: float = 0.0):
+        """``step`` of the one lane; its row as Python values."""
+        return _one_row(self.step(loss, np.array([path_increment], dtype=float)))
+
+    def step(self, loss, path_increments: np.ndarray) -> dict:
+        """One round on ``loss``, or the one row of a ``LossTable``; returns
+        the row as (1,) columns."""
+        loss = loss[0] if isinstance(loss, LossTable) else loss
         keys = self._order
         p, plays, x = self._mix()
         g = np.array([self.range.unit(loss._value(y)) for y in plays])
         self.meta.step(keys, g, p)
         update_many(self._awake, loss)
-        row = {
-            "value": loss._value(x),
-            "active": len(keys),
-            "k_acc": self.meta.k_acc,
-        }
+        row = {"value": np.array([loss._value(x)]), "active": np.array([len(keys)]),
+               "k_acc": np.array([self.meta.k_acc])}
         self._round = None
         self.t += 1
         self._sync()

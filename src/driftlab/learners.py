@@ -1,10 +1,12 @@
 """Online learners built on the implicit update.
 
-Every learner exposes ``play()`` (the point paying this round's loss) and
-``update(loss, path_increment=0.0)`` which advances the state and returns a
-flat dict of per-round diagnostics (progress certificate delta, weight lam,
-dual gradient norm at the play, solver label).  ``DynamicIOMD`` and ``OGD``
-``step`` k lanes at once, and ``update`` is the step of a one-lane learner.
+Every learner, and every combiner of ``combiners``, holds k lanes: ``x``
+is the (k, d) points paying this round's loss, and ``step(loss,
+path_increments)`` advances every lane and returns the round's diagnostics
+(progress certificate delta, weight lam, dual gradient norm at the play,
+solver label) as (k,) columns.  ``play()`` and ``update(loss,
+path_increment=0.0)`` are lane 0's point and the step of a one-lane
+learner, its row as Python values.
 """
 
 from __future__ import annotations
@@ -129,14 +131,13 @@ def fixed_schedule(shape: str, scale: float, horizon: int) -> FixedSchedule:
 
 
 class Learner:
-    """Interface: play() then update(loss) once per round."""
+    """Interface: read ``x``, the (k, d) plays, then ``step(loss,
+    path_increments)``, once per round.  Each public learner also defines
+    ``play()`` and ``update(loss, path_increment)``, its one-lane forms."""
 
     geom: Geometry
 
-    def play(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def update(self, loss: Loss, path_increment: float = 0.0) -> dict:
+    def step(self, loss, path_increments: np.ndarray) -> dict:
         raise NotImplementedError
 
 

@@ -173,7 +173,7 @@ def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray,
     weight lams[i] and loss ``loss``, or ``loss[i]`` of a ``LossTable``.
 
     Lanes of one linear loss on the entropy simplex, or two or more lanes of
-    1-d quadratics on an interval, step as one batch; anything else steps
+    1-d quadratics on an interval (a row each, or one shared), step as one batch; anything else steps
     lane by lane through ``implicit_update``, the reference
     route, which each lane equals bit for bit.  A fault in an anchor, a
     weight or an output also steps lane by lane, so the first faulty lane
@@ -212,11 +212,16 @@ def _lanes_route(loss, geom, X):
 
 
 def _interval_quadratics(loss, geom, k: int):
-    """(a, y) of k lanes' 1-d quadratic losses on an interval, the rows of
-    the ``LossTable`` ``loss``; None for any other losses or domain."""
-    if (isinstance(geom.domain, Interval) and isinstance(loss, LossTable)
-            and loss.kind == "quadratic" and loss.A is not None and loss.A.shape == (k, 1)):
-        return loss.A[:, 0], loss.Y
+    """(a, y) of k lanes' 1-d quadratic losses on an interval: the rows of
+    the ``LossTable`` ``loss``, or k copies of one shared ``QuadraticLoss``;
+    None for any other losses or domain."""
+    if not isinstance(geom.domain, Interval):
+        return None
+    if isinstance(loss, LossTable):
+        if loss.kind == "quadratic" and loss.A is not None and loss.A.shape == (k, 1):
+            return loss.A[:, 0], loss.Y
+    elif type(loss) is QuadraticLoss and loss.a.shape == (1,):
+        return np.full(k, loss.a[0]), np.full(k, loss.y)
     return None
 
 

@@ -346,8 +346,9 @@ def _build(cell: dict) -> _Run:
 
 
 class _Lanes:
-    """A stacked learner (``learners.stack``), one lane per run, stepped on
-    the runs' loss tables; ``lane(i)`` reads lane i's (T, k) columns."""
+    """A learner's lanes, one per run, stepped on the runs' loss tables: a
+    stacked learner (``learners.stack``), or a lone one that does not stack;
+    ``lane(i)`` reads lane i's (T, k) columns."""
 
     def __init__(self, learner, tables: list):
         self.learner, self.tables = learner, tables
@@ -355,10 +356,14 @@ class _Lanes:
         self.cols, self.t = None, 0
 
     def update(self, path_increments: np.ndarray) -> None:
-        row = {"x": self.learner.x, **self.learner.step(next(self.losses), path_increments)}
+        x = self.learner.x
+        row = {"x": x, **self.learner.step(next(self.losses), path_increments)}
         if self.cols is None:  # the first round's keys: arrays become (T, k) columns
             self.cols = {key: v if v is None else [] if type(v) is list
                          else np.empty((self.T, *v.shape), v.dtype) for key, v in row.items()}
+        elif x.shape != self.cols["x"].shape[1:]:  # the first play's width is checked later
+            raise TraceError(f"line {self.t + 2}: trace field 'x' must be a list of "
+                             f"{self.cols['x'].shape[2]} finite numbers")
         for key, col in self.cols.items():
             if type(col) is list:  # labels, a list per round
                 col.append(row[key])
@@ -377,37 +382,6 @@ class _Lanes:
         return cols, {"x_final": self.learner.x[i].tolist(),
                       "lam_final": None if lam is None else lam[i].item(),
                       "epochs": None if epoch is None else epoch[i].item()}
-
-
-class _OneLane:
-    """A learner that does not stack (scaffold, adapt-ml-prod, or an abprod
-    of one of them) as a family of one, stepped as ``_Lanes`` are, on the
-    rows of its environment's loss table: its rounds are kept as its plays
-    and the rows its ``update`` returns."""
-
-    def __init__(self, learner, env):
-        self.learner, self.losses = learner, env.loss_table()
-        self.plays, self.rows = [], []
-
-    def update(self, path_increments: np.ndarray) -> None:
-        loss = self.losses[len(self.rows)]
-        self.plays.append(np.array(self.learner.play(), dtype=float))
-        self.rows.append(self.learner.update(loss, float(path_increments[0])))
-
-    def lane(self, i: int) -> tuple:
-        """The rounds and last play as ``_Lanes.lane`` reads a lane's, the
-        plays ``x`` unstacked: a row key maps to a float, int or flag array
-        where every value is exactly that, else to a list."""
-        cols = {key: _as_column([row[key] for row in self.rows]) for key in self.rows[0]}
-        cols["x"], cols["loss"] = self.plays, self.losses
-        return cols, {"x_final": np.asarray(self.learner.play(), dtype=float).tolist()}
-
-
-def _as_column(values: list):
-    if (all(isinstance(v, float) for v in values) or all(type(v) is int for v in values)
-            or all(type(v) is bool for v in values)):
-        return np.array(values)
-    return values
 
 
 def families(cells: list) -> list:
@@ -431,9 +405,9 @@ def run_cell(cells: list) -> list:
     """The ``CellResult`` of each cell of one family (see ``families``), in
     order.  The learners of one step rule (``learners._step_rule``) step as
     the lanes of one learner (``learners.stack``), a group at a time in order
-    of its first cell; a learner that does not stack runs as a lane of its
-    own (``_OneLane``).  Each cell's trace and report are written from its
-    columns.  If any lane raises, the family reruns one cell at a time, so
+    of its first cell; a learner that does not stack runs as the one lane
+    of its own ``_Lanes``.  Each cell's trace and report are written from
+    its columns.  If any lane raises, the family reruns one cell at a time, so
     the error is the one the first failing cell raises on its own."""
     try:
         runs, groups = [_build(cell) for cell in cells], {}
@@ -450,12 +424,12 @@ def run_cell(cells: list) -> list:
 
 
 def _lanes(runs: list):
-    """The lanes of runs whose learners ``stack``, of a lone learner that does
-    not (``_OneLane``), or None for several that do not."""
+    """The lanes of runs whose learners ``stack``, or of a lone learner that
+    does not, as lanes of one; None for several that do not."""
     learner = stack([run.learner for run in runs])
-    if learner is not None:
-        return _Lanes(learner, [run.env.loss_table() for run in runs])
-    return _OneLane(runs[0].learner, runs[0].env) if len(runs) == 1 else None
+    if learner is None and len(runs) == 1:
+        learner = runs[0].learner
+    return None if learner is None else _Lanes(learner, [run.env.loss_table() for run in runs])
 
 
 def _results(runs: list, lanes) -> list:

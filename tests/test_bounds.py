@@ -439,6 +439,13 @@ class _Pin(Learner):
         self.geom = geom
         self.point = np.asarray(point, dtype=float)
 
+    @property
+    def x(self):
+        return self.point[None, :]
+
+    def step(self, loss, path_increments):
+        return {}
+
     def play(self):
         return self.point
 

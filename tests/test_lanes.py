@@ -9,8 +9,8 @@ first faulty lane raises on its own.  ``runner.run_cell`` steps a family of
 writes as a family of one, and what it writes with every lane stepped on its
 own, through ``implicit_update`` or OGD's step of one loss.  A self-tuning
 trace's weights must be the running max of its progress sums.  Every cell's
-lines, in lanes or as a family of one (``_OneLane``), are written from its
-columns, so they must equal the trace encoder's text of the same rows, and
+lines, stacked or as the one lane of a learner that does not stack, are
+written from its columns, so they must equal the trace encoder's text of the same rows, and
 its report what ``verify`` reads from those lines.  A stacked ``ABProd``
 lane must step as a one-lane ``ABProd`` bit for bit, and each cell of a
 sweep must write what it writes alone.
@@ -31,8 +31,9 @@ from driftlab import learners, prox, runner
 from driftlab.geometry import (Geometry, GeometryError, Interval, domain_from_dict,
                                euclidean_geometry)
 from driftlab.learners import ConfigError
-from driftlab.losses import LossTable
-from driftlab.prox import (SolverError, _quadratic_interval_lanes, implicit_update,
+from driftlab.losses import LossTable, QuadraticLoss
+from driftlab.prox import (SolverError, _interval_quadratics, _quadratic_interval_lanes,
+                           implicit_update,
                            implicit_update_lanes)
 from driftlab.runner import (ALGORITHMS, _TRACE_ENCODER, _column_lines, expand_config,
                              families, parse_trace, run_cell, trace_to_report)
@@ -114,6 +115,29 @@ def test_quadratic_interval_lanes_raise_what_the_first_faulty_lane_raises(lanes,
     assert str(batch.value) == str(one.value)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(a=_A, y=_Y, anchors=st.lists(st.tuples(_AT, _LAM), min_size=1, max_size=6),
+       dom=_DOMAIN)
+# -0.0 and 0.0 anchors against y = 0 and -0.0, lam = 0 and inf, a = 0, a clipped step
+@example(a=1.0, y=0.0, anchors=[("zero", 0.0), ("-zero", 0.5), ("-zero", 0.0), (0.5, math.inf),
+                                (0.9, 1e-300)], dom=(-1.0, 1.0))
+@example(a=-1.0, y=-0.0, anchors=[("-zero", 1.0), ("zero", 0.0), (0.2, 2.0)], dom=(-1.0, 1.0))
+@example(a=-0.0, y=0.3, anchors=[("-zero", 0.0), (0.7, 1.0)], dom=(-0.4, 0.4))
+@example(a=2.0, y=3.5, anchors=[(0.5, 0.01), (0.1, 0.0)], dom=(0.0, 2.0))
+def test_a_shared_quadratic_steps_its_lanes_as_the_one_lane_update_bit_for_bit(
+        a, y, anchors, dom):
+    loss = QuadraticLoss([a], y)
+    _, X, lams = _lanes([(a, y, at, lam) for at, lam in anchors], dom)
+    geom = euclidean_geometry(Interval(*dom))
+    shared = _interval_quadratics(loss, geom, len(X))
+    assert shared is not None  # one loss, k lanes: the batched route
+    losses = [loss] * len(X)
+    _assert_lanes_equal_one_lane(_quadratic_interval_lanes(*shared, geom, X, lams), losses,
+                                 geom, X, lams)
+    _assert_lanes_equal_one_lane(implicit_update_lanes(loss, geom, X, lams), losses, geom, X,
+                                 lams)
+
+
 _ETA = st.one_of(st.sampled_from([1.0, 1e-300]), st.floats(1e-3, 1e3))
 
 
@@ -131,10 +155,14 @@ def test_ogd_lanes_equal_the_one_lane_update_bit_for_bit(lanes, dom, eta):
     assert batch is not None
     row = batch.step(table, np.zeros(len(X)))
     for i, ogd in enumerate(ogds):
-        one = ogd.update(table[i])  # one loss: the step of any loss, one lane at a time
-        assert _bits(batch.x[i]) == _bits(ogd.x[0]), i
-        assert _bits(row["value"][i]) == _bits(one["value"]), i
+        loss, x = table[i], X[i]
+        g = loss.subgradient(x)
+        one = ogd.update(loss)  # one shared loss, one lane
+        # each lane against x' = proj(x - eta * g) of its own loss
+        assert _bits(batch.x[i]) == _bits(ogd.x[0]) == _bits(geom.project(x - eta * g)), i
+        assert _bits(row["value"][i]) == _bits(one["value"]) == _bits(loss.value(x)), i
         assert _bits(row["gnorm_dual"][i]) == _bits(one["gnorm_dual"]), i
+        assert _bits(one["gnorm_dual"]) == _bits(geom.dual_norm(g)), i
         assert row["solver"][i] == one["solver"], i
         assert row["delta"] is one["delta"] is None and row["lam"] is one["lam"] is None, i
 
@@ -176,17 +204,13 @@ def test_lane_lines_equal_the_trace_encoder_bit_for_bit(rows, ogd, doubling):
     assert _column_lines(cols) == [_TRACE_ENCODER.encode(rec) for rec in records]
 
 
-# a row value that a label memo or a typed column could take for another:
-# signed zeros, 1, 1.0 and True, null, non-finite floats, the least
-# subnormal; or any float, int or label
-_VALUE = st.one_of(st.sampled_from([-0.0, 0.0, 1, 1.0, True, False, None, math.nan, math.inf,
-                                    -math.inf, 5e-324, "closed-form", "restart"]),
-                   st.floats(), st.integers(-2 ** 62, 2 ** 62), st.text(max_size=3))
-# a row key's values: all of one type, which a family of one keeps as an
-# array (floats, ints, flags) or as a list (labels), or any mix
+# a row key's values, all of one type, as a learner's step returns them: a
+# (1,) array of floats (signed zeros, the least subnormal, non-finite ones),
+# ints or flags, a list of labels, or null
 _COLUMN = st.sampled_from([_FLOAT, st.integers(-2 ** 62, 2 ** 62), st.booleans(),
-                           st.text(max_size=3), _VALUE])
+                           st.text(max_size=3), st.none()])
 _FINITE = st.floats(-1e6, 1e6)
+_KEYS = ("eta", "k_acc", "lam", "restart", "solver")
 
 
 @st.composite
@@ -198,51 +222,53 @@ def _scripted_rounds(draw):
         values = values if width is None else st.lists(values, min_size=width, max_size=width)
         return draw(st.lists(values, min_size=T, max_size=T))
 
-    cols = {key: rounds(draw(_COLUMN)) for key in ("eta", "k_acc", "restart", "solver")}
+    cols = {key: rounds(draw(_COLUMN)) for key in _KEYS}
     rows = [{key: col[i] for key, col in cols.items()} for i in range(T)]
     return (rows, rounds(_FLOAT, d), rounds(_FINITE, d), rounds(_FINITE),
             rounds(_FLOAT, d))
 
 
 class _Scripted:
-    """A learner and its environment that play and write given rounds; the
-    last play is also the final one."""
+    """A one-lane learner that plays and writes given rounds, and the loss
+    table of its environment; the last play is also the final one."""
 
     def __init__(self, rows, plays, a, y):
         self.rows, self.plays, self.t = rows, plays, 0
         self.table = LossTable({"quadratic"}, np.array(a), np.array(y))
 
-    def loss_table(self):
-        return self.table
+    @property
+    def x(self):
+        return np.array([self.plays[min(self.t, len(self.plays) - 1)]])
 
-    def play(self):
-        return np.array(self.plays[min(self.t, len(self.plays) - 1)])
-
-    def update(self, loss, path_increment):
+    def step(self, loss, path_increments):
         self.t += 1
-        return dict(self.rows[self.t - 1])
+        return {key: v if v is None else [v] if type(v) is str else np.array([v])
+                for key, v in self.rows[self.t - 1].items()}
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(rounds=_scripted_rounds())
-@example(rounds=([{"eta": -0.0, "k_acc": 1, "restart": None, "solver": "restart"},
-                  {"eta": 0.0, "k_acc": 1.0, "restart": True, "solver": 1},
-                  {"eta": math.nan, "k_acc": True, "restart": False, "solver": "restart"}],
+# 1, 1.0 and True in columns of their own, next to null and labels
+@example(rounds=([{"eta": -0.0, "k_acc": 1, "lam": None, "restart": True, "solver": "restart"},
+                  {"eta": 1.0, "k_acc": 0, "lam": None, "restart": False, "solver": "1"},
+                  {"eta": math.nan, "k_acc": -2 ** 62, "lam": None, "restart": True,
+                   "solver": ""}],
                  [[-0.0], [5e-324], [math.inf]], [[1.0], [-0.0], [2.0]], [0.0, -0.0, 1e16],
                  [[0.0], [-math.inf], [math.nan]]))
 def test_one_lane_lines_equal_the_trace_encoder_bit_for_bit(rounds):
     rows, plays, a, y, us = rounds
     scripted = _Scripted(rows, plays, a, y)
-    lane = runner._OneLane(scripted, scripted)
+    lane = runner._Lanes(scripted, [scripted.table])
     for _ in rows:
         lane.update(np.zeros(1))
-    cols, _ = lane.lane(0)
+    cols, final = lane.lane(0)
     n = len(rows)
-    lines = _column_lines({**cols, "x": np.array(cols["x"]), "loss": cols["loss"].columns(),
-                           "t": np.arange(1, n + 1), "u": np.array(us)})
+    lines = _column_lines({**cols, "loss": cols["loss"].columns(), "t": np.arange(1, n + 1),
+                           "u": np.array(us)})
     records = [{**row, "loss": scripted.table[i].to_dict(), "x": plays[i], "t": i + 1,
                 "u": us[i]} for i, row in enumerate(rows)]
     assert lines == [_TRACE_ENCODER.encode(rec) for rec in records]
+    assert _bits(final["x_final"]) == _bits(plays[-1])
 
 
 def _specs() -> list:
@@ -508,12 +534,46 @@ def test_an_abprod_whose_candidate_has_no_lanes_runs_one_cell_at_a_time(candidat
     cells = _family(ENVIRONMENTS["shifting-experts"], {"name": "abprod",
                                                        "candidate": {"name": candidate}})
     assert learners.stack([runner._build(cell).learner for cell in cells]) is None
-    ones = []
-    one_lane = runner._OneLane
-    monkeypatch.setattr(runner, "_OneLane", lambda learner, env: (
-        ones.append(learner) or one_lane(learner, env)))
+    groups = []
+    lanes = runner._Lanes
+    monkeypatch.setattr(runner, "_Lanes", lambda learner, tables: (
+        groups.append((learner, len(tables))) or lanes(learner, tables)))
     together = run_cell(cells)
-    assert len(ones) == len(cells) and all(type(one).__name__ == "ABProd" for one in ones)
+    assert [k for _, k in groups] == [1] * len(cells)
+    assert all(type(learner).__name__ == "ABProd" for learner, _ in groups)
     for result, cell in zip(together, cells):
         alone = run_cell([cell])[0]
         assert (result.trace_lines, result.report) == (alone.trace_lines, alone.report)
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_every_algorithm_steps_its_one_lane_as_its_update_bit_for_bit(name):
+    # the first environment where it builds, stepped as the runner steps it
+    # (x, then step on a one-row LossTable) beside a twin that plays and updates
+    for env in ENVIRONMENTS.values():
+        cell = expand_config({"environment": env, "T": 12, "seeds": [5], "algorithm": name})[0]
+        try:
+            run, twin = runner._build(cell), runner._build(cell).learner
+            break
+        except ConfigError:
+            continue
+    table = run.env.loss_table()
+    rounds, t = LossTable.rounds([table]), iter(range(len(table)))
+
+    def step(path_increments):
+        r = next(t)
+        x = run.learner.x
+        assert x.shape == (1, run.geom.domain.dim), r
+        assert _bits(x[0]) == _bits(run.learner.play()) == _bits(twin.play()), r
+        cols = run.learner.step(next(rounds), path_increments)
+        row = twin.update(table[r], float(path_increments[0]))
+        assert set(cols) == set(row), r
+        for key, col in cols.items():
+            if col is None or type(col) is list:
+                assert col == (None if col is None else [row[key]]), (r, key)
+            else:
+                assert col.shape == (1,) and type(col.item()) is type(row[key]), (r, key)
+                assert _bits(col[0]) == _bits(row[key]), (r, key)
+
+    runner.play_rounds(step, [run.env.comparators()], run.geom.primal_norm)
+    assert _bits(run.learner.x[0]) == _bits(twin.play())

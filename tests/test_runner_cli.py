@@ -969,10 +969,10 @@ def test_a_run_checks_its_plays_as_verify_does(at, play, message, monkeypatch):
     # a family of one writes from its columns, and checks its plays there
     from driftlab import combiners
 
-    def faulty(self, weights=combiners.AdaptMLProd.play):
-        return np.array(play) if self.t == at else weights(self)
+    def faulty(self, weights=combiners.AdaptMLProd.x.fget):
+        return np.array([play]) if self.t == at else weights(self)
 
-    monkeypatch.setattr(combiners.AdaptMLProd, "play", faulty)
+    monkeypatch.setattr(combiners.AdaptMLProd, "x", property(faulty))
     cell = _cell({"environment": {"kind": "shifting-experts", "params": {"d": 4, "shifts": 3}},
                   "T": 40, "seeds": [0], "algorithm": "adapt-ml-prod"})
     with pytest.raises(TraceError, match=message):
