@@ -24,7 +24,6 @@ from .combiners import (
     Scaffold,
     active_intervals,
     break_by_path_length,
-    intervals_starting_at,
 )
 from .envs import make_environment
 from .geometry import (

@@ -95,17 +95,18 @@ def _parse_seeds(text: str) -> list:
 
 def _execute(cells, threads: int, out_dir: Path) -> list:
     """Every cell's report, in cell order, each family's files written as its
-    ``run_cell`` returns.  Each family runs as one ``run_cell`` call, or
-    over worker processes as at most ``threads`` contiguous chunks."""
+    ``run_cell`` returns.  Each family runs as one ``run_cell`` call, or as at
+    most ``threads`` contiguous chunks over no more workers than chunks."""
     jobs = []
     for family in families(cells):
         n = min(threads, len(family))
         jobs += [family[j * len(family) // n:(j + 1) * len(family) // n] for j in range(n)]
-    if threads == 1:
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return _write_outputs(cells, jobs, map(run_cell, jobs), out_dir)
     from concurrent.futures import ProcessPoolExecutor  # a one-process run starts no pool
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return _write_outputs(cells, jobs, pool.map(run_cell, jobs), out_dir)
 
 
@@ -145,7 +146,7 @@ def _cell_line(report: dict) -> str:
 
 def _grid_command(args, sweep: bool) -> int:
     config = _load_config(args.config)
-    seed_override = _parse_seeds(args.seed_override) if args.seed_override else None
+    seed_override = None if args.seed_override is None else _parse_seeds(args.seed_override)
     if sweep:
         cells = expand_sweep(config, seed_override=seed_override)
     else:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .learners import ConfigError, Learner, _one_row, _step_rule, stack, update_many
+from .learners import ConfigError, Learner, _one_row, _step_rule, put_lane, stack
 from .losses import LinearLoss, Loss, LossError, LossTable, step_lengths
 
 _INV_E = 1.0 / math.e
@@ -318,67 +318,58 @@ def active_intervals(t: int) -> list[CoveringInterval]:
     return out
 
 
-def intervals_starting_at(t: int) -> list[CoveringInterval]:
-    return [iv for iv in active_intervals(t) if iv.start == t]
-
-
 # ---------------------------------------------------------------------------
 # sleeping experts and the strongly adaptive scaffold
 # ---------------------------------------------------------------------------
 
 
 class _SleepingMLProd:
-    """Multi-expert Prod where only awake experts predict and update.
+    """Multi-expert Prod over the scaffold's levels, awake once born.
 
-    Asleep experts keep their weight frozen; prediction renormalizes over
-    the awake set.  Each expert's rate numerator log(d) is frozen at birth
-    (d = awake count then), keeping rates non-increasing per expert.
+    Level k is entry k of the Python-float lists ``log_w``, ``eta``, ``r_sq``
+    and ``log_d``.  A birth resets it, freezing the rate numerator log(d) at
+    d = the awake count then, so one interval's rates never increase.
     """
 
     def __init__(self):
-        self.experts: dict = {}
+        self.log_w, self.eta, self.r_sq, self.log_d = [], [], [], []
         self.k_acc = 1.0
 
-    def add(self, key, awake_count: int):
-        self.experts[key] = {
-            "log_w": 0.0,
-            "eta": 0.5,
-            "r_sq": 0.0,
-            "log_d": math.log(max(2, awake_count)),
-        }
+    def add(self, level: int, awake_count: int):
+        """Level ``level`` starts afresh, or is born one past the last."""
+        fresh = (0.0, 0.5, 0.0, math.log(max(2, awake_count)))
+        for col, v in zip((self.log_w, self.eta, self.r_sq, self.log_d), fresh):
+            col[level:level + 1] = [v]
 
-    def drop(self, key):
-        self.experts.pop(key, None)
-
-    def weights(self, keys) -> np.ndarray:
-        eta = np.array([self.experts[k]["eta"] for k in keys])
-        log_w = np.array([self.experts[k]["log_w"] for k in keys])
+    def weights(self, levels) -> np.ndarray:
+        eta = np.array([self.eta[k] for k in levels])
+        log_w = np.array([self.log_w[k] for k in levels])
         z = eta * np.exp(log_w - np.max(log_w))
         return z / float(np.sum(z))
 
-    def step(self, keys, g: np.ndarray, p: np.ndarray) -> None:
-        """Update the awake ``keys`` on unit losses ``g`` under their weights ``p``."""
+    def step(self, levels, g: np.ndarray, p: np.ndarray) -> None:
+        """Update the awake ``levels`` on unit losses ``g`` under their weights ``p``."""
         lhat = float(p @ g)
-        for k, gi in zip(keys, g):
-            e = self.experts[k]
+        for k, gi in zip(levels, g):
             r = lhat - gi
-            e["r_sq"] += r * r
-            eta_new = min(0.5, math.sqrt(e["log_d"] / (1.0 + e["r_sq"])))
-            base = 1.0 + e["eta"] * r
+            self.r_sq[k] += r * r
+            eta_new = min(0.5, math.sqrt(self.log_d[k] / (1.0 + self.r_sq[k])))
+            base = 1.0 + self.eta[k] * r
             if base <= 0.0:
                 raise RangeError("sleeping prod update left the positive cone")
-            e["log_w"] = (eta_new / e["eta"]) * (e["log_w"] + math.log(base))
-            self.k_acc += _INV_E * (e["eta"] / eta_new - 1.0)
-            e["eta"] = eta_new
+            self.log_w[k] = (eta_new / self.eta[k]) * (self.log_w[k] + math.log(base))
+            self.k_acc += _INV_E * (self.eta[k] / eta_new - 1.0)
+            self.eta[k] = eta_new
 
 
 class Scaffold(Learner):
     """Strongly adaptive wrapper: base learners on dyadic intervals.
 
-    Spawns a fresh base learner for every covering interval at its first
-    round, retires it after its last, and mixes the awake learners' plays
-    with sleeping-expert Prod weights driven by each play's own loss.  It
-    has one lane, ``x`` (1, d), and does not stack.
+    At round t one interval per level k with 2^k <= t is awake, and level k
+    starts afresh when 2^k divides t: ``base_factory(interval)`` replaces
+    its lane of ``bases`` (``learners.put_lane``).  The awake plays mix, in
+    their intervals' order, with sleeping-expert Prod weights driven by each
+    play's own loss.  It has one lane, ``x`` (1, d), and does not stack.
     """
 
     def __init__(self, base_factory: Callable[[CoveringInterval], Learner],
@@ -389,37 +380,30 @@ class Scaffold(Learner):
         self.horizon = horizon
         self.range = loss_range
         self.meta = _SleepingMLProd()
-        self.bases: dict[CoveringInterval, Learner] = {}
+        self.bases: list = []
         self.t = 1
-        self.geom = None
         self._round = None
-        self._sync()
+        self._wake()
+        self.geom = self.bases[0].geom
 
-    def _sync(self):
+    def _wake(self):
+        """Births at round t; the awake levels in (start, end) order, since a
+        stable sort by start keeps equal starts in level order."""
         t = self.t
-        if t > self.horizon:
-            # game over: keep the last active set so the final play is defined
-            return
-        for iv in list(self.bases):
-            if iv.end < t:
-                del self.bases[iv]
-                self.meta.drop(iv)
-        fresh = [iv for iv in intervals_starting_at(t) if iv.start <= self.horizon]
-        awake = len(self.bases) + len(fresh)
-        for iv in fresh:
-            self.bases[iv] = self.base_factory(iv)
-            self.meta.add(iv, awake)
-        if self.geom is None and self.bases:
-            self.geom = next(iter(self.bases.values())).geom
-        # the awake intervals in order, sorted once per round
-        self._order = sorted(self.bases)
-        self._awake = [self.bases[k] for k in self._order]
+        awake = t.bit_length()
+        for k in range(awake):
+            if t % (1 << k) == 0:
+                self.bases = put_lane(self.bases, k,
+                                      self.base_factory(CoveringInterval(t, t + (1 << k) - 1)))
+                self.meta.add(k, awake)
+        self._order = sorted(range(awake), key=lambda k: t >> k << k)
 
     def _mix(self):
-        """(weights, base plays, mixed play) of this round, computed once."""
+        """(weights, awake plays, mixed play) of this round, computed once."""
         if self._round is None:
             p = self.meta.weights(self._order)
-            plays = [base.play() for base in self._awake]
+            levels = [y for base in self.bases for y in base.x]
+            plays = [levels[k] for k in self._order]
             self._round = (p, plays, sum(pi * yi for pi, yi in zip(p, plays)))
         return self._round
 
@@ -438,14 +422,15 @@ class Scaffold(Learner):
         """One round on ``loss``, or the one row of a ``LossTable``; returns
         the row as (1,) columns."""
         loss = loss[0] if isinstance(loss, LossTable) else loss
-        keys = self._order
         p, plays, x = self._mix()
         g = np.array([self.range.unit(loss._value(y)) for y in plays])
-        self.meta.step(keys, g, p)
-        update_many(self._awake, loss)
-        row = {"value": np.array([loss._value(x)]), "active": np.array([len(keys)]),
+        self.meta.step(self._order, g, p)
+        for base in self.bases:
+            base.step(loss, np.zeros(len(base.x)))
+        row = {"value": np.array([loss._value(x)]), "active": np.array([len(plays)]),
                "k_acc": np.array([self.meta.k_acc])}
         self._round = None
         self.t += 1
-        self._sync()
+        if self.t <= self.horizon:  # after it, the last awake set plays on
+            self._wake()
         return row

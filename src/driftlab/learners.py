@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Geometry, GeometryError, _as_vector, _Orthotope
-from .losses import Loss, LossTable
+from .losses import LossTable
 from .prox import _interval_quadratics, implicit_update_lanes, _sound_lanes
 
 
@@ -324,20 +324,33 @@ def stack(learners: list):
     return out if _sound_lanes(out.geom, out.x, getattr(out, "lam", np.zeros(0))) else None
 
 
-def update_many(learners: list, loss: Loss) -> None:
-    """Step every learner on the same loss, rows discarded, leaving each
-    one's state as its own ``update`` would: ``DynamicIOMD`` or ``OGD``
-    learners that ``stack`` step as the lanes of one, written back; any
-    others step one at a time."""
-    lanes = stack(learners) if learners and type(learners[0]) in (DynamicIOMD, OGD) else None
-    if lanes is None:
-        for learner in learners:
-            learner.update(loss)
-        return
-    lanes.step(loss, np.zeros(len(learners)))
-    cols = [(key, getattr(lanes, key)) for key in _LANE_STATE
-            if getattr(lanes, key, None) is not None]
-    for i, learner in enumerate(learners):
-        for key, col in cols:
-            setattr(learner, key, col[i:i + 1])
-        learner.t += 1
+def put_lane(groups: list, k: int, learner) -> list:
+    """The learners whose lanes, in order, are those of ``groups`` with lane
+    k (or, at k = their count, a new last lane) now ``learner``'s one lane:
+    written in place while every lane steps by one rule (``_step_rule``) as
+    ``DynamicIOMD`` or ``OGD`` lanes from sound points and weights, else
+    split into one-lane learners."""
+    if (len(groups) == 1 and type(learner) in (DynamicIOMD, OGD)
+            and _step_rule(learner) == _step_rule(groups[0])
+            and _sound_lanes(learner.geom, learner.x, getattr(learner, "lam", np.zeros(0)))):
+        if k == len(groups[0].x):
+            return [stack(groups + [learner])]
+        for key in _LANE_STATE:
+            if getattr(learner, key, None) is not None:
+                getattr(groups[0], key)[k] = getattr(learner, key)[0]
+        return groups
+    out = [one for group in groups for one in _one_lanes(group)]
+    out[k:k + 1] = [learner]
+    return out
+
+
+def _one_lanes(learner) -> list:
+    """One-lane learners whose lanes, in order, are those of ``learner``."""
+    if type(learner) not in (DynamicIOMD, OGD):
+        return [learner]
+    keys = [key for key in _LANE_STATE if getattr(learner, key, None) is not None]
+    out = [copy.copy(learner) for _ in learner.x]
+    for i, one in enumerate(out):
+        for key in keys:
+            setattr(one, key, getattr(learner, key)[i:i + 1].copy())
+    return out

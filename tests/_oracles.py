@@ -5,10 +5,16 @@ axes or a clipped simplex of at most three coordinates.
 ``oracle_descent_batch`` runs plain projected gradient descent on many
 quadratic prox problems over one box at once.  Neither shares code with the
 routes of ``driftlab.prox`` beyond the loss and objective evaluators.
+``ReferenceScaffold`` is the strongly adaptive scaffold written plainly: a
+dict of base learners keyed by covering interval, each stepped by its own
+``update``.
 """
+
+import math
 
 import numpy as np
 
+from driftlab.combiners import CoveringInterval, RangeError, active_intervals
 from driftlab.geometry import Box, ClippedSimplex, Interval, _as_vector
 from driftlab.losses import batch_values
 from driftlab.prox import SolverError
@@ -126,3 +132,70 @@ def _objective(A, Y, X, X0, LAM):
     r = np.sum(A * X, axis=1) - Y
     D = X - X0
     return 0.5 * r * r + LAM * 0.5 * np.sum(D * D, axis=1)
+
+
+class ReferenceScaffold:
+    """The scaffold as the geometric cover defines it, one interval at a time.
+
+    At round t every covering interval that ends before t is dropped with its
+    sleeping-Prod state, and every one that starts at t gets a fresh base.
+    The awake intervals mix in sorted (start, end) order; after the last
+    round the last awake set stays, so the final play is defined.
+    """
+
+    def __init__(self, base_factory, horizon, loss_range):
+        self.base_factory = base_factory
+        self.horizon = horizon
+        self.range = loss_range
+        self.bases = {}
+        self.experts = {}  # interval -> [log_w, eta, r_sq, log_d]
+        self.k_acc = 1.0
+        self.t = 1
+        self._sync()
+
+    def _sync(self):
+        t = self.t
+        if t > self.horizon:
+            return
+        for iv in [iv for iv in self.bases if iv.end < t]:
+            del self.bases[iv], self.experts[iv]
+        fresh = [iv for iv in active_intervals(t) if iv.start == t]
+        awake = len(self.bases) + len(fresh)
+        for iv in fresh:
+            self.bases[iv] = self.base_factory(iv)
+            self.experts[iv] = [0.0, 0.5, 0.0, math.log(max(2, awake))]
+        self.order = sorted(self.bases)
+
+    def _weights(self):
+        eta = np.array([self.experts[iv][1] for iv in self.order])
+        log_w = np.array([self.experts[iv][0] for iv in self.order])
+        z = eta * np.exp(log_w - np.max(log_w))
+        return z / float(np.sum(z))
+
+    def play(self):
+        p = self._weights()
+        return sum(pi * self.bases[iv].play() for pi, iv in zip(p, self.order))
+
+    def update(self, loss):
+        p = self._weights()
+        plays = [self.bases[iv].play() for iv in self.order]
+        x = sum(pi * yi for pi, yi in zip(p, plays))
+        g = np.array([self.range.unit(loss._value(y)) for y in plays])
+        lhat = float(p @ g)
+        for iv, gi in zip(self.order, g):
+            e = self.experts[iv]
+            r = lhat - gi
+            e[2] += r * r
+            eta_new = min(0.5, math.sqrt(e[3] / (1.0 + e[2])))
+            base = 1.0 + e[1] * r
+            if base <= 0.0:
+                raise RangeError("sleeping prod update left the positive cone")
+            e[0] = (eta_new / e[1]) * (e[0] + math.log(base))
+            self.k_acc += (1.0 / math.e) * (e[1] / eta_new - 1.0)
+            e[1] = eta_new
+        for iv in self.order:
+            self.bases[iv].update(loss)
+        row = {"value": float(loss._value(x)), "active": len(self.order), "k_acc": self.k_acc}
+        self.t += 1
+        self._sync()
+        return row

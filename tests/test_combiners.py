@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import ReferenceScaffold
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab.combiners import (
     ABProd,
@@ -14,12 +17,13 @@ from driftlab.combiners import (
     _SleepingMLProd,
     active_intervals,
     break_by_path_length,
-    intervals_starting_at,
 )
-from driftlab.geometry import Interval, euclidean_geometry
+from driftlab.geometry import ClippedSimplex, Interval, entropy_geometry, euclidean_geometry
 from driftlab.learners import (
     OGD,
+    AdaptiveSchedule,
     ConfigError,
+    DoublingSchedule,
     DynamicIOMD,
     GreedySchedule,
     Learner,
@@ -387,16 +391,6 @@ def test_active_intervals_are_nested():
             assert big.start <= small.start and small.end <= big.end
 
 
-def test_intervals_starting_at():
-    assert intervals_starting_at(4) == [
-        CoveringInterval(4, 4),
-        CoveringInterval(4, 5),
-        CoveringInterval(4, 7),
-    ]
-    assert intervals_starting_at(5) == [CoveringInterval(5, 5)]
-    assert intervals_starting_at(1) == [CoveringInterval(1, 1)]
-
-
 def test_active_intervals_rejects_round_zero():
     with pytest.raises(ConfigError):
         active_intervals(0)
@@ -417,17 +411,22 @@ def test_scaffold_first_round_is_its_single_base():
 
 
 def test_scaffold_tracks_the_covering():
-    combo = Scaffold(_ogd_factory, horizon=15,
+    born = []  # the intervals the factory received since the last round
+    combo = Scaffold(lambda iv: born.append(iv) or _ogd_factory(iv), horizon=15,
                      loss_range=LossRange(0.0, 2.0))
     loss = AbsoluteLoss([1.0], 0.3)
+    cases = {1: [CoveringInterval(1, 1)], 5: [CoveringInterval(5, 5)],
+             4: [CoveringInterval(4, 4), CoveringInterval(4, 5), CoveringInterval(4, 7)]}
     for t in range(1, 16):
-        assert len(combo.bases) == int(math.log2(t)) + 1
-        assert set(combo.meta.experts) == set(combo.bases)
+        assert born == [iv for iv in active_intervals(t) if iv.start == t]
+        assert born == cases.get(t, born)
+        born.clear()
         w = combo.meta.weights(combo._order)
         assert np.all(w >= 0.0)
         assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-12)
         row = combo.update(loss)
         assert row["active"] == int(math.log2(t)) + 1
+    assert born == []  # nothing is born after the last round
 
 
 def test_scaffold_survives_full_horizon():
@@ -488,3 +487,103 @@ def test_scaffold_computes_each_round_weights_once(monkeypatch):
         assert blind.update(loss) == row
     assert np.array_equal(played.play(), blind.play())
     assert len(calls) == 2 * 31 + 2
+
+
+def _base_factory(name: str, geom, horizon: int, beta_sq: float, loss_range: LossRange):
+    """A scaffold base factory of the kind ``name`` on ``geom``."""
+    d = geom.domain.dim
+    makes = {
+        "default": lambda iv: DynamicIOMD(geom, AdaptiveSchedule(math.log(max(2, horizon)))),
+        "greedy": lambda iv: DynamicIOMD(geom, GreedySchedule()),
+        "adaptive": lambda iv: DynamicIOMD(geom, AdaptiveSchedule(beta_sq)),
+        "doubling": lambda iv: DynamicIOMD(geom, DoublingSchedule()),
+        "fixed": lambda iv: DynamicIOMD(geom, fixed_schedule("inv_sqrt", 1.0, horizon)),
+        "ogd": lambda iv: OGD(geom, fixed_schedule("inv_sqrt", 1.0, iv.length).etas),
+        "adapt-ml-prod": lambda iv: AdaptMLProd(d, loss_range, geom=geom),
+        "abprod": lambda iv: ABProd(DynamicIOMD(geom, AdaptiveSchedule(beta_sq)),
+                                    DynamicIOMD(geom, GreedySchedule()), loss_range),
+        # a corner picked by the interval: levels whose losses differ widely
+        "pinned": lambda iv: _Pin(geom, _corner(geom, iv.start // iv.length % (d + 1))),
+    }
+    return makes[name]
+
+
+def _corner(geom, i: int) -> np.ndarray:
+    """Corner i of the clipped simplex, or of the interval, wrapping around."""
+    if geom.mirror == "euclidean":
+        return np.array([[geom.domain.lo], [geom.domain.hi]][i % 2])
+    d, floor = geom.domain.dim, geom.domain.floor
+    return np.where(np.arange(d) == i % d, 1.0 - (d - 1) * floor, floor)
+
+
+_SIMPLEX_BASES = ["default", "greedy", "adaptive", "doubling", "fixed", "adapt-ml-prod",
+                  "abprod", "pinned"]
+_INTERVAL_BASES = ["greedy", "adaptive", "doubling", "fixed", "ogd", "abprod", "pinned"]
+_EDGE_HORIZONS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+
+
+def _outcome(learner, losses):
+    """Each round's play bytes and row repr, then the final play's bytes, or
+    the error that ended the run as its type and message."""
+    out = []
+    try:
+        for loss in losses:
+            out.append(learner.play().tobytes())
+            out.append(repr(learner.update(loss)))
+        out.append(learner.play().tobytes())
+    except Exception as exc:  # any error: both sides must fail alike
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _scaffold_runs(simplex, name, horizon, seed, period, loss_top, meta_range,
+                   base_range=(0.0, 2.0), beta_sq=1.0):
+    """The outcomes of ``Scaffold`` and of ``ReferenceScaffold`` on one loss
+    sequence, and the scaffold.  Period 0 draws each loss at random; a period
+    p > 0 switches the loss between extremes every p rounds."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    phase = [(t // period) % 3 if period else -1 for t in range(horizon)]
+    if simplex:
+        d = 3
+        geom = entropy_geometry(ClippedSimplex(d, min(0.5, d / horizon)))
+        losses = [LinearLoss(loss_top * np.eye(d)[i] if i >= 0 else rng.uniform(0.0, loss_top, d))
+                  for i in phase]
+    else:
+        geom = INTERVAL
+        kinds = (QuadraticLoss, AbsoluteLoss)
+        losses = [kinds[t % 2]([1.0], loss_top * (i % 2 * 2 - 1)) if i >= 0 else
+                  kinds[t % 2]([rng.uniform(0.2, 1.0)], rng.uniform(-loss_top, loss_top))
+                  for t, i in enumerate(phase)]
+    factory = _base_factory(name, geom, horizon, beta_sq, LossRange(*base_range))
+    combo = Scaffold(factory, horizon, LossRange(*meta_range))
+    reference = ReferenceScaffold(factory, horizon, LossRange(*meta_range))
+    return _outcome(combo, losses), _outcome(reference, losses), combo
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(simplex=st.booleans(), data=st.data(),
+       horizon=st.one_of(st.sampled_from(_EDGE_HORIZONS), st.integers(1, 70)),
+       seed=st.integers(0, 2**32 - 1), period=st.integers(0, 4),
+       loss_top=st.sampled_from([0.5, 1.0, 2.0]),
+       meta_range=st.sampled_from([(0.0, 1.0), (0.0, 2.0), (-1.0, 1.5), (0.2, 1.0)]),
+       base_range=st.sampled_from([(0.0, 1.0), (0.0, 2.0), (-0.5, 3.0)]),
+       beta_sq=st.sampled_from([0.05, 1.0, 4.0]))
+def test_scaffold_equals_the_interval_reference_bit_for_bit(simplex, data, horizon, seed, period,
+                                                            loss_top, meta_range, base_range,
+                                                            beta_sq):
+    # the scaffold's level lanes against the interval dict stepping each base
+    # by its own update: every play, row and final play, or the same error
+    name = data.draw(st.sampled_from(_SIMPLEX_BASES if simplex else _INTERVAL_BASES))
+    lanes, reference, _ = _scaffold_runs(simplex, name, horizon, seed, period, loss_top,
+                                         meta_range, base_range, beta_sq)
+    assert lanes == reference
+
+
+@pytest.mark.parametrize("simplex, period, meta_range", [
+    (False, 4, (0.0, 2.0)), (True, 3, (0.0, 1.0))], ids=["interval", "simplex"])
+def test_scaffold_equals_the_reference_where_the_meta_rates_fall(simplex, period, meta_range):
+    # levels pinned to corners lose so differently that their meta rates
+    # fall below the cap of 1/2, where each level's frozen log(d) counts
+    lanes, reference, combo = _scaffold_runs(simplex, "pinned", 63, 0, period, 1.0, meta_range)
+    assert lanes == reference
+    assert len(lanes) == 2 * 63 + 1 and min(combo.meta.eta) < 0.45

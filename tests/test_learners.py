@@ -19,8 +19,9 @@ from driftlab.learners import (
     DynamicIOMD,
     FixedSchedule,
     GreedySchedule,
+    _step_rule,
     fixed_schedule,
-    update_many,
+    put_lane,
 )
 from driftlab.losses import LinearLoss, QuadraticLoss
 from driftlab.prox import SolverError
@@ -269,45 +270,57 @@ def test_start_point_is_checked_when_the_learner_is_built(name):
 # ---------------------------------------------------------------------------
 
 
-def _assert_same_state(batched, twins):
-    for a, b in zip(batched, twins):
-        assert np.array_equal(a.x, b.x)
-        assert a.x.dtype == np.float64 and a.x.shape == b.x.shape
-        assert a.t == b.t
-        # lane 0's weight and progress sum; OGD has neither
-        assert getattr(a, "lam", [None])[0] == getattr(b, "lam", [None])[0]
-        assert getattr(a, "delta_sum", [None])[0] == getattr(b, "delta_sum", [None])[0]
+def _assert_same_lanes(groups, twins):
+    """Lane i of the learners ``groups`` holds the state of the one-lane
+    learner ``twins[i]``, bit for bit; its round too where its steps read it."""
+    lanes = [(group, i) for group in groups for i in range(len(group.x))]
+    assert len(lanes) == len(twins)
+    for (group, i), twin in zip(lanes, twins):
+        assert type(group) is type(twin) and group.x.dtype == np.float64
+        assert group.x[i].tobytes() == twin.x[0].tobytes()
+        for key in ("lam", "delta_sum", "beta_sq", "epoch", "path_in_epoch", "Q"):
+            col = getattr(group, key, None)
+            assert (col is None) == (getattr(twin, key, None) is None)
+            assert col is None or col[i:i + 1].tobytes() == getattr(twin, key).tobytes()
+        if len(group.x) == 1 or _step_rule(group)[-1] is not None:
+            assert group.t == twin.t
 
 
-def test_update_many_equals_one_at_a_time_updates_bit_for_bit():
-    # adaptive entropy learners born at different rounds, as scaffold wakes
-    # them: each birth round is a lam = 0 step, and the steps after it push
-    # coordinates under the floor of the clipped simplex
+def _step_all(groups, loss):
+    for group in groups:
+        group.step(loss, np.zeros(len(group.x)))
+
+
+def test_put_lane_equals_one_at_a_time_updates_bit_for_bit():
+    # adaptive entropy learners born at different rounds, as scaffold's levels
+    # are: a birth replaces its lane with a lam = 0 step, and the steps after
+    # it push coordinates under the floor of the clipped simplex; every lane
+    # is written in place, so the lanes stay one learner
     T, d = 200, 8
     geom = entropy_geometry(ClippedSimplex(d, d / T))
     env = make_environment("shifting-experts", T, 3, d=d, shifts=6)
-    births = {1: 2, 2: 1, 5: 1, 33: 1, 64: 2, 150: 1, 200: 1}
-    batched, twins = [], []
+    groups, twins = [], []
     zero_lam_steps = floored_steps = 0
     for t in range(1, T + 1):
-        for i in range(births.get(t, 0)):
-            sched = AdaptiveSchedule(beta_sq=[1.0, math.log(T)][(t + i) % 2])
-            batched.append(DynamicIOMD(geom, sched))
-            twins.append(DynamicIOMD(geom, sched))
+        for k in range(t.bit_length()):
+            if t % (1 << k) == 0:
+                sched = AdaptiveSchedule(beta_sq=[1.0, math.log(T)][(t + k) % 2])
+                groups = put_lane(groups, k, DynamicIOMD(geom, sched))
+                twins[k:k + 1] = [DynamicIOMD(geom, sched)]
+        assert len(groups) == 1
         loss = env.loss(t)
-        stepped = [learner.lam[0] > 0.0 for learner in batched]
-        zero_lam_steps += stepped.count(False)
-        update_many(batched, loss)
+        stepped = groups[0].lam > 0.0
+        zero_lam_steps += int(np.sum(~stepped))
+        _step_all(groups, loss)
         for twin in twins:
             twin.update(loss)
-        _assert_same_state(batched, twins)
-        floored_steps += sum(bool(np.any(learner.x == geom.domain.floor))
-                             for learner, s in zip(batched, stepped) if s)
-    assert zero_lam_steps == sum(births.values())
+        _assert_same_lanes(groups, twins)
+        floored_steps += int(np.sum(np.any(groups[0].x == geom.domain.floor, axis=1) & stepped))
+    assert zero_lam_steps == sum(((t & -t).bit_length() for t in range(1, T + 1)))
     assert floored_steps > 100
 
 
-def test_update_many_falls_back_for_other_learners():
+def test_put_lane_splits_the_lanes_for_other_rules():
     loss = QuadraticLoss([1.0], 0.7)
     make = [
         lambda: OGD(INTERVAL, fixed_schedule("inv_sqrt", 1.0, 20).etas, x0=[-0.5]),
@@ -315,38 +328,68 @@ def test_update_many_falls_back_for_other_learners():
         lambda: DynamicIOMD(INTERVAL, AdaptiveSchedule(beta_sq=2.0)),
         lambda: DynamicIOMD(INTERVAL, fixed_schedule("inv_t", 1.0, 20)),
     ]
-    batched = [m() for m in make]
-    twins = [m() for m in make]
+    groups, twins = [], [m() for m in make]
+    for k, m in enumerate(make):
+        groups = put_lane(groups, k, m())
+    assert len(groups) == 4
     for _ in range(20):
-        update_many(batched, loss)
+        _step_all(groups, loss)
         for twin in twins:
             twin.update(loss)
-        _assert_same_state(batched, twins)
-    # entropy learners outside the batched case: a greedy schedule
+        _assert_same_lanes(groups, twins)
+    # entropy learners of two schedules: a greedy one and an adaptive one
     geom = entropy_geometry(ClippedSimplex(4, 0.1))
     loss = LinearLoss([0.3, 0.1, 0.6, 0.2])
-    batched = [DynamicIOMD(geom, GreedySchedule()), DynamicIOMD(geom, AdaptiveSchedule(1.0))]
+    groups = put_lane(put_lane([], 0, DynamicIOMD(geom, GreedySchedule())), 1,
+                      DynamicIOMD(geom, AdaptiveSchedule(1.0)))
     twins = [DynamicIOMD(geom, GreedySchedule()), DynamicIOMD(geom, AdaptiveSchedule(1.0))]
+    assert len(groups) == 2
     for _ in range(5):
-        update_many(batched, loss)
+        _step_all(groups, loss)
         for twin in twins:
             twin.update(loss)
-        _assert_same_state(batched, twins)
+        _assert_same_lanes(groups, twins)
 
 
-def test_update_many_keeps_the_anchor_of_an_infinite_weight():
+def test_put_lane_splits_lanes_of_one_round_when_a_later_birth_reads_another():
+    # OGD born at one round steps by one rule, so its lanes are written in
+    # place; a birth a round later reads another round, and the lanes split
+    # with each one's own state
+    make = [lambda x0=x0: OGD(INTERVAL, fixed_schedule("inv_sqrt", 0.3, 20).etas, x0=[x0])
+            for x0 in (-0.5, 0.25, 0.75)]
+    groups, twins = [], [m() for m in make]
+    for k, m in enumerate(make):
+        groups = put_lane(groups, k, m())
+    assert len(groups) == 1 and len(groups[0].x) == 3
+    loss = QuadraticLoss([1.0], 0.1)
+    for t in range(1, 8):
+        if t == 3:
+            groups = put_lane(groups, 1, make[1]())
+            twins[1] = make[1]()
+            assert len(groups) == 3
+        _step_all(groups, loss)
+        for twin in twins:
+            twin.update(loss)
+        _assert_same_lanes(groups, twins)
+
+
+def test_put_lane_keeps_the_anchor_of_an_infinite_weight():
     geom = entropy_geometry(ClippedSimplex(4, 0.1))
     loss = LinearLoss([0.3, 0.1, 0.6, 0.2])
-    batched = [DynamicIOMD(geom, AdaptiveSchedule(1.0)) for _ in range(3)]
+    first, groups = DynamicIOMD(geom, AdaptiveSchedule(1.0)), []
     twins = [DynamicIOMD(geom, AdaptiveSchedule(1.0)) for _ in range(3)]
-    for learners in (batched, twins):
-        learners[0].update(loss)
-        learners[0].lam = np.array([math.inf])
-    update_many(batched, loss)
+    for learner in (first, twins[0]):
+        learner.update(loss)
+        learner.lam = np.array([math.inf])
+    for k, learner in enumerate([first] + [DynamicIOMD(geom, AdaptiveSchedule(1.0))
+                                           for _ in range(2)]):
+        groups = put_lane(groups, k, learner)
+    assert len(groups) == 1
+    _step_all(groups, loss)
     for twin in twins:
         twin.update(loss)
-    _assert_same_state(batched, twins)
-    assert batched[0].lam[0] == math.inf
+    _assert_same_lanes(groups, twins)
+    assert groups[0].lam[0] == math.inf
 
 
 @pytest.mark.parametrize("poison, error", [
@@ -354,14 +397,21 @@ def test_update_many_keeps_the_anchor_of_an_infinite_weight():
     (lambda l: setattr(l, "x", np.array([[0.5, 0.5, 0.5, 0.5]])), SolverError),
     (lambda l: setattr(l, "lam", np.array([-1.0])), SolverError),
 ], ids=["nan-anchor", "anchor-off-the-simplex", "negative-lam"])
-def test_update_many_raises_what_update_raises(poison, error):
+def test_put_lane_raises_what_update_raises(poison, error):
+    # a poisoned lane is not written in place: it steps on its own and
+    # raises its own error
     geom = entropy_geometry(ClippedSimplex(4, 0.1))
     loss = LinearLoss([0.3, 0.1, 0.6, 0.2])
-    learners = [DynamicIOMD(geom, AdaptiveSchedule(1.0)) for _ in range(3)]
-    update_many(learners, loss)
-    poison(learners[1])
+    groups = []
+    for k in range(3):
+        groups = put_lane(groups, k, DynamicIOMD(geom, AdaptiveSchedule(1.0)))
+    _step_all(groups, loss)
+    poisoned, twin = DynamicIOMD(geom, AdaptiveSchedule(1.0)), DynamicIOMD(geom, AdaptiveSchedule(1.0))
+    poison(poisoned)
+    poison(twin)
     with pytest.raises(error):
-        learners[1].update(loss)
+        twin.update(loss)
+    groups = put_lane(groups, 1, poisoned)
+    assert len(groups) == 3
     with pytest.raises(error):
-        update_many(learners, loss)
-
+        _step_all(groups, loss)

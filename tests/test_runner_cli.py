@@ -353,6 +353,38 @@ def test_cli_threads_do_not_change_bytes(tmp_path):
     assert len(restarts) > 1 and all(restarts)
 
 
+def test_cli_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # a fake pool records its size and maps in process: no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    three = _write_config(tmp_path, {**BASIC, "seeds": [0, 1, 2]}, "three.yaml")
+    assert main(["run", three, "--output-dir", str(tmp_path / "wide"), "--threads", "1000"]) == 0
+    assert sizes == [3]
+    assert main(["run", three, "--output-dir", str(tmp_path / "one"), "--threads", "1"]) == 0
+    for path in (tmp_path / "one").iterdir():
+        assert path.read_bytes() == (tmp_path / "wide" / path.name).read_bytes()
+    # one cell is one job, run in process
+    one = _write_config(tmp_path, BASIC, "one.yaml")
+    assert main(["run", one, "--output-dir", str(tmp_path / "cell"), "--threads", "4"]) == 0
+    assert sizes == [3]
+
+
 # a spec's seeds at both points of a tau sweep are one family, stepped as lanes
 SWEEP = {
     "environment": {"kind": "drifting-quadratic", "params": {"tau": 1.0}},
@@ -509,7 +541,8 @@ def test_cli_hard_errors_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("seeds, override, field", [
     ([], None, "config field 'seeds'"),
     ([0], ",", "--seed-override"),
-], ids=["config-seeds", "seed-override"])
+    ([0, 1], "", "--seed-override"),
+], ids=["config-seeds", "seed-override", "empty-seed-override"])
 def test_an_empty_seed_list_exits_one_naming_its_field(tmp_path, capsys, command, seeds,
                                                       override, field):
     # a grid of no cells would pass --strict with nothing checked
