@@ -60,7 +60,7 @@ class RunRecord:
 
     The run statistics the rows share (drift, comparator values, comparator
     steps and path) are computed on first use and then kept.  Points are
-    trusted: ``runner.trace_to_report`` checks them once per trace.  A list
+    trusted: ``runner._report`` checks them once per report.  A list
     of losses is wrapped in a ``LossTable``.
     """
 

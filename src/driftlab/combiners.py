@@ -6,7 +6,9 @@ adaptive scaffold over geometrically nested time intervals, and the greedy
 path-length interval splitter.
 
 Meta weight updates assume losses in [0, 1]; ``LossRange`` maps a known range
-affinely onto the unit interval and rejects out-of-range values outright.
+affinely onto the unit interval and rejects out-of-range values outright, the
+Prod steps' one guard: excesses r in [-1, 1] and rates at most 1/2 keep each
+factor 1 + eta * r at least 1/2.
 
 Base learners' plays are points they checked themselves (see ``learners``),
 so losses are evaluated on them with the trusted ``Loss._value``.
@@ -45,7 +47,7 @@ class LossRange:
 
     def unit(self, v: float) -> float:
         u = (v - self.lo) / (self.hi - self.lo)
-        if u < -1e-9 or u > 1.0 + 1e-9:
+        if not (-1e-9 <= u <= 1.0 + 1e-9):  # NaN included
             raise RangeError(
                 f"loss value {v} escapes declared range [{self.lo}, {self.hi}]"
             )
@@ -139,10 +141,7 @@ class ABProd(Learner):
         for i, ri in enumerate(r):
             r_sq_sum[i] += ri * ri
             eta_new = min(0.5, 1.0 / math.sqrt(1.0 + r_sq_sum[i]))
-            base = 1.0 + eta[i] * ri
-            if base <= 0.0:
-                raise RangeError("prod update left the positive cone; losses out of range?")
-            log_w_a[i] = (eta_new / eta[i]) * (log_w_a[i] + math.log(base))
+            log_w_a[i] = (eta_new / eta[i]) * (log_w_a[i] + math.log(1.0 + eta[i] * ri))
             k_acc[i] += _INV_E * (eta[i] / eta_new - 1.0)
             eta[i] = eta_new
         self.eta, self.log_w_a, self.r_sq_sum, self.k_acc = map(
@@ -171,6 +170,12 @@ def _values(loss, X: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _prod_weights(eta: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """ML-Prod's play: weights proportional to eta_i * w_i."""
+    z = eta * np.exp(log_w - np.max(log_w))
+    return z / float(np.sum(z))
+
+
 class AdaptMLProd(Learner):
     """Prod over d experts with one self-confident rate per expert.
 
@@ -197,8 +202,7 @@ class AdaptMLProd(Learner):
         self.t = 1
 
     def weights(self) -> np.ndarray:
-        z = self.eta * np.exp(self.log_w - np.max(self.log_w))
-        return z / float(np.sum(z))
+        return _prod_weights(self.eta, self.log_w)
 
     @property
     def x(self) -> np.ndarray:
@@ -232,10 +236,7 @@ class AdaptMLProd(Learner):
         r = lhat - g
         self.r_sq += r * r
         eta_new = np.minimum(0.5, np.sqrt(self.log_d / (1.0 + self.r_sq)))
-        base = 1.0 + self.eta * r
-        if np.any(base <= 0.0):
-            raise RangeError("prod update left the positive cone; losses out of range?")
-        self.log_w = (eta_new / self.eta) * (self.log_w + np.log(base))
+        self.log_w = (eta_new / self.eta) * (self.log_w + np.log(1.0 + self.eta * r))
         self.k_acc += _INV_E * float(np.sum(self.eta / eta_new - 1.0))
         self.eta = eta_new
         self.t += 1
@@ -342,10 +343,8 @@ class _SleepingMLProd:
             col[level:level + 1] = [v]
 
     def weights(self, levels) -> np.ndarray:
-        eta = np.array([self.eta[k] for k in levels])
-        log_w = np.array([self.log_w[k] for k in levels])
-        z = eta * np.exp(log_w - np.max(log_w))
-        return z / float(np.sum(z))
+        return _prod_weights(np.array([self.eta[k] for k in levels]),
+                             np.array([self.log_w[k] for k in levels]))
 
     def step(self, levels, g: np.ndarray, p: np.ndarray) -> None:
         """Update the awake ``levels`` on unit losses ``g`` under their weights ``p``."""
@@ -354,10 +353,8 @@ class _SleepingMLProd:
             r = lhat - gi
             self.r_sq[k] += r * r
             eta_new = min(0.5, math.sqrt(self.log_d[k] / (1.0 + self.r_sq[k])))
-            base = 1.0 + self.eta[k] * r
-            if base <= 0.0:
-                raise RangeError("sleeping prod update left the positive cone")
-            self.log_w[k] = (eta_new / self.eta[k]) * (self.log_w[k] + math.log(base))
+            log_w = self.log_w[k] + math.log(1.0 + self.eta[k] * r)
+            self.log_w[k] = (eta_new / self.eta[k]) * log_w
             self.k_acc += _INV_E * (self.eta[k] / eta_new - 1.0)
             self.eta[k] = eta_new
 

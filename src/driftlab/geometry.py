@@ -369,8 +369,18 @@ def _keyed(key: str, message: str) -> GeometryError:
     return error
 
 
+def holds_flag(value) -> bool:
+    """Whether ``value``, a number or a list of numbers as a config gives
+    it, holds a boolean, which ``float`` would read as 0.0 or 1.0."""
+    return type(value) is bool or isinstance(value, list) and any(
+        type(v) is bool for v in value)
+
+
 def _read(spec: dict, key: str, read=float):
-    """``read(spec[key])``, which must be finite; a fault names ``key``."""
+    """``read(spec[key])``, which must be finite and hold no boolean; a fault
+    names ``key``."""
+    if holds_flag(spec.get(key)):
+        raise _keyed(key, "must be a number, not true or false")
     try:
         value = read(spec[key])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:

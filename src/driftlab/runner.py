@@ -21,7 +21,7 @@ from .bounds import RunRecord, bound_styles, evaluate_bounds
 from .combiners import ABProd, AdaptMLProd, LossRange, RangeError, Scaffold
 from .envs import _ENV_KINDS, GENERATOR_NAME, make_environment
 from .geometry import (ENTROPY, EUCLIDEAN, ClippedSimplex, Geometry, _simplex_rows,
-                       domain_from_dict, entropy_geometry)
+                       domain_from_dict, entropy_geometry, holds_flag)
 from .learners import (AdaptiveSchedule, ConfigError, DoublingSchedule, DynamicIOMD,
                        GreedySchedule, OGD, _step_rule, fixed_schedule, stack, start_point)
 from .losses import LossTable, loss_from_dict, step_lengths
@@ -93,6 +93,16 @@ def build_geometry(cell: dict, env) -> Geometry:
     return _parsed(ConfigError, "config field 'geometry'", Geometry, mirror, domain)
 
 
+def _known(spec: dict, keys: tuple, field: str) -> None:
+    """Reject a key of the config mapping ``spec`` at ``field`` that is not
+    one of ``keys``: nothing would read it, so a misspelling would go unseen."""
+    unknown = sorted(key for key in spec if key not in keys)
+    if unknown:
+        path = f"{field}.{unknown[0]}" if field else unknown[0]
+        raise ConfigError(f"config field {path!r}: unknown key; expected one of "
+                          + ", ".join(sorted(keys)))
+
+
 def _parsed(error, field: str, build, *args):
     """``build(*args)``, with malformed input reported as an ``error`` naming
     ``field`` (which ends in a quoted path), or the key inside it that the
@@ -108,7 +118,10 @@ def _parsed(error, field: str, build, *args):
 
 def _fit(field: str, value, kind):
     """``value`` of config field ``field``, once it fits ``kind`` by the rule
-    that ``verify`` applies to a header parameter of that kind."""
+    that ``verify`` applies to a header parameter of that kind; a number is
+    not a boolean here."""
+    if kind in _NUMERIC:
+        _not_flag(field, value)
     try:
         _column([value], ["config"], field, kind)
     except TraceError as exc:
@@ -118,7 +131,15 @@ def _fit(field: str, value, kind):
 
 def _number(field: str, value, kind: str) -> float:
     """``float(value)`` of config field ``field``, of ``kind``."""
+    _not_flag(field, value)
     return _fit(field, _parsed(ConfigError, f"config field {field!r}", float, value), kind)
+
+
+def _not_flag(field: str, value):
+    """Reject a boolean, or a list holding one, where config field ``field``
+    wants numbers: ``float(True)`` is 1.0."""
+    if holds_flag(value):
+        raise ConfigError(f"config field {field!r}: must be a number, not true or false")
 
 
 def _loss_range(spec: dict, field: str) -> LossRange:
@@ -159,7 +180,10 @@ def _start(spec: dict, geom, field: str) -> dict:
     """The spec's checked ``x0`` as a learner keyword and a resolved parameter;
     none, so the learner starts at the midpoint, when the spec has none."""
     x0 = spec.get("x0")
-    return {} if x0 is None else {"x0": start_point(geom, x0, f"{field}.x0").tolist()}
+    if x0 is None:
+        return {}
+    _not_flag(f"{field}.x0", x0)
+    return {"x0": start_point(geom, x0, f"{field}.x0").tolist()}
 
 
 def _build_schedule_only(schedule):
@@ -262,25 +286,32 @@ def _build_scaffold(spec, geom, env, T, field):
 # kind (see _KINDS) of the row keys besides t, loss, x, u and value, of the
 # final-record keys besides x_final and value_sum, and of the config.algorithm
 # parameters the bound rows read, checked where written; _contract adds what
-# depends on the run.
-ALGORITHMS = {  # name: (description, builder, row keys, final-record keys, header parameters)
+# depends on the run.  The spec keys are those a spec may hold besides its name:
+# what the builder reads, and what the header writes.
+# name: (description, builder, row keys, final-record keys, header parameters, spec keys)
+ALGORITHMS = {
     "greedy": ("follow the leader of the previous round's loss",
-               _build_schedule_only(GreedySchedule), _LEARNER_ROW, {}, {}),
+               _build_schedule_only(GreedySchedule), _LEARNER_ROW, {}, {}, ("x0",)),
     "diomd": ("implicit mirror descent, fixed or self-tuning weights",
-              _build_diomd, _LEARNER_ROW, {}, _DIOMD_HEADER),
+              _build_diomd, _LEARNER_ROW, {}, _DIOMD_HEADER,
+              ("schedule", "schedule_kind", "scale", "shape", "tau", "beta_sq", "bound_style",
+               "x0", "alpha", "loss_sup")),
     "diomd-doubling": ("self-tuning implicit mirror descent with path doubling restarts",
                        _build_schedule_only(DoublingSchedule),
                        {**_LEARNER_ROW, "epoch": "count", "restart": "flag"},
-                       {"epochs": "count", "lam_final": "number"}, {}),
+                       {"epochs": "count", "lam_final": "number"}, {}, ("x0",)),
     "ogd": ("projected online gradient descent baseline", _build_ogd,
-            {**_LEARNER_ROW, "delta": "nullable", "lam": "nullable"}, {}, {}),
+            {**_LEARNER_ROW, "delta": "nullable", "lam": "nullable"}, {}, {},
+            ("scale", "shape", "x0")),
     "abprod": ("two-learner Prod combiner (candidate + benchmark)", _build_abprod,
                {"eta": "number", "k_acc": "at least 1", "loss_a": "number",
-                "loss_b": "number", "p_a": "number", "r": "number"}, {}, _PROD),
+                "loss_b": "number", "p_a": "number", "r": "number"}, {}, _PROD,
+               ("loss_range", "candidate", "benchmark")),
     "adapt-ml-prod": ("per-expert Prod over a loss vector", _build_mlprod,
-                      {"k_acc": "at least 1", "lhat": "number"}, {}, _PROD),
+                      {"k_acc": "at least 1", "lhat": "number"}, {}, _PROD, ("loss_range", "d")),
     "scaffold": ("strongly adaptive mixture over dyadic intervals", _build_scaffold,
-                 {"active": "count", "k_acc": "at least 1"}, {}, _PROD),
+                 {"active": "count", "k_acc": "at least 1"}, {}, _PROD,
+                 ("loss_range", "base", "base_beta_sq", "d")),
 }
 
 
@@ -293,6 +324,7 @@ def _build_algorithm(spec, geom, env, T, field="algorithm"):
     if type(name) is not str or name not in ALGORITHMS:
         raise ConfigError(f"config field '{field}.name': unknown algorithm {name!r}; "
                           f"choose from {sorted(ALGORITHMS)}")
+    _known(spec, ("name", *ALGORITHMS[name][5]), field)
     learner, params = ALGORITHMS[name][1](spec, geom, env, T, field)
     return learner, {"name": name, **params}
 
@@ -321,9 +353,9 @@ class _Run(NamedTuple):
 
 def _build(cell: dict) -> _Run:
     T = cell.get("T")
-    if not isinstance(T, int) or T < 1:
+    if type(T) is not int or T < 1:
         raise ConfigError("config field 'T': must be a positive integer")
-    if not isinstance(cell.get("seed"), int):
+    if type(cell.get("seed")) is not int:
         raise ConfigError("config field 'seed': must be an integer")
     env = build_environment(cell)
     geom = build_geometry(cell, env)
@@ -456,7 +488,7 @@ def play_rounds(step, comparators: list, norm: str) -> None:
 def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) -> CellResult:
     """The trace and report of one lane's columns (``_Lanes.lane``):
     the text ``_TRACE_ENCODER`` writes for the same rows, and the report that
-    ``trace_to_report`` makes of it, after the same checks of the points."""
+    ``trace_to_report`` makes of it."""
     n = len(comparators)
     value_sum = 0.0
     for value in cols["value"].tolist():  # in order, one round at a time
@@ -465,24 +497,19 @@ def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) ->
     state = {**final, "value_sum": value_sum}
     final_keys = _contract(algorithm["name"], algorithm, run.geom.mirror)[2]
     final = {"final": True, "x_final": final["x_final"], **{key: state[key] for key in final_keys}}
-    wheres = [f"line {i + 2}" for i in range(n)]
-    dim = run.geom.domain.dim
-    plays = _points(cols["x"], "x", dim, wheres)
-    us = _points(comparators, "u", dim, wheres)
-    x_final = _points([final["x_final"]], "x_final", dim, ["final record"])[0]
     losses = cols["loss"]
-    cols = {**cols, "x": plays, "loss": losses.columns(), "t": np.arange(1, n + 1),
-            "u": comparators}
+    cols = {**cols, "loss": losses.columns(), "t": np.arange(1, n + 1), "u": comparators}
     lines = [_TRACE_ENCODER.encode(run.header), *_column_lines(cols), _TRACE_ENCODER.encode(final)]
 
-    def column(key):  # every row's value, as the parsed lines hold it
+    def column(key):  # every row's value, as the parsed lines hold it; points as arrays
         col = cols.get(key, _ABSENT)
+        if key in ("x", "u"):
+            return col
         if isinstance(col, np.ndarray):
             return col.tolist()
         return col if isinstance(col, list) else [col] * n
 
-    report = _report(run.header, run.geom, losses, plays, us, x_final, column, final, wheres)
-    return CellResult(run.name, lines, report)
+    return CellResult(run.name, lines, _report(run.header, run.geom, losses, column, final))
 
 
 def _column_lines(columns: dict) -> list:
@@ -597,7 +624,7 @@ def _contract(algorithm: str, params: dict, mirror: str, linear: bool = False):
     """(header, row, final-record) kinds that a trace of ``algorithm`` must fit;
     a learner key the algorithm does not declare, such as abprod's copied
     delta or doubling's eg2 (absent on restart rows of older traces), is nullable."""
-    rows, final, header = ALGORITHMS[algorithm][2:]
+    rows, final, header = ALGORITHMS[algorithm][2:5]
     rows = {"t": "count", "value": "number",
             **dict.fromkeys(("delta", "gnorm_dual", "lam", "eg2"), "nullable"), **rows}
     final = {"value_sum": "number", **final}
@@ -672,38 +699,39 @@ def trace_to_report(records: list) -> dict:
                      domain_from_dict, _header_field(config, "geometry.domain"))
     geom = _parsed(TraceError, "line 1: header field 'config.geometry'",
                    Geometry, mirror, domain)
-    wheres = [f"line {i + 2}" for i in range(T)]
-    dim = geom.domain.dim
-    plays = _points([row.get("x", _ABSENT) for row in rows], "x", dim, wheres)
-    comparators = _points([row.get("u", _ABSENT) for row in rows], "u", dim, wheres)
-    x_final = _points([final.get("x_final", _ABSENT)], "x_final", dim, ["final record"])[0]
-    specs = [_require(row, "loss", where) for row, where in zip(rows, wheres)]
+    specs = [row.get("loss", _ABSENT) for row in rows]
     try:
         losses = LossTable.from_dicts(specs)
     except (AttributeError, KeyError, TypeError, ValueError):
-        for spec, where in zip(specs, wheres):  # name the first row that does not parse
-            _parsed(TraceError, f"{where}: trace field 'loss'", loss_from_dict, spec)
+        for i, row in enumerate(rows):  # name the first row that lacks a loss,
+            _require(row, "loss", f"line {i + 2}")
+        for i, spec in enumerate(specs):  # else the first that does not parse
+            _parsed(TraceError, f"line {i + 2}: trace field 'loss'", loss_from_dict, spec)
         raise
-    off_dim = np.flatnonzero(losses.dims() != dim)
+    off_dim = np.flatnonzero(losses.dims() != geom.domain.dim)
     if off_dim.size:
-        raise TraceError(f"{wheres[off_dim[0]]}: trace field 'loss' must have dimension {dim}")
+        raise TraceError(f"line {off_dim[0] + 2}: trace field 'loss' must have dimension "
+                         f"{geom.domain.dim}")
     if mirror == ENTROPY and losses.kind != "linear":  # the only entropic prox route
         i = next(i for i, spec in enumerate(specs) if spec.get("kind") != "linear")
-        raise TraceError(f"{wheres[i]}: trace field 'loss' must be linear on the entropy mirror")
-    return _report(header, geom, losses, plays, comparators, x_final,
-                   lambda key: [row.get(key, _ABSENT) for row in rows], final, wheres)
+        raise TraceError(f"line {i + 2}: trace field 'loss' must be linear on the entropy mirror")
+    return _report(header, geom, losses, lambda key: [row.get(key, _ABSENT) for row in rows],
+                   final)
 
 
-def _report(header: dict, geom: Geometry, losses: LossTable, plays: np.ndarray,
-            comparators: np.ndarray, x_final: np.ndarray, column, final: dict,
-            wheres: list) -> dict:
-    """The report of a trace whose header, geometry, plays, comparators and
-    losses are checked, from its rows gathered into columns: ``column(key)``
-    is every row's ``key`` value as a list, ``_ABSENT`` where a row lacks it.
-    Here each row key and final-record key is checked against its kind."""
+def _report(header: dict, geom: Geometry, losses: LossTable, column, final: dict) -> dict:
+    """The report of a trace whose header, geometry and losses are checked,
+    from its rows gathered into columns: ``column(key)`` is every row's
+    ``key`` value, ``_ABSENT`` where a row lacks it (the points ``x`` and ``u``
+    may be arrays).  Here, for ``run`` and ``verify`` alike, the points are
+    checked, and each row key and final-record key against its kind."""
     config = header["config"]
     params = config["algorithm"]
-    algorithm, mirror, T = params["name"], geom.mirror, len(plays)
+    algorithm, mirror, dim, T = params["name"], geom.mirror, geom.domain.dim, len(losses)
+    wheres = [f"line {i + 2}" for i in range(T)]
+    plays = _points(column("x"), "x", dim, wheres)
+    comparators = _points(column("u"), "u", dim, wheres)
+    x_final = _points([final.get("x_final", _ABSENT)], "x_final", dim, ["final record"])[0]
     header_kinds, row_kinds, final_kinds = _contract(
         algorithm, params, mirror, losses.kind == "linear")
     for key, kind in header_kinds.items():
@@ -810,15 +838,22 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+_CONFIG_KEYS = ("environment", "T", "seeds", "algorithm", "algorithms", "geometry", "sweep")
+
+
 def expand_config(config: dict, seed_override=None) -> list:
     """Materialize (algorithm x seed) cells from a config mapping."""
     if not isinstance(config, dict):
         raise ConfigError("config root: must be a mapping")
+    _known(config, _CONFIG_KEYS, "")
     for key in ("environment", "T"):
         if key not in config:
             raise ConfigError(f"config field {key!r}: required")
     if not isinstance(config["environment"], dict):
         raise ConfigError("config field 'environment': must be a mapping")
+    _known(config["environment"], ("kind", "params"), "environment")
+    if isinstance(config.get("geometry"), dict):
+        _known(config["geometry"], ("mirror", "domain"), "geometry")
     algs, key = config.get("algorithms"), "algorithms"
     if algs is None and "algorithm" in config:
         algs, key = [config["algorithm"]], "algorithm"
@@ -828,7 +863,7 @@ def expand_config(config: dict, seed_override=None) -> list:
         seeds = list(seed_override) if isinstance(seed_override, (list, tuple)) else [seed_override]
     else:
         seeds = config.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
         raise ConfigError("config field 'seeds': must be a list of integers")
     if not seeds:  # a grid of no cells would check nothing
         where = "config field 'seeds'" if seed_override is None else "--seed-override"

@@ -483,6 +483,15 @@ def test_mlprod_rows_replay_the_combiner():
         assert row.passed
 
 
+def test_mlprod_replay_is_inapplicable_without_linear_losses():
+    losses = [QuadraticLoss([1.0], 0.5)] * 4
+    rec = RunRecord("adapt-ml-prod", INTERVAL, losses, np.zeros((4, 1)), np.zeros(1),
+                    params={"loss_range": (0.0, 1.0)})
+    rows = [row.to_dict() for row in evaluate_bounds(rec)]
+    assert [(row["name"], row["status"]) for row in rows] == [("mlprod-replay",
+                                                               "inapplicable")]
+
+
 def test_unknown_algorithm_yields_no_rows():
     rec = RunRecord("mystery", INTERVAL, [], np.zeros((0, 1)), np.zeros(1))
     assert evaluate_bounds(rec) == []

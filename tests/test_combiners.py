@@ -76,6 +76,9 @@ def test_loss_range_tolerates_roundoff_but_rejects_escapes():
         r.unit(1.5)
     with pytest.raises(RangeError):
         r.unit(-0.01)
+    # NaN fails every comparison, so a test that only looks for an escape passes it
+    with pytest.raises(RangeError):
+        r.unit(float("nan"))
 
 
 def test_loss_range_needs_positive_width():

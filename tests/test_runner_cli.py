@@ -751,6 +751,46 @@ def _run_config(tmp_path, config):
     pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
                      "domain": {"kind": "interval", "lo": 1.0, "hi": 0.0}}}),
                  "config field 'geometry.domain': bad interval", id="inverted-interval"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "diomd", "schedule": "fixed", "schedule_kind": "adaptive",
+                     "scale": 1.0}}),
+                 "config field 'algorithm.schedule': 'fixed' differs from schedule_kind "
+                 "'adaptive'", id="schedule-off-schedule-kind"),
+    # a key that nothing reads: each of these ran at the parent, the first as
+    # adaptive diomd, the second with its sweep dropped
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithms": [{
+                     "name": "diomd", "shedule": "fixed", "scale": 1.0}]}),
+                 "config field 'algorithm.shedule': unknown key", id="misspelled-schedule"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "sweeps": {
+                     "environment.params.tau": [0.5, 4.0]}}),
+                 "config field 'sweeps': unknown key", id="misspelled-sweep"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "environment": {
+                     "kind": "drifting-quadratic", "param": {"tau": 4.0}}}),
+                 "config field 'environment.param': unknown key", id="misspelled-params"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {"mirorr": "euclidean"}}),
+                 "config field 'geometry.mirorr': unknown key", id="misspelled-mirror"),
+    pytest.param(lambda p: _run_config(p, {**ABPROD, "algorithm": {
+                     "name": "abprod", "candidate": {"name": "diomd", "tua": 2.0}}}),
+                 "config field 'algorithm.candidate.tua': unknown key",
+                 id="misspelled-nested-tau"),
+    # a boolean where a number belongs: T blamed environment.params at the
+    # parent, and the others ran with true read as 1 or 1.0
+    pytest.param(lambda p: _run_config(p, {**BASIC, "T": True}),
+                 "config field 'T': must be a positive integer", id="true-T"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "seeds": [True]}),
+                 "config field 'seeds': must be a list of integers", id="true-seed"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "diomd", "tau": True}}),
+                 "config field 'algorithm.tau': must be a number", id="true-tau"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "algorithm": {
+                     "name": "ogd", "scale": True}}),
+                 "config field 'algorithm.scale': must be a number", id="true-scale"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
+                     "domain": {"kind": "interval", "lo": -1.0, "hi": True}}}),
+                 "config field 'geometry.domain.hi': must be a number", id="true-interval-hi"),
+    pytest.param(lambda p: _run_config(p, {**BASIC, "geometry": {
+                     "domain": {"kind": "box", "lo": [-1.0], "hi": [True]}}}),
+                 "config field 'geometry.domain.hi': must be a number", id="true-box-hi"),
 ])
 def test_malformed_traces_and_configs_exit_one_naming_the_field(tmp_path, capsys, argv, field):
     assert main(argv(tmp_path)) == 1
@@ -904,6 +944,23 @@ def test_cli_verify_flags_plays_outside_the_domain(tmp_path, capsys):
     report = verify_trace(argv[1])
     checks = {v["check"] for v in report["integrity"]["violations"]}
     assert checks == {"play-set"}
+
+
+def test_cli_verify_flags_a_final_play_outside_the_domain(tmp_path, capsys):
+    argv = _verify_mutated_trace(tmp_path, lambda r: r[-1].update(x_final=[5.0]))
+    assert main(argv + ["--strict"]) == 2
+    captured = capsys.readouterr()
+    assert "strict: drifting-quadratic-diomd-s0: integrity" in captured.err
+    violations = json.loads(captured.out)["integrity"]["violations"]
+    assert violations == [{"round": None, "check": "final-play-set"}]
+
+
+def test_verify_parses_the_losses_before_it_checks_the_points():
+    records = [json.loads(line) for line in run_cell([_cell()])[0].trace_lines]
+    records[3]["loss"].pop("y")
+    records[2]["x"] = [float("nan")]
+    with pytest.raises(TraceError, match="line 4: trace field 'loss'"):
+        trace_to_report(records)
 
 
 def test_mlprod_trees_play_on_the_probability_simplex():

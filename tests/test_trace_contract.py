@@ -19,8 +19,8 @@ import yaml
 
 from driftlab.cli import main
 from driftlab.learners import ConfigError
-from driftlab.runner import (ALGORITHMS, _contract, expand_config, parse_trace, run_cell,
-                             trace_to_report)
+from driftlab.runner import (ALGORITHMS, _TRACE_ENCODER, _contract, expand_config, parse_trace,
+                             run_cell, trace_to_report)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BASE_KEYS = {"t", "loss", "x", "u", "value"}
@@ -101,11 +101,14 @@ def _cell_of(header: dict) -> dict:
 
 def _rebuilds_from_its_header(cell: dict):
     """Run ``cell``, then the cell its trace header describes: both write the
-    same trace bytes and the same report."""
+    same trace bytes and the same report, and each line is the text the
+    encoder writes for the record it holds."""
     ran = run_cell([cell])[0]
     again = run_cell([_cell_of(json.loads(ran.trace_lines[0]))])[0]
     assert again.trace_lines == ran.trace_lines
     assert again.report == ran.report
+    for line in ran.trace_lines:
+        assert line == _TRACE_ENCODER.encode(json.loads(line))
 
 
 @pytest.mark.parametrize("cell", _tiny_cells(), ids=lambda c: c["name"])
@@ -177,7 +180,7 @@ def _mutated(records, mutate):
 
 @pytest.mark.parametrize("cell", _tiny_cells(), ids=lambda c: c["name"])
 def test_every_declared_field_rejects_its_faults(cell, tmp_path, capsys):
-    records = _records(cell)
+    records = [json.loads(line) for line in run_cell([cell])[0].trace_lines]
     path = tmp_path / "fault.trace.jsonl"
     wrong = []
     for section, key, fault, mutate, where, may_pass in _cases(records):
@@ -260,7 +263,9 @@ CONFIG_FIELDS = [
                                                                       "x0": [0.0]}}, None),
 ]
 CONFIG_FAULTS = {"null": None, "text": "abc", "nan": float("nan"), "inf": float("inf"),
-                 "-inf": float("-inf"), "zero": 0, "negative": -1}
+                 "-inf": float("-inf"), "zero": 0, "negative": -1, "true": True}
+# faults that no config field accepts: true is not a number, a label or a mapping
+REJECTED = ("true",)
 # environments and geometry parse the keys inside these two mappings: an
 # environment's errors name the mapping, and a domain's name the key, or the
 # mapping for a fault between keys
@@ -290,9 +295,9 @@ def test_every_config_field_rejects_its_faults(field, env, algorithm, geometry,
         path.write_text(yaml.safe_dump(config))
         code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err.strip().splitlines()
-        ok = (code == 0 and not err) or code == 1 and len(err) == 1 and err[0].startswith(
-            "driftlab: error: config field ") and (f"'{named}'" in err[0]
-                                                   or f"'{named}." in err[0])
+        names_it = len(err) == 1 and err[0].startswith("driftlab: error: config field ") and (
+            f"'{named}'" in err[0] or f"'{named}." in err[0])
+        ok = code == 1 and names_it or code == 0 and not err and fault not in REJECTED
         if not ok:
             wrong.append((fault, code, err))
     assert wrong == []
