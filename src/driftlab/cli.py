@@ -11,6 +11,7 @@ failure under --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -96,7 +97,8 @@ def _parse_seeds(text: str) -> list:
 def _execute(cells, threads: int, out_dir: Path) -> list:
     """Every cell's report, in cell order, each family's files written as its
     ``run_cell`` returns.  Each family runs as one ``run_cell`` call, or as at
-    most ``threads`` contiguous chunks over no more workers than chunks."""
+    most ``threads`` contiguous chunks over no more workers than chunks, each
+    worker formatting its own cells' traces (``_run_job``)."""
     jobs = []
     for family in families(cells):
         n = min(threads, len(family))
@@ -107,14 +109,22 @@ def _execute(cells, threads: int, out_dir: Path) -> list:
     from concurrent.futures import ProcessPoolExecutor  # a one-process run starts no pool
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _write_outputs(cells, jobs, pool.map(run_cell, jobs), out_dir)
+        return _write_outputs(cells, jobs, pool.map(_run_job, jobs), out_dir)
+
+
+def _run_job(job: list) -> list:
+    """``run_cell``'s results for ``job``, each trace formatted as its text,
+    so a worker process sends one string per cell, not the columns."""
+    return [dataclasses.replace(res, trace=res.text()) for res in run_cell(job)]
 
 
 def _write_outputs(cells: list, jobs: list, done, out_dir: Path) -> list:
     """The reports of ``done``'s results for ``jobs``, written job by job,
-    then ``summary.csv``; the reports in cell order.  A job that fails raises
-    the error of the first failing cell in cell order: the cells before its
-    last that no job has written rerun one at a time until one fails."""
+    then ``summary.csv``; the reports in cell order.  Each trace is formatted
+    as its file is written, so one cell's text is alive at a time.  A job
+    that fails raises the error of the first failing cell in cell order: the
+    cells before its last that no job has written rerun one at a time until
+    one fails."""
     where = {id(cell): i for i, cell in enumerate(cells)}
     written, done = {}, iter(done)
     for job in jobs:
@@ -127,7 +137,7 @@ def _write_outputs(cells: list, jobs: list, done, out_dir: Path) -> list:
             raise
         out_dir.mkdir(parents=True, exist_ok=True)  # only once a family is done
         for cell, res in zip(job, results):
-            (out_dir / f"{res.name}.trace.jsonl").write_text("\n".join(res.trace_lines) + "\n")
+            (out_dir / f"{res.name}.trace.jsonl").write_text(res.text())
             (out_dir / f"{res.name}.report.json").write_text(report_json(res.report))
             written[where[id(cell)]] = res.report
     reports = [written[i] for i in sorted(written)]

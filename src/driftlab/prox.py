@@ -150,7 +150,7 @@ def _linear_euclidean(loss, geom, x_t, lam) -> ProxResult:
 
 
 def _linear_entropy(loss, geom, x_t, lam) -> ProxResult:
-    X, values, deltas = _linear_entropy_lanes(loss, geom, x_t[None, :], np.array([lam]))
+    X, values, deltas = _linear_entropy_lanes(loss.g, geom, x_t[None, :], np.array([lam]))
     return ProxResult(x_next=X[0], delta=deltas[0], solver="closed-form", residual=0.0,
                       value=values[0])
 
@@ -172,7 +172,7 @@ def implicit_update_lanes(loss, geom: Geometry, X: np.ndarray, lams: np.ndarray,
     """``implicit_update`` from the anchors X (k, d) at once, lane i with
     weight lams[i] and loss ``loss``, or ``loss[i]`` of a ``LossTable``.
 
-    Lanes of one linear loss on the entropy simplex, or two or more lanes of
+    Lanes of linear losses on the entropy simplex, or two or more lanes of
     1-d quadratics on an interval (a row each, or one shared), step as one batch; anything else steps
     lane by lane through ``implicit_update``, the reference
     route, which each lane equals bit for bit.  A fault in an anchor, a
@@ -203,12 +203,24 @@ def _lanes_route(loss, geom, X):
     step them one by one (one lane of quadratics steps faster on its own)."""
     if X.ndim != 2 or X.shape[1] != geom.domain.dim:
         return None
-    if geom.mirror == "entropy" and isinstance(loss, LinearLoss):
-        return lambda X, lams: _entropy_lanes(loss, geom, X, lams)
+    if geom.mirror == "entropy":
+        g = _linear_gradients(loss, X.shape)
+        return None if g is None else lambda X, lams: _entropy_lanes(g, geom, X, lams)
     quadratics = _interval_quadratics(loss, geom, len(X))
     if geom.mirror == "euclidean" and quadratics is not None and len(X) > 1:
         return lambda X, lams: _quadratic_interval_lanes(*quadratics, geom, X, lams)
     return None
+
+
+def _linear_gradients(loss, shape: tuple):
+    """The gradient of lanes of linear losses with anchors of ``shape`` (k, d):
+    the (k, d) rows of the ``LossTable`` ``loss``, or the (d,) gradient of one
+    shared ``LinearLoss``; None for any other losses or a misfit dimension."""
+    if isinstance(loss, LossTable):
+        g = loss.G if loss.kind == "linear" else None
+    else:
+        g = loss.g if isinstance(loss, LinearLoss) else None
+    return g if g is not None and g.shape in (shape, shape[1:]) else None
 
 
 def _interval_quadratics(loss, geom, k: int):
@@ -225,8 +237,9 @@ def _interval_quadratics(loss, geom, k: int):
     return None
 
 
-def _linear_entropy_lanes(loss, geom, X, lams):
-    """The entropy-linear prox of anchors X (k, d) under weights lams (k,).
+def _linear_entropy_lanes(g, geom, X, lams):
+    """The entropy-linear prox of anchors X (k, d) under weights lams (k,),
+    lane i's loss gradient the row g[i] of (k, d) ``g``, or one shared (d,) g.
 
     Lanes with 0 < lam < inf take the multiplicative step.  Lanes with
     lam = 0 minimize outright: floor everywhere, the remaining mass on the
@@ -237,25 +250,26 @@ def _linear_entropy_lanes(loss, geom, X, lams):
     differently.  Each lane's case is read from its weight as a Python
     float: a call has a lane or a few, and numpy masks cost more than that.
     """
-    g = loss.g
+    rows = g if g.ndim == 2 else [g] * len(X)  # each lane's gradient
     lam_list = lams.tolist()
     step = [i for i, lam in enumerate(lam_list) if 0.0 < lam < math.inf]
     if len(step) == len(lam_list):
         X_next, divergences = _entropy_step(g, X, lams, geom.domain)
     else:
         X_next, divergences = X.copy(), np.empty(0)
-        zero = [i for i, lam in enumerate(lam_list) if lam == 0.0]
-        if zero:
-            X_next[zero] = geom.domain._linear_argmin(g, None)
+        for i, lam in enumerate(lam_list):
+            if lam == 0.0:
+                X_next[i] = geom.domain._linear_argmin(rows[i], None)
         if step:
-            X_next[step], divergences = _entropy_step(g, X[step], lams[step], geom.domain)
+            X_next[step], divergences = _entropy_step(g[step] if g.ndim == 2 else g, X[step],
+                                                      lams[step], geom.domain)
     penalty = [0.0] * len(lam_list)
     for i, b in zip(step, divergences.tolist()):  # lam * B as ``_delta`` takes it
         penalty[i] = lam_list[i] * b if b > 0.0 else 0.0
     if not np.isfinite(X_next).all():
         raise GeometryError("point has NaN or infinite coordinates")
-    values = [float(g @ x) for x in X]
-    deltas = [v - float(g @ x) - p for v, x, p in zip(values, X_next, penalty)]
+    values = [float(r @ x) for r, x in zip(rows, X)]
+    deltas = [v - float(r @ x) - p for v, r, x, p in zip(values, rows, X_next, penalty)]
     low = [delta for delta in deltas if delta < DELTA_FLOOR]
     if low:
         raise SolverError(f"closed-form: progress certificate delta={low[0]:.3e} "
@@ -263,10 +277,11 @@ def _linear_entropy_lanes(loss, geom, X, lams):
     return X_next, values, deltas
 
 
-def _entropy_lanes(loss, geom, X, lams) -> ProxLanes:
-    X_next, values, deltas = _linear_entropy_lanes(loss, geom, X, lams)
+def _entropy_lanes(g, geom, X, lams) -> ProxLanes:
+    X_next, values, deltas = _linear_entropy_lanes(g, geom, X, lams)
+    gnorms = [geom.dual_norm(r) for r in g] if g.ndim == 2 else [geom.dual_norm(g)] * len(X)
     return ProxLanes(X_next, np.array(values), np.array(deltas), _labels(lams),
-                     np.full(len(X), geom.dual_norm(loss.g)))
+                     np.array(gnorms))
 
 
 def _labels(lams: np.ndarray) -> list:

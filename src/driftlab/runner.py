@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -336,9 +337,37 @@ def _build_algorithm(spec, geom, env, T, field="algorithm"):
 
 @dataclass
 class CellResult:
+    """One cell's name, report and trace.  The trace is the text of its file,
+    or the lane's columns (``_TraceColumns``), which format the text each time
+    it is read, so a family's results hold columns, not text."""
+
     name: str
-    trace_lines: list
     report: dict
+    trace: object
+
+    @property
+    def trace_lines(self) -> list:
+        """The trace's lines, without their newlines."""
+        return self.trace.splitlines() if isinstance(self.trace, str) else self.trace.lines()
+
+    def text(self) -> str:
+        """The trace file's text: its lines, each ended by a newline."""
+        return self.trace if isinstance(self.trace, str) else "\n".join(self.trace.lines()) + "\n"
+
+
+class _TraceColumns(NamedTuple):
+    """What one cell's trace lines are formatted from: its header, its rows
+    as columns (see ``_column_lines``) but for the round numbers ``t``, which
+    the header's T gives, and its final record."""
+
+    header: dict
+    rows: dict
+    final: dict
+
+    def lines(self) -> list:
+        t = np.arange(1, self.header["config"]["T"] + 1)
+        return [_TRACE_ENCODER.encode(self.header), *_column_lines({**self.rows, "t": t}),
+                _TRACE_ENCODER.encode(self.final)]
 
 
 class _Run(NamedTuple):
@@ -486,9 +515,9 @@ def play_rounds(step, comparators: list, norm: str) -> None:
 
 
 def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) -> CellResult:
-    """The trace and report of one lane's columns (``_Lanes.lane``):
-    the text ``_TRACE_ENCODER`` writes for the same rows, and the report that
-    ``trace_to_report`` makes of it."""
+    """The trace and report of one lane's columns (``_Lanes.lane``): the
+    columns that format the text ``_TRACE_ENCODER`` writes for the same rows,
+    and the report that ``trace_to_report`` makes of that text."""
     n = len(comparators)
     value_sum = 0.0
     for value in cols["value"].tolist():  # in order, one round at a time
@@ -498,8 +527,8 @@ def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) ->
     final_keys = _contract(algorithm["name"], algorithm, run.geom.mirror)[2]
     final = {"final": True, "x_final": final["x_final"], **{key: state[key] for key in final_keys}}
     losses = cols["loss"]
-    cols = {**cols, "loss": losses.columns(), "t": np.arange(1, n + 1), "u": comparators}
-    lines = [_TRACE_ENCODER.encode(run.header), *_column_lines(cols), _TRACE_ENCODER.encode(final)]
+    rows = {**cols, "loss": losses.columns(), "u": comparators}
+    cols = {**rows, "t": np.arange(1, n + 1)}
 
     def column(key):  # every row's value, as the parsed lines hold it; points as arrays
         col = cols.get(key, _ABSENT)
@@ -509,7 +538,8 @@ def _lane_result(run: _Run, comparators: np.ndarray, cols: dict, final: dict) ->
             return col.tolist()
         return col if isinstance(col, list) else [col] * n
 
-    return CellResult(run.name, lines, _report(run.header, run.geom, losses, column, final))
+    return CellResult(run.name, _report(run.header, run.geom, losses, column, final),
+                      _TraceColumns(run.header, rows, final))
 
 
 def _column_lines(columns: dict) -> list:
@@ -591,7 +621,7 @@ def _points(raw: list, key: str, dim, wheres: list) -> np.ndarray:
     shape = () if dim is None else (dim,)
     try:
         pts = np.array(raw, dtype=float)
-        if pts.shape == (len(raw), *shape) and np.isfinite(pts).all():
+        if pts.shape == (len(raw), *shape) and np.isfinite(pts).all() and _numbers(raw, shape):
             return pts
     except (TypeError, ValueError):
         pass
@@ -615,9 +645,19 @@ def _field(where: str, key: str) -> str:
 def _is_point(p, shape: tuple) -> bool:
     try:
         v = np.asarray(p, dtype=float)
-        return v.shape == shape and bool(np.isfinite(v).all())
+        return v.shape == shape and bool(np.isfinite(v).all()) and _numbers(
+            p if shape else [p], ())
     except (TypeError, ValueError):
         return False
+
+
+def _numbers(raw, shape: tuple) -> bool:
+    """Whether ``raw``, numbers or (``shape`` (d,)) lists of them, holds JSON
+    numbers alone, since numpy reads true and "0.98" as numbers too; a run's
+    own points come as a float array."""
+    if isinstance(raw, np.ndarray):
+        return True
+    return set(map(type, itertools.chain.from_iterable(raw) if shape else raw)) <= {int, float}
 
 
 def _contract(algorithm: str, params: dict, mirror: str, linear: bool = False):
@@ -677,6 +717,9 @@ def _on_simplex(params: dict) -> bool:
 def trace_to_report(records: list) -> dict:
     if len(records) < 3:
         raise TraceError("trace needs a header, at least one round, and a final record")
+    misfit = next((i for i, record in enumerate(records) if type(record) is not dict), None)
+    if misfit is not None:
+        raise TraceError(f"line {misfit + 1}: a trace line must be a JSON object")
     header, rows, final = records[0], records[1:-1], records[-1]
     if header.get("kind") != TRACE_KIND:
         raise TraceError(f"line 1: not a {TRACE_KIND} header")

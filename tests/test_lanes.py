@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from test_trace_contract import ENVIRONMENTS, FIXED_DIOMD
 
 from driftlab import learners, prox, runner
-from driftlab.geometry import (Geometry, GeometryError, Interval, domain_from_dict,
-                               euclidean_geometry)
+from driftlab.geometry import (ClippedSimplex, Geometry, GeometryError, Interval,
+                               domain_from_dict, entropy_geometry, euclidean_geometry)
 from driftlab.learners import ConfigError
 from driftlab.losses import LossTable, QuadraticLoss
 from driftlab.prox import (SolverError, _interval_quadratics, _quadratic_interval_lanes,
@@ -136,6 +136,77 @@ def test_a_shared_quadratic_steps_its_lanes_as_the_one_lane_update_bit_for_bit(
                                  geom, X, lams)
     _assert_lanes_equal_one_lane(implicit_update_lanes(loss, geom, X, lams), losses, geom, X,
                                  lams)
+
+
+_G = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-3.0, 3.0))
+_ENTROPY_LAM = st.one_of(st.sampled_from([0.0, math.inf, 1.0]), st.floats(1e-2, 1e4))
+# faults of one entropy lane: each a change to (x, lam) that implicit_update rejects
+_ENTROPY_FAULTS = {"nan-anchor": lambda x, lam: (np.full_like(x, np.nan), lam),
+                   "off-the-simplex": lambda x, lam: (2.0 * x, lam),
+                   "negative-lam": lambda x, lam: (x, -0.5),
+                   "nan-lam": lambda x, lam: (x, math.nan),
+                   "weight-underflows": lambda x, lam: (x, 5e-324)}
+
+
+def _entropy_lanes_of(d: int, fault: bool):
+    """Lanes of linear losses on a d-expert clipped simplex: (g, weights of
+    the anchor's free mass, lam), and with ``fault`` a fault or None each."""
+    lane = st.tuples(st.lists(_G, min_size=d, max_size=d),
+                     st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), _ENTROPY_LAM)
+    if fault:
+        lane = st.tuples(lane, st.sampled_from([None, *_ENTROPY_FAULTS]))
+        return st.lists(lane, min_size=1, max_size=5).filter(lambda ls: any(f for _, f in ls))
+    return st.lists(lane, min_size=1, max_size=5)
+
+
+def _entropy_table(lanes, d: int, alpha: float):
+    dom = ClippedSimplex(d, alpha)
+    G = np.array([g for g, _, _ in lanes], dtype=float)
+    W = np.array([w if sum(w) > 0 else [1.0] * d for _, w, _ in lanes])
+    X = dom.floor + (1.0 - alpha) * W / W.sum(axis=1, keepdims=True)
+    lams = np.array([lam for _, _, lam in lanes])
+    return LossTable({"linear"}, G), entropy_geometry(dom), X, lams
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=st.integers(2, 5).flatmap(
+    lambda d: st.tuples(st.just(d), _entropy_lanes_of(d, False))),
+       alpha=st.sampled_from([0.1, 0.5, 0.9]))
+# lam = 0 lanes of tied and signed-zero gradients beside stepping and kept lanes
+@example(case=(3, [([0.0, -0.0, 0.0], [1.0, 0.0, 0.0], 0.0),
+                   ([1.0, 0.5, 0.5], [0.2, 0.3, 0.5], 2.0),
+                   ([-1.0, 3.0, -1.0], [0.0, 0.0, 0.0], 0.0),
+                   ([0.3, 0.1, 0.6], [0.5, 0.5, 0.0], math.inf)]), alpha=0.5)
+def test_entropy_lanes_of_a_loss_table_equal_the_one_lane_update_bit_for_bit(case, alpha):
+    d, lanes = case
+    table, geom, X, lams = _entropy_table(lanes, d, alpha)
+    # the batched route itself, and the public call that takes it
+    assert prox._lanes_route(table, geom, X) is not None
+    _assert_lanes_equal_one_lane(prox._entropy_lanes(table.G, geom, X, lams), table, geom, X,
+                                 lams)
+    _assert_lanes_equal_one_lane(implicit_update_lanes(table, geom, X, lams), table, geom, X,
+                                 lams)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=st.integers(2, 5).flatmap(
+    lambda d: st.tuples(st.just(d), _entropy_lanes_of(d, True))),
+       alpha=st.sampled_from([0.1, 0.5, 0.9]))
+def test_entropy_lanes_of_a_loss_table_raise_what_the_first_faulty_lane_raises(case, alpha):
+    d, lanes = case
+    table, geom, X, lams = _entropy_table([lane for lane, _ in lanes], d, alpha)
+    for i, (_, fault) in enumerate(lanes):
+        if fault:
+            X[i], lams[i] = _ENTROPY_FAULTS[fault](X[i], lams[i])
+    first = next(i for i, (_, fault) in enumerate(lanes) if fault)
+    for i in range(first):  # the lanes before it step cleanly on their own
+        implicit_update(table[i], geom, X[i], float(lams[i]))
+    with pytest.raises((GeometryError, SolverError)) as one:
+        implicit_update(table[first], geom, X[first], float(lams[first]))
+    with pytest.raises(type(one.value)) as batch:
+        implicit_update_lanes(table, geom, X, lams)
+    assert str(batch.value) == str(one.value)
 
 
 _ETA = st.one_of(st.sampled_from([1.0, 1e-300]), st.floats(1e-3, 1e3))
@@ -385,12 +456,12 @@ def test_interval_diomd_families_step_as_lanes(monkeypatch):
     # ogd lanes take a gradient step: no prox, and no OGD.update
     run_cell(_family(ENVIRONMENTS["drifting-quadratic"], "ogd"))
     assert steps == [] and updates == []
-    # an expert family steps as lanes too, each lane's prox step on its own
+    # an expert family steps as lanes too, each lane's linear loss a row of one batch
     solves = []
     one = prox.implicit_update
     monkeypatch.setattr(prox, "implicit_update", lambda *args: solves.append(1) or one(*args))
     run_cell(_family(ENVIRONMENTS["shifting-experts"], "diomd"))
-    assert steps == [] and updates == [] and len(solves) == 5 * 24
+    assert steps == [] and updates == [] and solves == []
 
 
 def test_a_lane_family_checks_its_anchors_and_weights_once(monkeypatch):

@@ -357,7 +357,7 @@ def test_cli_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
     # a fake pool records its size and maps in process: no process starts
     import concurrent.futures
 
-    sizes = []
+    sizes, sent = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -370,12 +370,15 @@ def test_cli_starts_no_more_workers_than_jobs(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, jobs):
-            return map(fn, jobs)
+            done = [fn(job) for job in jobs]
+            sent.extend(type(res.trace) for results in done for res in results)
+            return iter(done)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     three = _write_config(tmp_path, {**BASIC, "seeds": [0, 1, 2]}, "three.yaml")
     assert main(["run", three, "--output-dir", str(tmp_path / "wide"), "--threads", "1000"]) == 0
     assert sizes == [3]
+    assert sent == [str] * 3  # a worker sends each cell's text, not its columns
     assert main(["run", three, "--output-dir", str(tmp_path / "one"), "--threads", "1"]) == 0
     for path in (tmp_path / "one").iterdir():
         assert path.read_bytes() == (tmp_path / "wide" / path.name).read_bytes()
@@ -474,6 +477,29 @@ def test_cli_writes_each_family_as_its_run_cell_returns(tmp_path):
     assert len(list((tmp_path / "out16").glob("*.trace.jsonl"))) == 16
     trace = (tmp_path / "out2" / "lower-bound-ogd-s0.trace.jsonl").stat().st_size
     assert peaks[1] - peaks[0] < trace, (peaks, trace)
+
+
+def test_cli_formats_each_trace_of_a_family_as_it_writes_it(tmp_path):
+    # a family's results hold columns, and one cell's text is formatted at a
+    # time, so each extra seed of one family costs well under its trace's text
+    def config(n):
+        return {"environment": {"kind": "lower-bound", "params": {"sigma": 0.3}}, "T": 1500,
+                "seeds": list(range(n)), "algorithm": {"name": "diomd", "tau": 0.0}}
+
+    main(["run", _write_config(tmp_path, config(1), "warm.yaml"), "--output-dir",
+          str(tmp_path / "warm")])
+    peaks = []
+    for n in (2, 16):
+        cfg = _write_config(tmp_path, config(n), f"c{n}.yaml")
+        tracemalloc.start()
+        try:
+            assert main(["run", cfg, "--output-dir", str(tmp_path / f"out{n}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "out16").glob("*.trace.jsonl"))) == 16
+    trace = (tmp_path / "out2" / "lower-bound-diomd-s0.trace.jsonl").stat().st_size
+    assert (peaks[1] - peaks[0]) / 14 < trace / 2, (peaks, trace)
 
 
 def test_cli_seed_override(tmp_path):

@@ -134,14 +134,19 @@ def test_every_algorithm_rebuilds_from_its_header(spec):
 # a value of the right JSON type that each kind still rejects
 OUT_OF_KIND = {"positive": 0.0, "non-negative": -1.0, "at least 1": 0.5,
                "increasing pair": [1.0, 0.0], "count": 0.5, "flag": 0.5, "label": 5}
+# numpy reads true as 1.0 and "1.5" as 1.5, and neither is a JSON number
 FAULTS = {"drop": None, "null": None, "text": "abc", "nan": float("nan"),
-          "inf": float("inf"), "-inf": float("-inf")}
+          "inf": float("inf"), "-inf": float("-inf"), "true": True, "numeric-text": "1.5"}
 
 
 def _faults(kind):
     faults = dict(FAULTS)
     if kind == "label":
-        del faults["text"]  # text is a label
+        del faults["text"], faults["numeric-text"]  # text is a label
+    if kind == "flag":
+        del faults["true"]  # true is a flag
+    if kind == "increasing pair":
+        faults.update({"pair-of-flags": [False, True], "pair-of-texts": ["0.0", "1.0"]})
     if isinstance(kind, tuple):
         faults["out-of-kind"] = "bogus"
     elif kind in OUT_OF_KIND:
@@ -196,6 +201,32 @@ def test_every_declared_field_rejects_its_faults(cell, tmp_path, capsys):
         if not ok:
             wrong.append((section, key, fault, code, err))
     assert wrong == []
+
+
+@pytest.mark.parametrize("key, value", [("x", [True]), ("x", ["0.5"]), ("u", ["0.5"])])
+def test_a_point_of_flags_or_numeric_text_is_rejected(key, value, tmp_path, capsys):
+    records = _records({"environment": ENVIRONMENTS["drifting-quadratic"], "T": 6,
+                        "algorithm": "greedy"})
+    records[3][key] = value
+    path = tmp_path / "fault.trace.jsonl"
+    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"driftlab: error: {path}: line 4: trace field {key!r} must be a list of 1 finite "
+        "numbers"]
+
+
+@pytest.mark.parametrize("line, text", [(0, "[1]"), (2, "[1, 2]"), (-1, "3")],
+                         ids=["header", "round", "final"])
+def test_a_trace_line_that_is_not_an_object_is_named(line, text, tmp_path, capsys):
+    lines = run_cell(_tiny_cells()[:1])[0].trace_lines
+    lines[line] = text
+    path = tmp_path / "fault.trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--strict", str(path)]) == 1
+    where = len(lines) if line < 0 else line + 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"driftlab: error: {path}: line {where}: a trace line must be a JSON object"]
 
 
 # ---------------------------------------------------------------------------
