@@ -23,6 +23,7 @@ from .runner import (
     expand_sweep,
     families,
     report_json,
+    reusing_arms,
     run_cell,
     strict_failures,
     summarize,
@@ -98,14 +99,23 @@ def _execute(cells, threads: int, out_dir: Path) -> list:
     """Every cell's report, in cell order, each family's files written as its
     ``run_cell`` returns.  Each family runs as one ``run_cell`` call, or as at
     most ``threads`` contiguous chunks over no more workers than chunks, each
-    worker formatting its own cells' traces (``_run_job``)."""
+    worker formatting its own cells' traces (``_run_job``).
+
+    In one process, the calls run inside ``runner.reusing_arms``: an abprod
+    cell whose candidate or benchmark a cell of an earlier call ran plays it
+    back, and writes the same bytes.  That record lives for this call only,
+    holds only the cells a later arm asks for (none in a run with no
+    abprod), and adds no flag, config key or environment variable;
+    ``run_cell`` still takes one argument.  Worker processes share nothing:
+    each runs every learner of its jobs and writes the same bytes."""
     jobs = []
     for family in families(cells):
         n = min(threads, len(family))
         jobs += [family[j * len(family) // n:(j + 1) * len(family) // n] for j in range(n)]
     workers = min(threads, len(jobs))
     if workers <= 1:
-        return _write_outputs(cells, jobs, map(run_cell, jobs), out_dir)
+        with reusing_arms(jobs):
+            return _write_outputs(cells, jobs, map(run_cell, jobs), out_dir)
     from concurrent.futures import ProcessPoolExecutor  # a one-process run starts no pool
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

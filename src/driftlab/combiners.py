@@ -106,10 +106,12 @@ class ABProd(Learner):
         return None if self.a is None or self.b is None else self
 
     def _weigh(self):
-        """Each lane's probability on the first learner, as floats and a column."""
+        """Each lane's probability on the first learner, as floats and a
+        column; the round's mixture is made when ``x`` is first read."""
         wa = [eta * math.exp(w) for eta, w in zip(self.eta.tolist(), self.log_w_a.tolist())]
         self.p = [w / (w + 0.5 * wb) for w, wb in zip(wa, self.w_b.tolist())]
         self._P = np.array(self.p)[:, None]
+        self._x = None
 
     def mixture_weight(self) -> float:
         """Probability placed on the first learner this round (lane 0)."""
@@ -117,7 +119,9 @@ class ABProd(Learner):
 
     @property
     def x(self) -> np.ndarray:
-        return self._P * self.a.x + (1.0 - self._P) * self.b.x
+        if self._x is None:
+            self._x = self._P * self.a.x + (1.0 - self._P) * self.b.x
+        return self._x
 
     def play(self):
         return self.x[0]
@@ -396,12 +400,15 @@ class Scaffold(Learner):
         self._order = sorted(range(awake), key=lambda k: t >> k << k)
 
     def _mix(self):
-        """(weights, awake plays, mixed play) of this round, computed once."""
+        """(weights, awake plays, mixed play) of this round, computed once.
+        The mixture adds the weighted plays in order, as Python's ``sum``
+        does, and + 0.0 gives the +0.0 that ``sum``'s int start gives."""
         if self._round is None:
             p = self.meta.weights(self._order)
-            levels = [y for base in self.bases for y in base.x]
-            plays = [levels[k] for k in self._order]
-            self._round = (p, plays, sum(pi * yi for pi, yi in zip(p, plays)))
+            levels = self.bases[0].x if len(self.bases) == 1 else np.concatenate(
+                [base.x for base in self.bases])
+            plays = levels[self._order]
+            self._round = (p, plays, np.cumsum(p[:, None] * plays, axis=0)[-1] + 0.0)
         return self._round
 
     @property

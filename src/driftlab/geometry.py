@@ -377,14 +377,17 @@ def holds_flag(value) -> bool:
 
 
 def _read(spec: dict, key: str, read=float):
-    """``read(spec[key])``, which must be finite and hold no boolean; a fault
-    names ``key``."""
-    if holds_flag(spec.get(key)):
+    """``read(spec[key])``, which must be finite and hold no boolean and no
+    text, though ``float`` reads "1.5"; a fault names ``key``."""
+    raw = spec.get(key)
+    if holds_flag(raw):
         raise _keyed(key, "must be a number, not true or false")
     try:
         value = read(spec[key])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise _keyed(key, "required" if isinstance(exc, KeyError) else str(exc)) from None
+    if type(raw) is str or isinstance(raw, list) and any(type(v) is str for v in raw):
+        raise _keyed(key, "must be a number, not text")
     if not np.isfinite(value).all():
         raise _keyed(key, "must be finite")
     return value

@@ -8,6 +8,8 @@ from the written file (``verify``) matches the original byte for byte.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
 import io
 import itertools
@@ -131,9 +133,9 @@ def _fit(field: str, value, kind):
 
 
 def _number(field: str, value, kind: str) -> float:
-    """``float(value)`` of config field ``field``, of ``kind``."""
-    _not_flag(field, value)
-    return _fit(field, _parsed(ConfigError, f"config field {field!r}", float, value), kind)
+    """``float(value)`` of config field ``field``, once it fits ``kind``:
+    numeric text is not a number here, as in ``_fit``."""
+    return float(_fit(field, value, kind))
 
 
 def _not_flag(field: str, value):
@@ -236,12 +238,16 @@ def _build_ogd(spec, geom, env, T, field):
     return OGD(geom, schedule.etas, **start), {**params, **start}
 
 
+# the arms an abprod spec plays when it names none
+_ARMS = {"candidate": {"name": "scaffold"}, "benchmark": {"name": "greedy"}}
+
+
 def _build_abprod(spec, geom, env, T, field):
     loss_range = _loss_range(spec, field)
     cand, cand_params = _build_algorithm(
-        spec.get("candidate", {"name": "scaffold"}), geom, env, T, f"{field}.candidate")
+        spec.get("candidate", _ARMS["candidate"]), geom, env, T, f"{field}.candidate")
     bench, bench_params = _build_algorithm(
-        spec.get("benchmark", {"name": "greedy"}), geom, env, T, f"{field}.benchmark")
+        spec.get("benchmark", _ARMS["benchmark"]), geom, env, T, f"{field}.benchmark")
     return ABProd(cand, bench, loss_range), {"loss_range": [loss_range.lo, loss_range.hi],
                                              "candidate": cand_params, "benchmark": bench_params}
 
@@ -371,13 +377,16 @@ class _TraceColumns(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """One cell, built: its name, environment, geometry, learner and header."""
+    """One cell, built: its name, environment, geometry, learner and header,
+    and the key its plays are kept under for a later abprod (``_Record``), or
+    None."""
 
     name: str
     env: object
     geom: Geometry
     learner: object
     header: dict
+    arm: str | None = None
 
 
 def _build(cell: dict) -> _Run:
@@ -403,7 +412,116 @@ def _build(cell: dict) -> _Run:
             "seed": cell["seed"],
         },
     }
-    return _Run(name, env, geom, learner, header)
+    record = _RECORD.get()
+    if record is None:
+        return _Run(name, env, geom, learner, header)
+    if resolved["name"] == "abprod":
+        record.replay(cell, learner)
+    return _Run(name, env, geom, learner, header, record.wants(cell))
+
+
+def _arm_key(cell: dict, spec):
+    """The canonical JSON of ``cell`` but for its name, running ``spec`` (a
+    name read as ``{name: ...}``); None if it is not JSON."""
+    spec = {"name": spec} if isinstance(spec, str) else spec
+    try:
+        return json.dumps({**{k: v for k, v in cell.items() if k != "name"},
+                           "algorithm": spec}, sort_keys=True)
+    except (TypeError, ValueError):
+        return None
+
+
+def _arm_keys(cell: dict) -> dict:
+    """The keys (``_arm_key``) of an abprod cell's candidate and benchmark,
+    by role; none for another cell."""
+    spec = cell.get("algorithm")
+    spec = {"name": spec} if isinstance(spec, str) else spec
+    if not isinstance(spec, dict) or spec.get("name") != "abprod":
+        return {}
+    return {role: _arm_key(cell, spec.get(role, default)) for role, default in _ARMS.items()}
+
+
+class _Replay:
+    """An arm that an earlier cell ran, played back: ``x`` is row t of its
+    plays ``X`` (T + 1, k, d), and ``step`` returns its ``delta`` (T, k) as
+    the arm's own step returned it, None, or no key.  It steps by its arm's
+    rule, marked as a replay, so it stacks only with replays."""
+
+    def __init__(self, X: np.ndarray, delta, rule):
+        self.X, self.delta, self.rule, self.t = X, delta, rule, 0
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.X[self.t]
+
+    def step(self, loss, path_increments: np.ndarray) -> dict:
+        row = {} if self.delta is _ABSENT else {
+            "delta": None if self.delta is None else self.delta[self.t]}
+        self.t += 1
+        return row
+
+    def _rule(self):
+        return None if self.rule is None else (_Replay, self.rule)
+
+    def _join(self, replays: list):
+        """This copy of ``replays[0]`` made their stack (``learners.stack``)."""
+        self.X = np.concatenate([r.X for r in replays], axis=1)
+        if isinstance(self.delta, np.ndarray):
+            self.delta = np.concatenate([r.delta for r in replays], axis=1)
+        return self
+
+
+class _Record:
+    """The plays of the cells that an abprod cell of a later job takes as
+    its candidate or benchmark, found from the raw cells without building
+    any: a cell's key (``_arm_key``) is its raw spec on its raw environment,
+    geometry, T and seed, so equal keys build equal learners."""
+
+    def __init__(self, jobs: list):
+        self.wanted, self.arms, ran = set(), {}, set()
+        for job in jobs:
+            for cell in job:
+                self.wanted.update(key for key in _arm_keys(cell).values() if key in ran)
+            ran.update(_arm_key(cell, cell.get("algorithm")) for cell in job)
+
+    def wants(self, cell: dict):
+        """The key to keep ``cell``'s plays under, or None."""
+        key = _arm_key(cell, cell.get("algorithm"))
+        return key if key in self.wanted else None
+
+    def keep(self, key: str, cols: dict, final: dict) -> None:
+        """Keep a lane's plays and deltas (``_Lanes.lane``) under ``key``."""
+        X = np.concatenate([cols["x"], [final["x_final"]]])[:, None, :]
+        delta = cols.get("delta", _ABSENT)
+        self.arms[key] = X, delta if delta is None or delta is _ABSENT else delta[:, None]
+
+    def replay(self, cell: dict, combiner: ABProd) -> None:
+        """Swap each arm of the built abprod ``combiner`` that a kept cell
+        ran for its replay."""
+        for role, key in _arm_keys(cell).items():
+            if key in self.arms:
+                attr = "a" if role == "candidate" else "b"
+                arm = getattr(combiner, attr)
+                setattr(combiner, attr, _Replay(*self.arms[key], _step_rule(arm)))
+
+
+# the record of the grid that runs in this context (``reusing_arms``), or None
+_RECORD = contextvars.ContextVar("driftlab_arm_record", default=None)
+
+
+@contextlib.contextmanager
+def reusing_arms(jobs: list):
+    """Within it, ``run_cell`` keeps the plays of each cell of ``jobs`` (each
+    a ``run_cell`` argument, in the order they run) that an abprod cell of a
+    later job takes as its candidate or benchmark, and that abprod plays
+    them back (``_Replay``) instead of stepping its arm again.  A grid whose
+    abprod cells follow no arm's cell keeps nothing."""
+    record = _Record(jobs) if any(_arm_keys(cell) for job in jobs for cell in job) else None
+    token = _RECORD.set(record if record is not None and record.wanted else None)
+    try:
+        yield
+    finally:
+        _RECORD.reset(token)
 
 
 class _Lanes:
@@ -469,7 +587,15 @@ def run_cell(cells: list) -> list:
     of its first cell; a learner that does not stack runs as the one lane
     of its own ``_Lanes``.  Each cell's trace and report are written from
     its columns.  If any lane raises, the family reruns one cell at a time, so
-    the error is the one the first failing cell raises on its own."""
+    the error is the one the first failing cell raises on its own.
+
+    Inside ``reusing_arms``, an abprod cell whose candidate or benchmark is
+    the raw spec of a cell an earlier call ran on the same environment,
+    geometry, T and seed plays that cell's kept plays back instead of
+    stepping the arm again, with the same bytes.  The record lives for one
+    ``reusing_arms`` block and holds only the cells a later arm asks for;
+    outside one, each call runs every learner itself.  The only argument is
+    ``cells``."""
     try:
         runs, groups = [_build(cell) for cell in cells], {}
         for run in runs:
@@ -497,8 +623,13 @@ def _results(runs: list, lanes) -> list:
     """The ``CellResult`` of each run of the family, stepped by ``lanes``."""
     comparators = [run.env.comparators() for run in runs]
     play_rounds(lanes.update, comparators, runs[0].geom.primal_norm)
-    return [_lane_result(run, us, *lanes.lane(i))
-            for i, (run, us) in enumerate(zip(runs, comparators))]
+    results = []
+    for i, (run, us) in enumerate(zip(runs, comparators)):
+        cols, final = lanes.lane(i)
+        if run.arm is not None:
+            _RECORD.get().keep(run.arm, cols, final)
+        results.append(_lane_result(run, us, cols, final))
+    return results
 
 
 def play_rounds(step, comparators: list, norm: str) -> None:
@@ -623,7 +754,7 @@ def _points(raw: list, key: str, dim, wheres: list) -> np.ndarray:
         pts = np.array(raw, dtype=float)
         if pts.shape == (len(raw), *shape) and np.isfinite(pts).all() and _numbers(raw, shape):
             return pts
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):  # an int past the float range overflows
         pass
     where = next(w for w, p in zip(wheres, raw) if not _is_point(p, shape))
     what = "a finite number" if dim is None else f"a list of {dim} finite numbers"
@@ -647,7 +778,7 @@ def _is_point(p, shape: tuple) -> bool:
         v = np.asarray(p, dtype=float)
         return v.shape == shape and bool(np.isfinite(v).all()) and _numbers(
             p if shape else [p], ())
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         return False
 
 

@@ -582,6 +582,20 @@ def test_scaffold_equals_the_interval_reference_bit_for_bit(simplex, data, horiz
     assert lanes == reference
 
 
+def test_a_scaffold_mixes_levels_that_all_play_negative_zero_to_positive_zero():
+    # the mixture adds the weighted plays in order; Python's sum, from its int
+    # start 0, writes 0.0 where every awake level plays -0.0
+    def factory(interval):
+        return DynamicIOMD(INTERVAL, GreedySchedule(), x0=[-0.0])
+
+    losses = [QuadraticLoss([1.0], -0.0)] * 9  # greedy plays the target, -0.0
+    combo = Scaffold(factory, 9)
+    assert _outcome(combo, losses) == _outcome(ReferenceScaffold(factory, 9, LossRange()),
+                                               losses)
+    assert [base.x.tolist() for base in combo.bases] == [[[-0.0]] * 4]
+    assert combo.play().tobytes() == np.array([0.0]).tobytes()
+
+
 @pytest.mark.parametrize("simplex, period, meta_range", [
     (False, 4, (0.0, 2.0)), (True, 3, (0.0, 1.0))], ids=["interval", "simplex"])
 def test_scaffold_equals_the_reference_where_the_meta_rates_fall(simplex, period, meta_range):

@@ -648,3 +648,253 @@ def test_every_algorithm_steps_its_one_lane_as_its_update_bit_for_bit(name):
 
     runner.play_rounds(step, [run.env.comparators()], run.geom.primal_norm)
     assert _bits(run.learner.x[0]) == _bits(twin.play())
+
+
+# arm replays: an abprod cell plays back the arm an earlier cell of its grid ran
+
+# every algorithm; the combiners' ranges hold the losses of every grid below
+_WIDE = {"loss_range": [0.0, 8.0]}
+_ARM_SPECS = [*ALGORITHMS, FIXED_DIOMD, {"name": "diomd", "tau": 2.0},
+              {"name": "scaffold", "base": "greedy", **_WIDE},
+              {"name": "scaffold", "base": FIXED_DIOMD, **_WIDE},
+              {"name": "abprod", "candidate": "diomd", **_WIDE}]
+# the algorithms that play on expert environments alone
+_EXPERTS_ONLY = ("scaffold", "adapt-ml-prod", "abprod")
+_LINE = [{"mirror": "euclidean", "domain": {"kind": "interval", "lo": -2.0, "hi": 2.0}},
+         {"domain": {"kind": "ball", "center": [0.0], "radius": 0.5}}]
+# kind: (params, sweeps, geometry overrides, start points)
+_GRIDS = {
+    "drifting-quadratic": ({"tau": 2.0}, [{"environment.params.tau": [0.5, 4.0]}], _LINE,
+                           [[0.5], [-0.25]]),
+    "lower-bound": ({"sigma": 0.8}, [{"environment.params.sigma": [0.8, 1.0]}], _LINE,
+                    [[0.5], [-0.25]]),
+    "fixed-loss": ({}, [{"environment.params.hi": [1.0, 2.0]}], _LINE, [[0.5], [-0.25]]),
+    "shifting-experts": ({"d": 3, "shifts": 1}, [{"environment.params.shifts": [1, 2]}],
+                         [{"domain": {"kind": "clipped-simplex", "d": 3, "alpha": 0.3}},
+                          {"mirror": "euclidean", "domain": {"kind": "box", "lo": [0.0] * 3,
+                                                             "hi": [1.0] * 3}}],
+                         [[0.5, 0.25, 0.25], [0.2, 0.2, 0.6]]),
+    "alternating-experts": ({}, [], [{"domain": {"kind": "clipped-simplex", "d": 2,
+                                                 "alpha": 0.3}},
+                                     {"mirror": "euclidean", "domain": {
+                                         "kind": "box", "lo": [0.0] * 2, "hi": [1.0] * 2}}],
+                            [[0.5, 0.5], [0.75, 0.25]]),
+}
+
+
+def _as_spec(spec) -> dict:
+    return {"name": spec} if isinstance(spec, str) else spec
+
+
+def _started(spec, starts: list, start):
+    """``spec`` with start point ``starts[start]``, if it takes one."""
+    if None in (spec, start) or "x0" not in ALGORITHMS[_as_spec(spec)["name"]][5]:
+        return spec
+    return {**_as_spec(spec), "x0": starts[start]}
+
+
+@st.composite
+def _arm_grids(draw):
+    """(subcommand, config) of a grid: arms listed before an abprod, decoys
+    that differ from an arm in their start point, and arms listed after it."""
+    kind = draw(st.sampled_from(sorted(_GRIDS)))
+    params, sweeps, geometries, starts = _GRIDS[kind]
+    pool = [spec for spec in [None, *_ARM_SPECS]
+            if "experts" in kind or spec not in (None, *_EXPERTS_ONLY)]
+    abprod, arms = {"name": "abprod", **_WIDE}, {}
+    for role, default in runner._ARMS.items():
+        spec = draw(st.sampled_from(pool))
+        spec = _started(spec, starts, draw(st.sampled_from([None, 0, 1])))
+        if spec is not None:
+            abprod[role] = spec
+        arms[role] = default["name"] if spec is None else spec
+    before, after = [], []
+    for role, arm in arms.items():
+        place = draw(st.sampled_from(["before", "after", "decoy", "none"]))
+        if place == "decoy":  # the arm with another start point, or none
+            start = _as_spec(arm).get("x0")
+            arm = _started({k: v for k, v in _as_spec(arm).items() if k != "x0"}, starts,
+                           None if start is not None else draw(st.sampled_from([0, 1])))
+        (after if place == "after" else before if place != "none" else []).append(arm)
+    config = {"environment": {"kind": kind, "params": params},
+              "T": draw(st.sampled_from([1, 2, 5, 17])),
+              "seeds": draw(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True)),
+              "algorithms": [*draw(st.permutations(before)), abprod, *after]}
+    geometry = draw(st.sampled_from([None, *geometries]))
+    if geometry is not None:
+        config["geometry"] = geometry
+    sweep = draw(st.sampled_from([None, *sweeps]))
+    if sweep is not None:
+        config["sweep"] = sweep
+    return ("run" if sweep is None else "sweep"), config
+
+
+def _replays(monkeypatch) -> dict:
+    """Each abprod cell that plays back an arm, with its (candidate,
+    benchmark) as replays or not, recorded as the cell is built; an arm that
+    is swapped out must never step."""
+    swaps = {}
+    replay = runner._Record.replay
+
+    def record(self, cell, combiner):
+        arms = combiner.a, combiner.b
+        replay(self, cell, combiner)
+        replayed = tuple(type(arm) is runner._Replay for arm in (combiner.a, combiner.b))
+        if any(replayed):
+            swaps[cell["name"]] = replayed
+        for old, new in zip(arms, (combiner.a, combiner.b)):
+            if old is not new:
+                old.step = lambda *args: pytest.fail("a replayed arm stepped")
+
+    monkeypatch.setattr(runner._Record, "replay", record)
+    return swaps
+
+
+def _reused(specs: list) -> dict:
+    """Whether each abprod in ``specs`` plays back its (candidate,
+    benchmark): an arm is replayed where its spec is listed before the abprod."""
+    out = {}
+    for i, spec in enumerate(specs):
+        spec = _as_spec(spec)
+        if spec["name"] == "abprod":
+            earlier = [_as_spec(s) for s in specs[:i]]
+            out[i] = tuple(_as_spec(spec.get(role, default)) in earlier
+                           for role, default in runner._ARMS.items())
+    return out
+
+
+def _written_as_alone(cells: list, out) -> None:
+    """Every file in ``out`` is what its cell writes run alone."""
+    alone = [run_cell([cell])[0] for cell in cells]
+    written = {p.name: p.read_text() for p in out.iterdir()}
+    expected = {"summary.csv": runner.summarize([res.report for res in alone])}
+    for res in alone:
+        expected[f"{res.name}.trace.jsonl"] = res.text()
+        expected[f"{res.name}.report.json"] = runner.report_json(res.report)
+    assert sorted(written) == sorted(expected)
+    for name, text in expected.items():
+        assert written[name] == text, name
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(grid=_arm_grids())
+@example(grid=("sweep", {"environment": {"kind": "shifting-experts",
+                                         "params": {"d": 3, "shifts": 1}},
+                         "T": 17, "seeds": [0, 4], "sweep": {"environment.params.shifts": [1, 2]},
+                         "algorithms": ["scaffold", {"name": "greedy", "x0": [0.5, 0.25, 0.25]},
+                                        "greedy", "abprod", "diomd"]}))
+def test_an_abprod_plays_back_the_arms_earlier_cells_ran_and_writes_what_it_writes_alone(
+        grid, tmp_path_factory):
+    from driftlab import cli
+
+    command, config = grid
+    cells = runner.expand_sweep(config)
+    out = tmp_path_factory.mktemp("grid")
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        swaps = _replays(monkeypatch)
+        code = cli.main([command, str(cfg), "--output-dir", str(out / "out")])
+    if code != 0:  # some cell does not run here, and fails alone too
+        with pytest.raises((ConfigError, runner.TraceError)):
+            for cell in cells:
+                run_cell([cell])
+        return
+    _written_as_alone(cells, out / "out")
+    reused = _reused(config["algorithms"])
+    index = {json.dumps(_as_spec(s), sort_keys=True): i
+             for i, s in reversed(list(enumerate(config["algorithms"])))}
+    expected = {cell["name"]: reused[index[json.dumps(_as_spec(cell["algorithm"]),
+                                                      sort_keys=True)]]
+                for cell in cells if _as_spec(cell["algorithm"])["name"] == "abprod"}
+    assert swaps == {name: arms for name, arms in expected.items() if any(arms)}
+
+
+_QUAD = {"environment": ENVIRONMENTS["drifting-quadratic"], "T": 9}
+
+
+@pytest.mark.parametrize("arm, abprod, replayed", [
+    ({**_QUAD, "seeds": [0, 1], "algorithms": ["diomd", "greedy"]}, {}, True),
+    ({**_QUAD, "seeds": [1]}, {}, False),
+    ({**_QUAD, "seeds": [0], "algorithm": {"name": "diomd", "x0": [0.5]}}, {}, False),
+    ({**_QUAD, "seeds": [0], "geometry": _LINE[0]}, {}, False),
+    ({**_QUAD, "seeds": [0], "T": 8}, {}, False),
+    ({**_QUAD, "seeds": [0], "algorithm": {"name": "diomd", "tau": 0.0}}, {}, False),
+], ids=["same", "seed", "x0", "geometry", "T", "spec"])
+def test_an_arm_is_replayed_only_on_its_own_cell_and_only_after_it_ran(
+        arm, abprod, replayed, tmp_path, monkeypatch):
+    from driftlab import cli
+
+    arm = {"algorithm": "diomd", **arm}
+    arms = expand_config(arm)
+    abprods = expand_config({**_QUAD, "seeds": [0],
+                             "algorithm": {"name": "abprod", "candidate": "diomd"}})
+    swaps = _replays(monkeypatch)
+    for order, cells in (("after", arms + abprods), ("before", abprods + arms)):
+        swaps.clear()
+        cli._execute(cells, 1, tmp_path / order)
+        _written_as_alone(cells, tmp_path / order)
+        # only the abprod after its arm's cell plays it back
+        expected = replayed and order == "after"
+        assert swaps == {cell["name"]: (True, "greedy" in str(arm))
+                         for cell in abprods if expected}, order
+
+
+def test_replayed_arms_stack_apart_from_stepped_ones(monkeypatch):
+    # a family whose first abprod plays back its arm and whose second steps
+    # it: the two group apart, each as lanes of one, and nothing reruns
+    arms = expand_config({**_QUAD, "seeds": [0], "algorithm": "diomd"})
+    abprods = expand_config({**_QUAD, "seeds": [0, 1],
+                             "algorithm": {"name": "abprod", "candidate": "diomd"}})
+    built, sizes = [], []
+    build, lanes = runner._build, runner._Lanes
+    monkeypatch.setattr(runner, "_build", lambda cell: built.append(cell["name"]) or build(cell))
+    monkeypatch.setattr(runner, "_Lanes", lambda learner, tables: (
+        sizes.append(type(getattr(learner, "a", learner)).__name__) or lanes(learner, tables)))
+    with runner.reusing_arms([arms, abprods]):
+        run_cell(arms)
+        sizes.clear()
+        together = run_cell(abprods)
+    assert built == [cell["name"] for cell in arms + abprods]
+    assert sizes == ["_Replay", "DynamicIOMD"]
+    for result, cell in zip(together, abprods):
+        alone = run_cell([cell])[0]
+        assert (result.trace_lines, result.report) == (alone.trace_lines, alone.report)
+
+
+def _expert_shift() -> dict:
+    from test_golden import _WORKLOADS
+
+    return _WORKLOADS.expert_shift(_WORKLOADS.GOLDEN_SEED)
+
+
+def test_expert_shifts_abprod_plays_back_its_scaffold(tmp_path, monkeypatch):
+    from driftlab import cli, combiners
+
+    steps, running = [], []
+    step, run = combiners.Scaffold.step, cli.run_cell
+    monkeypatch.setattr(cli, "run_cell", lambda cells: running.append(
+        _as_spec(cells[0]["algorithm"])["name"]) or run(cells))
+    monkeypatch.setattr(combiners.Scaffold, "step", lambda self, *args: steps.append(
+        running[-1]) or step(self, *args))
+    cfg = tmp_path / "expert-shift.json"
+    cfg.write_text(json.dumps(_expert_shift()))
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    # the scaffold cell's 512 rounds; its abprod steps no scaffold again
+    assert running == ["diomd", "adapt-ml-prod", "scaffold", "abprod"]
+    assert steps == ["scaffold"] * 512
+
+
+def test_a_grid_with_no_abprod_records_nothing(tmp_path, monkeypatch):
+    from driftlab import cli
+
+    records, keys = [], []
+    record, key = runner._Record, runner._arm_key
+    monkeypatch.setattr(runner, "_Record", lambda jobs: records.append(jobs) or record(jobs))
+    monkeypatch.setattr(runner, "_arm_key", lambda *args: keys.append(args) or key(*args))
+    config = _expert_shift()
+    config["algorithms"] = [spec for spec in config["algorithms"] if spec["name"] != "abprod"]
+    cfg = tmp_path / "no-abprod.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    assert records == [] and keys == [] and runner._RECORD.get() is None

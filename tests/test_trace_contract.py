@@ -294,9 +294,10 @@ CONFIG_FIELDS = [
                                                                       "x0": [0.0]}}, None),
 ]
 CONFIG_FAULTS = {"null": None, "text": "abc", "nan": float("nan"), "inf": float("inf"),
-                 "-inf": float("-inf"), "zero": 0, "negative": -1, "true": True}
-# faults that no config field accepts: true is not a number, a label or a mapping
-REJECTED = ("true",)
+                 "-inf": float("-inf"), "zero": 0, "negative": -1, "true": True, "1.5": "1.5"}
+# faults that no config field accepts: true is not a number, a label or a
+# mapping, and numeric text is not a number
+REJECTED = ("true", "1.5")
 # environments and geometry parse the keys inside these two mappings: an
 # environment's errors name the mapping, and a domain's name the key, or the
 # mapping for a fault between keys
