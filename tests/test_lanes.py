@@ -13,7 +13,8 @@ lines, stacked or as the one lane of a learner that does not stack, are
 written from its columns, so they must equal the trace encoder's text of the same rows, and
 its report what ``verify`` reads from those lines.  A stacked ``ABProd``
 lane must step as a one-lane ``ABProd`` bit for bit, and each cell of a
-sweep must write what it writes alone.
+sweep must write what it writes alone, as must an abprod cell that plays
+back the arms earlier cells of its run ran.
 """
 
 from __future__ import annotations
@@ -658,7 +659,7 @@ _ARM_SPECS = [*ALGORITHMS, FIXED_DIOMD, {"name": "diomd", "tau": 2.0},
               {"name": "scaffold", "base": "greedy", **_WIDE},
               {"name": "scaffold", "base": FIXED_DIOMD, **_WIDE},
               {"name": "abprod", "candidate": "diomd", **_WIDE}]
-# the algorithms that play on expert environments alone
+# the specs that, by name alone, play on expert environments only
 _EXPERTS_ONLY = ("scaffold", "adapt-ml-prod", "abprod")
 _LINE = [{"mirror": "euclidean", "domain": {"kind": "interval", "lo": -2.0, "hi": 2.0}},
          {"domain": {"kind": "ball", "center": [0.0], "radius": 0.5}}]
