@@ -405,9 +405,7 @@ class Scaffold(Learner):
         does, and + 0.0 gives the +0.0 that ``sum``'s int start gives."""
         if self._round is None:
             p = self.meta.weights(self._order)
-            levels = self.bases[0].x if len(self.bases) == 1 else np.concatenate(
-                [base.x for base in self.bases])
-            plays = levels[self._order]
+            plays = np.concatenate([base.x for base in self.bases])[self._order]
             self._round = (p, plays, np.cumsum(p[:, None] * plays, axis=0)[-1] + 0.0)
         return self._round
 
