@@ -593,9 +593,11 @@ def run_cell(cells: list) -> list:
     the raw spec of a cell an earlier call ran on the same environment,
     geometry, T and seed plays that cell's kept plays back instead of
     stepping the arm again, with the same bytes.  The record lives for one
-    ``reusing_arms`` block and holds only the cells a later arm asks for;
-    outside one, each call runs every learner itself.  The only argument is
-    ``cells``."""
+    ``reusing_arms`` block (one ``cli._execute`` call) and holds only the
+    cells a later arm asks for, none in a run with no abprod; outside one,
+    as in a worker process, each call runs every learner itself and shares
+    nothing.  No flag, config key or environment variable selects this, and
+    the only argument is ``cells``."""
     try:
         runs, groups = [_build(cell) for cell in cells], {}
         for run in runs:
